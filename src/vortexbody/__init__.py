@@ -49,7 +49,6 @@ from .limit_system import (  # noqa: F401
     VortexWaveState,
     support_annulus,
     vw_step,
-    weighted_centroid,
 )
 from .coupled_system import (  # noqa: F401
     CoupledState,
@@ -61,13 +60,11 @@ from .coupled_system import (  # noqa: F401
     force_B,
     force_C,
     init_coupled,
-    lab_frame_view,
     total_energy,
 )
 from .normal_form import (  # noqa: F401
     ModulationData,
     ResidualSeries,
-    StructureTensors,
     apply_lambda,
     boundary_approximation_defect,
     expansion_B,
@@ -75,7 +72,6 @@ from .normal_form import (  # noqa: F401
     modulation,
     normal_form_residual,
     rotated_mass_identity_check,
-    structure_tensors,
 )
 from .lab import (  # noqa: F401
     ConfigError,

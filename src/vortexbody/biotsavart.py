@@ -13,18 +13,13 @@ which agrees with the exact point kernel to machine precision once
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import exp1
 
-from .geometry import perp, polygon_contains
+from .geometry import TWO_PI, polygon_contains
 from .potential import ScaledPotentials, log_gradient_sum
-
-log = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * np.pi
 
 
 class BodyCollisionError(RuntimeError):
@@ -204,11 +199,6 @@ class HydrodynamicField:
         return self._boundary_tangent[:, None] * self.scaled.base.mesh.tau
 
 
-def hydrodynamic_velocity(scaled: ScaledPotentials, field: BlobField,
-                          points) -> np.ndarray:
-    return HydrodynamicField(scaled, field).velocity(points)
-
-
 class BodyFrameVelocity:
     """The full body-frame fluid velocity
 
@@ -264,53 +254,6 @@ class BodyFrameVelocity:
         k2 = mesh.neumann_data(2)
         k3 = self.scaled.eps * mesh.neumann_data(3)
         return self.ell[0] * k1 + self.ell[1] * k2 + self.r * k3
-
-
-def body_frame_velocity(scaled: ScaledPotentials, field: BlobField,
-                        gamma: float, ell, r: float) -> BodyFrameVelocity:
-    return BodyFrameVelocity(scaled, field, gamma, ell, r)
-
-
-# ---------------------------------------------------------------------------
-# transport
-
-
-def advect(field: BlobField, velocity, dt: float, *, forbidden=None,
-           max_halvings: int = 4) -> BlobField:
-    """One RK4 step of the blob positions under ``velocity`` (a callable
-    on (n, 2) arrays).  Circulations ride along unchanged.
-
-    If any stage or the endpoint lands in the ``forbidden`` region
-    (callable returning a boolean mask), the step is retried as two
-    half-steps, a bounded number of times, then the collision is raised.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if field.n == 0:
-        return field
-
-    def bad(pts) -> bool:
-        return forbidden is not None and bool(np.any(forbidden(pts)))
-
-    x0 = field.x
-    k1 = velocity(x0)
-    s2 = x0 + 0.5 * dt * k1
-    k2 = velocity(s2)
-    s3 = x0 + 0.5 * dt * k2
-    k3 = velocity(s3)
-    s4 = x0 + dt * k3
-    k4 = velocity(s4)
-    x1 = x0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    if bad(s2) or bad(s3) or bad(s4) or bad(x1):
-        if max_halvings <= 0:
-            raise BodyCollisionError("blob entered the body during a step")
-        log.warning("advect: stage hit the body, halving dt to %.3e", dt / 2)
-        half = advect(field, velocity, dt / 2, forbidden=forbidden,
-                      max_halvings=max_halvings - 1)
-        return advect(half, velocity, dt / 2, forbidden=forbidden,
-                      max_halvings=max_halvings - 1)
-    return field.with_positions(x1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,19 +17,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Placement, perp, polygon_contains, rotation
+from .geometry import TWO_PI, Placement, perp, polygon_contains, rotation
 from .potential import MassData, ScaledPotentials, log_potential_sum
 from .biotsavart import (
     BlobField,
     BodyCollisionError,
     BodyFrameVelocity,
     pair_stream_matrix,
-    velocity_free_space,
 )
 
 log = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * np.pi
 
 
 class TimeStepError(RuntimeError):
@@ -56,6 +53,8 @@ class VorticityPatch:
             raise ValueError("need 0 <= inner < outer")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
+        if self.delta is not None and not 0.0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
 
     def discretize(self, frame: str = "body") -> BlobField:
         s = self.spacing
@@ -67,7 +66,8 @@ class VorticityPatch:
         keep = (self.inner <= rad) & (rad <= self.outer)
         pts = pts[keep]
         gam = np.full(len(pts), s * s * self.vorticity)
-        return BlobField(x=pts, gamma=gam, delta=self.delta or s,
+        return BlobField(x=pts, gamma=gam,
+                         delta=s if self.delta is None else self.delta,
                          frame=frame)
 
 
@@ -319,13 +319,38 @@ def coupled_step(state: CoupledState, dt: float) -> CoupledState:
 # conserved energy
 
 
+def _boundary_correction(state: CoupledState, sources, strengths,
+                         points) -> np.ndarray:
+    """Harmonic correction, at ``points``, that cancels on the body
+    boundary the free log potential of charges ``strengths`` at
+    ``sources``: the exterior Dirichlet part of the Green's function.
+
+    One Dirichlet solve per call.  The log growth -sum(strengths)/2pi is
+    carried by a pole at an interior point so the solve decays.
+    """
+    mesh = state.scaled.base.mesh
+    eps = state.eps
+    total = float(np.sum(strengths))
+    pole = eps * mesh.interior_point
+    nodes = eps * mesh.x
+
+    def base(q):
+        d = np.asarray(q, float).reshape(-1, 2) - pole
+        return -(total / (2 * TWO_PI)) * np.log((d ** 2).sum(1))
+
+    data = -(log_potential_sum(nodes, sources, strengths) + base(nodes))
+    sigma, c = state.scaled.base.ops.dirichlet_density(data)
+    points = np.asarray(points, float).reshape(-1, 2)
+    return (base(points)
+            + log_potential_sum(points / eps, mesh.x, sigma * mesh.w) + c)
+
+
 def total_energy(state: CoupledState) -> float:
     """Half of 2H = p^T M p - sum_jk G_jk G_H(x_j,x_k) - 2 gamma sum_j G_j Psi_H(x_j).
 
     The Green's function of the exterior domain splits into the free log,
-    its harmonic boundary correction (one Dirichlet solve per call), and
-    the stream of the circulation field; the blob self-interaction uses
-    the regularized pair stream.
+    its harmonic boundary correction, and the stream of the circulation
+    field; the blob self-interaction uses the regularized pair stream.
     """
     p = state.p
     quad = float(p @ state.inertia_matrix @ p)
@@ -333,83 +358,19 @@ def total_energy(state: CoupledState) -> float:
     if f.n == 0:
         return 0.5 * quad
 
-    mesh = state.scaled.base.mesh
-    eps = state.eps
-    beta = f.beta
-
     psi = f.gamma @ pair_stream_matrix(f) @ f.gamma
-
-    # harmonic correction of the free log, with the log growth -beta/2pi
-    # carried by a pole at an interior point so the solve decays
-    pole = eps * mesh.interior_point
-    nodes = eps * mesh.x
-
-    def base(points):
-        d = np.asarray(points, float).reshape(-1, 2) - pole
-        return -(beta / (2 * TWO_PI)) * np.log((d ** 2).sum(1))
-
-    data = -(log_potential_sum(nodes, f.x, f.gamma) + base(nodes))
-    sigma, c = state.scaled.base.ops.dirichlet_density(data)
-    correction = (base(f.x)
-                  + log_potential_sum(f.x / eps, mesh.x, sigma * mesh.w) + c)
+    correction = _boundary_correction(state, f.x, f.gamma, f.x)
     green = psi + float(f.gamma @ correction)
 
     stream = state.scaled.h_stream(f.x)
     return 0.5 * (quad - green
-                  - 2.0 * (beta + state.gamma) * float(f.gamma @ stream))
+                  - 2.0 * (f.beta + state.gamma) * float(f.gamma @ stream))
 
 
 def green_function(state: CoupledState, x, y) -> float:
-    """Exterior Dirichlet Green's function at one pair of points (for
-    tests; the energy path computes the same correction in bulk)."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    mesh = state.scaled.base.mesh
-    eps = state.eps
-    pole = eps * mesh.interior_point
-    nodes = eps * mesh.x
-    base = lambda q: -(1.0 / (2 * TWO_PI)) * np.log(((q - pole) ** 2).sum())
-    free = lambda q: (1.0 / (2 * TWO_PI)) * np.log(((q - y) ** 2).sum())
-    data = np.array([-(free(q) + base(q)) for q in nodes])
-    sigma, c = state.scaled.base.ops.dirichlet_density(data)
-    val = (base(x) + log_potential_sum(x / eps, mesh.x, sigma * mesh.w)[0] + c)
-    return free(x) + val
-
-
-# ---------------------------------------------------------------------------
-# lab frame
-
-
-@dataclass(frozen=True)
-class LabFrameView:
-    h: np.ndarray
-    h_dot: np.ndarray
-    theta: float
-    field: BlobField        # lab frame
-    _state: CoupledState
-
-    def velocity(self, points) -> np.ndarray:
-        """Lab-frame fluid velocity u(y) = R v(R^T (y - h))."""
-        pl = self._state.placement
-        body = self._state.flow().velocity(pl.to_body(points))
-        return pl.vector_to_lab(body)
-
-
-def lab_frame_view(state: CoupledState) -> LabFrameView:
-    pl = state.placement
-    lab_positions = pl.to_lab(state.field.x)
-    return LabFrameView(
-        h=pl.h.copy(),
-        h_dot=rotation(pl.theta) @ state.ell,
-        theta=pl.theta,
-        field=replace(state.field, x=lab_positions, frame="lab"),
-        _state=state,
-    )
-
-
-def vorticity_speed_bound(state: CoupledState) -> float:
-    """max |v| over the blob support, one of the monitored quantities."""
-    if state.field.n == 0:
-        return 0.0
-    u = state.flow().velocity(state.field.x)
-    return float(np.hypot(u[:, 0], u[:, 1]).max())
+    """Exterior Dirichlet Green's function at one pair of points, through
+    the same boundary correction as the energy."""
+    y = np.asarray(y, float).reshape(1, 2)
+    unit = np.ones(1)
+    free = log_potential_sum(x, y, unit)[0]
+    return float(free + _boundary_correction(state, y, unit, x)[0])

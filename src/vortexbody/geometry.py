@@ -15,7 +15,6 @@ With these choices the divergence theorem on the enclosed region S reads
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +98,6 @@ class ShapeSpec:
         d[0] = d.get(0, 0.0) + off
         modes = tuple(sorted(d))
         return ShapeSpec(self.name, modes, tuple(d[k] for k in modes))
-
-    def digest(self) -> str:
-        """Stable hash of the exact curve data, used to key potential caches."""
-        h = hashlib.sha256()
-        h.update(np.asarray(self.modes, dtype=np.int64).tobytes())
-        h.update(np.asarray(self.coeffs, dtype=np.complex128).tobytes())
-        return h.hexdigest()[:16]
 
 
 def _centered(name: str, coeff_map: dict) -> ShapeSpec:
@@ -206,9 +198,6 @@ class BoundaryMesh:
         if i == 5:
             return x[:, 1] * nv[:, 0] + x[:, 0] * nv[:, 1]
         raise ValueError(f"no boundary datum with index {i}")
-
-    def digest(self) -> str:
-        return f"{self.shape.digest()}-{self.n}"
 
 
 def _segments_cross(pts: np.ndarray) -> bool:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biotsavart import BlobField
+from .biotsavart import BlobField, BodyCollisionError
 from .contour import identity_suite
 from .coupled_system import (
     TimeStepError,
@@ -111,14 +111,16 @@ class ExperimentConfig:
                    self.r0, self.T, self.dt, self.spacing, self.rho)
         if not all(np.isfinite(scalars)):
             raise ConfigError("all physical parameters must be finite")
-        if self.panels < 16:
-            raise ConfigError("panels must be at least 16")
+        if self.panels < 16 or self.panels % 2:
+            raise ConfigError("panels must be an even integer >= 16")
         if self.m1 <= 0 or self.J1 <= 0:
             raise ConfigError("m1 and J1 must be positive")
         if self.T <= 0 or self.dt <= 0 or self.dt > self.T:
             raise ConfigError("need 0 < dt <= T")
         if self.spacing <= 0:
             raise ConfigError("spacing must be positive")
+        if self.delta is not None and not 0.0 < self.delta < np.inf:
+            raise ConfigError("delta must be positive and finite")
         if self.rho <= 1.0:
             raise ConfigError("rho must exceed 1")
         if self.patches:
@@ -280,9 +282,10 @@ class RunRecord:
 
     kind: str                       # "coupled" or "limit"
     eps: float | None
-    gamma: float
     t: np.ndarray                   # (m,)
     h: np.ndarray                   # (m, 2) body center / vortex position
+    gamma: np.ndarray               # (m,) circulation of the body / vortex
+    beta: np.ndarray                # (m,) total blob strength
     support: np.ndarray             # (m, 2) nearest/farthest blob distance
     blob_lab: np.ndarray            # (m, n, 2)
     blob_gamma: np.ndarray          # (n,)
@@ -302,134 +305,109 @@ class RunRecord:
         return "limit" if self.eps is None else f"coupled-eps{self.eps:g}"
 
 
-def _annulus_ok(support_row, rho: float, n_blobs: int) -> bool:
-    if n_blobs == 0:
-        return True
-    return support_row[0] >= 1.0 / rho and support_row[1] <= rho
+def _integrate(config: ExperimentConfig, eps: float | None, state, step,
+               sample, stops, reason) -> RunRecord:
+    """The loop both systems share: sample the initial state, then step,
+    sample and check the annulus until T, an abort or an annulus exit.
 
-
-def run_coupled(config: ExperimentConfig, pset, mass, eps: float) -> RunRecord:
-    """Integrate the coupled system at one scale, sampling every step."""
+    ``sample(state)`` returns the run-specific series values as a dict
+    keyed by RunRecord field; t, gamma and beta are recorded here.  An
+    exception in ``stops`` raised by ``step`` ends the run with the abort
+    reason ``reason(state, exc)``, state being the last one reached.
+    """
     started = time.perf_counter()
-    scaled = ScaledPotentials(pset, eps)
-    try:
-        state = init_coupled(scaled, mass, alpha=config.alpha,
-                             gamma=config.gamma, ell0=config.ell0,
-                             r0=config.r0,
-                             field=initial_field(config, "body"))
-    except ValueError as exc:
-        raise ConfigError(f"eps={eps:g}: {exc}") from None
-
     steps = config.steps
+    series = {}
+
+    def record(k, s):
+        row = {"t": s.t, "gamma": s.gamma, "beta": s.field.beta, **sample(s)}
+        for key, value in row.items():
+            if key not in series:
+                series[key] = np.zeros((steps + 1, *np.shape(value)))
+            series[key][k] = value
+
+    record(0, state)
     n = state.field.n
-    t = np.zeros(steps + 1)
-    h = np.zeros((steps + 1, 2))
-    theta = np.zeros(steps + 1)
-    ell = np.zeros((steps + 1, 2))
-    r = np.zeros(steps + 1)
-    energy = np.zeros(steps + 1)
-    support = np.zeros((steps + 1, 2))
-    blob_lab = np.zeros((steps + 1, n, 2))
-    states = [state]
-
-    def snap(k, s):
-        t[k] = s.t
-        h[k] = s.placement.h
-        theta[k] = s.placement.theta
-        ell[k] = s.ell
-        r[k] = s.r
-        energy[k] = total_energy(s)
-        support[k] = s.support_radii()
-        if n:
-            blob_lab[k] = s.placement.to_lab(s.field.x)
-
-    snap(0, state)
     aborted, detail = None, ""
     done = 0
     for k in range(1, steps + 1):
         try:
-            state = coupled_step(state, config.dt)
-        except TimeStepError as exc:
-            close = n and state.boundary_distance() < 2.0 * state.field.delta
-            aborted = "collision" if close else "dt-guard"
-            detail = str(exc)
+            state = step(state, config.dt)
+        except stops as exc:
+            aborted, detail = reason(state, exc), str(exc)
             break
-        snap(k, state)
-        states.append(state)
+        record(k, state)
         done = k
-        if not _annulus_ok(support[k], config.rho, n):
+        support = series["support"][k]
+        if n and not (support[0] >= 1.0 / config.rho
+                      and support[1] <= config.rho):
             aborted = "annulus-exit"
-            detail = (f"support [{support[k, 0]:.3f}, {support[k, 1]:.3f}] "
-                      f"outside [1/{config.rho:g}, {config.rho:g}] at t={t[k]:.6g}")
+            detail = (f"support [{support[0]:.3f}, {support[1]:.3f}] "
+                      f"outside [1/{config.rho:g}, {config.rho:g}] "
+                      f"at t={series['t'][k]:.6g}")
             break
 
     m = done + 1
     last_ok = done - 1 if aborted == "annulus-exit" else done
     rec = RunRecord(
-        kind="coupled", eps=eps, gamma=config.gamma,
-        t=t[:m], h=h[:m], support=support[:m], blob_lab=blob_lab[:m],
-        blob_gamma=state.field.gamma.copy(),
-        aborted=aborted, abort_detail=detail, t_eps=float(t[max(last_ok, 0)]),
+        kind="limit" if eps is None else "coupled", eps=eps,
+        blob_gamma=state.field.gamma.copy(), aborted=aborted,
+        abort_detail=detail, t_eps=float(series["t"][max(last_ok, 0)]),
         elapsed=time.perf_counter() - started,
-        theta=theta[:m], ell=ell[:m], r=r[:m], energy=energy[:m],
-        states=states)
+        **{key: values[:m] for key, values in series.items()})
     log.info("%s: %d/%d steps%s in %.1fs", rec.label, done, steps,
              f", aborted ({aborted})" if aborted else "", rec.elapsed)
+    return rec
+
+
+def _coupled_abort_reason(state, exc) -> str:
+    """A dt-guard stop with a blob within two core radii of the body, or
+    a blob inside the body during a stage, is a collision."""
+    if (isinstance(exc, TimeStepError)
+            and state.boundary_distance() >= 2.0 * state.field.delta):
+        return "dt-guard"
+    return "collision"
+
+
+def run_coupled(config: ExperimentConfig, pset, mass, eps: float) -> RunRecord:
+    """Integrate the coupled system at one scale, sampling every step."""
+    try:
+        state = init_coupled(ScaledPotentials(pset, eps), mass,
+                             alpha=config.alpha, gamma=config.gamma,
+                             ell0=config.ell0, r0=config.r0,
+                             field=initial_field(config, "body"))
+    except ValueError as exc:
+        raise ConfigError(f"eps={eps:g}: {exc}") from None
+
+    states = []
+
+    def sample(s):
+        states.append(s)
+        return {"h": s.placement.h, "theta": s.placement.theta, "ell": s.ell,
+                "r": s.r, "energy": total_energy(s),
+                "support": s.support_radii(),
+                "blob_lab": s.placement.to_lab(s.field.x)}
+
+    rec = _integrate(config, eps, state, coupled_step, sample,
+                     (TimeStepError, BodyCollisionError), _coupled_abort_reason)
+    rec.states = states
     return rec
 
 
 def run_limit(config: ExperimentConfig) -> RunRecord:
     """Integrate the vortex-wave system once, same lattice and grid."""
-    started = time.perf_counter()
     field = initial_field(config, "lab") or BlobField.empty(frame="lab")
     state = VortexWaveState(h=np.zeros(2), field=field, gamma=config.gamma)
 
-    steps = config.steps
-    n = field.n
-    t = np.zeros(steps + 1)
-    h = np.zeros((steps + 1, 2))
-    support = np.zeros((steps + 1, 2))
-    impulse = np.zeros((steps + 1, 2))
-    blob_lab = np.zeros((steps + 1, n, 2))
+    def sample(s):
+        impulse = s.gamma * s.h
+        if s.field.n:
+            impulse = impulse + s.field.gamma @ s.field.x
+        return {"h": s.h, "support": support_annulus(s), "impulse": impulse,
+                "blob_lab": s.field.x}
 
-    def snap(k, s):
-        t[k] = s.t
-        h[k] = s.h
-        support[k] = support_annulus(s)
-        impulse[k] = s.gamma * s.h + s.field.gamma @ s.field.x if n \
-            else s.gamma * s.h
-        if n:
-            blob_lab[k] = s.field.x
-
-    snap(0, state)
-    aborted, detail = None, ""
-    done = 0
-    for k in range(1, steps + 1):
-        try:
-            state = vw_step(state, config.dt)
-        except VortexCollisionError as exc:
-            aborted, detail = "collision", str(exc)
-            break
-        snap(k, state)
-        done = k
-        if not _annulus_ok(support[k], config.rho, n):
-            aborted = "annulus-exit"
-            detail = (f"support [{support[k, 0]:.3f}, {support[k, 1]:.3f}] "
-                      f"outside [1/{config.rho:g}, {config.rho:g}] at t={t[k]:.6g}")
-            break
-
-    m = done + 1
-    last_ok = done - 1 if aborted == "annulus-exit" else done
-    rec = RunRecord(
-        kind="limit", eps=None, gamma=config.gamma,
-        t=t[:m], h=h[:m], support=support[:m], blob_lab=blob_lab[:m],
-        blob_gamma=field.gamma.copy(),
-        aborted=aborted, abort_detail=detail, t_eps=float(t[max(last_ok, 0)]),
-        elapsed=time.perf_counter() - started,
-        impulse=impulse[:m])
-    log.info("%s: %d/%d steps%s in %.1fs", rec.label, done, steps,
-             f", aborted ({aborted})" if aborted else "", rec.elapsed)
-    return rec
+    return _integrate(config, None, state, vw_step, sample,
+                      VortexCollisionError, lambda s, exc: "collision")
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +519,8 @@ def assemble_report(config: ExperimentConfig, coupled: Sequence[RunRecord],
         e0 = rec.energy[0]
         row["energy_drift"] = float(np.abs(rec.energy - e0).max()
                                     / max(abs(e0), np.finfo(float).tiny))
-        row["gamma_drift"] = 0.0          # carried as a constant of the state
-        row["beta_drift"] = 0.0           # blob strengths are never mutated
+        row["gamma_drift"] = _drift(rec.gamma)
+        row["beta_drift"] = _drift(rec.beta)
         row["peak_momentum"] = float(
             (np.hypot(rec.ell[:, 0], rec.ell[:, 1]) + eps * np.abs(rec.r)).max())
         row.update(_coupled_diagnostics(rec, config.dt))
@@ -594,10 +572,10 @@ def write_trajectory(path: Path, rec: RunRecord) -> None:
     if rec.kind == "coupled":
         header = ["t", "h1", "h2", "theta", "ell1", "ell2", "r", "energy",
                   "gamma", "beta", "support_min", "support_max"]
-        beta = float(rec.blob_gamma.sum())
         rows = ((rec.t[k], rec.h[k, 0], rec.h[k, 1], rec.theta[k],
                  rec.ell[k, 0], rec.ell[k, 1], rec.r[k], rec.energy[k],
-                 rec.gamma, beta, rec.support[k, 0], rec.support[k, 1])
+                 rec.gamma[k], rec.beta[k], rec.support[k, 0],
+                 rec.support[k, 1])
                 for k in range(len(rec.t)))
     else:
         header = ["t", "h1", "h2", "impulse1", "impulse2",
@@ -668,8 +646,8 @@ vorticity scale, time in turnover units, circulations absolute.
 | ell1, ell2  | body-frame translational velocity                    |
 | r           | angular velocity                                     |
 | energy      | total energy of the body-fluid system                |
-| gamma       | boundary circulation (constant by construction)      |
-| beta        | total blob strength (constant by construction)       |
+| gamma       | boundary circulation                                 |
+| beta        | total blob strength                                  |
 | support_min | nearest blob distance from the body center           |
 | support_max | farthest blob distance from the body center          |
 
@@ -712,8 +690,7 @@ Present only for stopped runs; holds the machine-readable reason
 
 
 def run(config: ExperimentConfig, out_dir: Path | None = None,
-        threads: int | None = None, with_limit: bool = True,
-        coupled_eps: Sequence[float] | None = None):
+        threads: int | None = None, with_limit: bool = True):
     """Execute the experiment and write artifacts.
 
     Returns (records, report).  Coupled runs are scheduled on a thread
@@ -721,15 +698,13 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
     single-threaded.  ``report`` is None when the limit leg is skipped.
     """
     out_dir = Path(out_dir) if out_dir is not None else config.out
-    eps_list = tuple(coupled_eps) if coupled_eps is not None else config.eps
-
     pset = build_potential_set(build_mesh(config.shape, config.panels))
     mass = build_mass_data(pset, config.m1, config.J1)
 
-    workers = threads or min(len(eps_list), 4) or 1
+    workers = threads or min(len(config.eps), 4)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         coupled = list(pool.map(
-            lambda e: run_coupled(config, pset, mass, e), eps_list))
+            lambda e: run_coupled(config, pset, mass, e), config.eps))
 
     records = list(coupled)
     report = None
@@ -935,25 +910,28 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="debug-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # (name, help, handler, whether it runs the scale sweep)
     specs = (
         ("check-identities", "run every boundary/field identity suite",
-         _cmd_check),
+         _cmd_check, False),
         ("potentials", "solve the potentials for one shape and tabulate",
-         _cmd_potentials),
+         _cmd_potentials, False),
         ("simulate-coupled", "coupled runs for each configured scale",
-         _cmd_simulate_coupled),
-        ("simulate-limit", "the single vortex-wave run", _cmd_simulate_limit),
+         _cmd_simulate_coupled, True),
+        ("simulate-limit", "the single vortex-wave run", _cmd_simulate_limit,
+         False),
         ("converge", "full sweep, limit run, and convergence report",
-         _cmd_converge),
+         _cmd_converge, True),
     )
-    for name, help_text, func in specs:
+    for name, help_text, func, sweeps in specs:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--config", type=Path, default=None,
                        help="experiment file (key = value with sections)")
         q.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides the config)")
-        q.add_argument("--threads", type=int, default=None,
-                       help="worker pool size for the scale sweep")
+        if sweeps:
+            q.add_argument("--threads", type=int, default=None,
+                           help="worker pool size for the scale sweep")
         q.set_defaults(func=func)
     return parser
 

@@ -11,10 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import perp
+from .geometry import TWO_PI
 from .biotsavart import BlobField, velocity_free_space
-
-TWO_PI = 2.0 * np.pi
 
 
 class VortexCollisionError(RuntimeError):
@@ -85,13 +83,3 @@ def vw_step(state: VortexWaveState, dt: float) -> VortexWaveState:
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
     return replace(state, h=h1, field=f.with_positions(x1), t=state.t + dt)
 
-
-def weighted_centroid(state: VortexWaveState) -> np.ndarray:
-    """Circulation-weighted centroid (gamma h + sum G_j x_j)/(gamma + sum G_j),
-    an invariant of the exact dynamics; its drift measures time-stepping
-    error.  Undefined (zero total) raises."""
-    total = state.gamma + state.field.beta
-    if total == 0.0:
-        raise ZeroDivisionError("total circulation vanishes")
-    s = state.gamma * state.h + state.field.gamma @ state.field.x
-    return s / total

@@ -21,15 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .biotsavart import velocity_free_space, velocity_gradient
-from .coupled_system import CoupledState, force_B, force_C
+from .coupled_system import CoupledState
 from .geometry import perp
 from .potential import MassData
 
 __all__ = [
     "ModulationData",
-    "StructureTensors",
     "modulation",
-    "structure_tensors",
     "cross_product",
     "gyro_axis",
     "apply_lambda",
@@ -39,7 +37,6 @@ __all__ = [
     "boundary_approximation_defect",
     "ResidualSeries",
     "normal_form_residual",
-    "weak_gyro_calibration",
     "rotated_mass_identity_check",
     "modulation_rate_monitor",
 ]
@@ -154,38 +151,6 @@ def apply_lambda(mass: MassData, which: str, p, q=None) -> np.ndarray:
     return 0.5 * (_lambda_quadratic(mass, which, p + q)
                   - _lambda_quadratic(mass, which, p)
                   - _lambda_quadratic(mass, which, q))
-
-
-@dataclass(frozen=True)
-class StructureTensors:
-    """The constant ingredients of the modulated body equation for one
-    shape, bundled for trajectory post-processing."""
-
-    mass: MassData
-
-    @property
-    def genuine(self) -> np.ndarray:
-        return self.mass.genuine
-
-    @property
-    def added(self) -> np.ndarray:
-        return self.mass.added_3x3
-
-    @property
-    def axis(self) -> np.ndarray:
-        return gyro_axis(self.mass)
-
-    def apply(self, which: str, p, q=None) -> np.ndarray:
-        return apply_lambda(self.mass, which, p, q)
-
-    def inertia(self, eps: float, alpha: float) -> np.ndarray:
-        """eps^alpha M_g + eps^2 M_a acting on modulated momenta (the
-        spin scaling is already inside p, so no diagonal scaling here)."""
-        return eps ** alpha * self.genuine + eps ** 2 * self.added
-
-
-def structure_tensors(mass: MassData) -> StructureTensors:
-    return StructureTensors(mass=mass)
 
 
 def weakly_gyroscopic_G(mod: ModulationData, mass: MassData) -> np.ndarray:
@@ -401,26 +366,6 @@ def normal_form_residual(states: Sequence[CoupledState], dt: float,
         t=np.array([s.t for s in states[1:-1]]),
         p_modulated=p[1:-1], implied=out, fitted_constant=fitted,
         eps=eps, alpha=alpha, dt_converged=converged)
-
-
-def weak_gyro_calibration(states: Sequence[CoupledState], dt: float) -> float:
-    """Fitted constant of the weak-gyroscopic bound: the running integral
-    of p . G against eps (1 + t + integral of |p|^2), maximized in time."""
-    eps = states[0].eps
-    mass = states[0].mass
-    mods, p = _modulated_series(states)
-    dots = np.array([pk @ weakly_gyroscopic_G(mk, mass)
-                     for pk, mk in zip(p, mods)])
-    sizes2 = (p ** 2).sum(1)
-    num = 0.0
-    size_int = 0.0
-    best = 0.0
-    for k in range(1, len(states)):
-        num += 0.5 * dt * (dots[k - 1] + dots[k])
-        size_int += 0.5 * dt * (sizes2[k - 1] + sizes2[k])
-        elapsed = states[k].t - states[0].t
-        best = max(best, abs(num) / (eps * (1.0 + elapsed + size_int)))
-    return best
 
 
 def rotated_mass_identity_check(states: Sequence[CoupledState],

@@ -27,15 +27,12 @@ implements those scaling laws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .contour import contour_integral, hat_field
-from .geometry import BoundaryMesh, MomentSet, build_mesh, geometric_moments, perp
-
-TWO_PI = 2.0 * np.pi
+from .geometry import TWO_PI, BoundaryMesh, MomentSet, geometric_moments, perp
 
 
 # ---------------------------------------------------------------------------
@@ -340,46 +337,10 @@ class PotentialSet:
     h_second_moment: complex
     moments: MomentSet
 
-    @property
-    def added_mass_3x3(self) -> np.ndarray:
-        return self.mass[:3, :3]
 
-    @property
-    def added_mass_2x2(self) -> np.ndarray:
-        return self.mass[:2, :2]
-
-
-def build_potential_set(mesh: BoundaryMesh,
-                        cache_dir: str | Path | None = None) -> PotentialSet:
-    """Solve the five exterior Neumann problems and the harmonic field.
-
-    With ``cache_dir`` set, densities and derived constants are stored in
-    an .npz file keyed by the shape digest and panel count, and reused on
-    the next call for the same mesh.
-    """
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = Path(cache_dir) / f"potentials-{mesh.digest()}.npz"
+def build_potential_set(mesh: BoundaryMesh) -> PotentialSet:
+    """Solve the five exterior Neumann problems and the harmonic field."""
     ops = BoundaryOperators(mesh)
-
-    if cache_file is not None and cache_file.exists():
-        blob = np.load(cache_file)
-        if str(blob["key"]) == mesh.digest():
-            phi = tuple(
-                NeumannSolution(mesh=mesh, data=mesh.neumann_data(i + 1),
-                                density=blob["sigma"][i],
-                                boundary_values=blob["values"][i], _ops=ops)
-                for i in range(5))
-            H = HarmonicField(mesh=mesh, pole=blob["pole"],
-                              density=blob["sigma_h"],
-                              constant=float(blob["const_h"]), _ops=ops)
-            return PotentialSet(
-                mesh=mesh, ops=ops, phi=phi, H=H, mass=blob["mass"],
-                mass_defect=float(blob["mass_defect"]),
-                conformal_center=complex(blob["xi"]),
-                h_second_moment=complex(blob["eta"]),
-                moments=geometric_moments(mesh))
-
     phi = tuple(solve_exterior_neumann(mesh, mesh.neumann_data(i), ops=ops)
                 for i in range(1, 6))
     H = harmonic_field(mesh, ops=ops)
@@ -396,17 +357,9 @@ def build_potential_set(mesh: BoundaryMesh,
     xi = contour_integral(mesh, h_hat, "z")
     eta = contour_integral(mesh, h_hat, "z2")
 
-    pset = PotentialSet(mesh=mesh, ops=ops, phi=phi, H=H, mass=mass,
+    return PotentialSet(mesh=mesh, ops=ops, phi=phi, H=H, mass=mass,
                         mass_defect=mass_defect, conformal_center=xi,
                         h_second_moment=eta, moments=geometric_moments(mesh))
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(cache_file, key=mesh.digest(),
-                 sigma=np.stack([p.density for p in phi]),
-                 values=np.stack([p.boundary_values for p in phi]),
-                 sigma_h=H.density, const_h=H.constant, pole=H.pole,
-                 mass=mass, mass_defect=mass_defect, xi=xi, eta=eta)
-    return pset
 
 
 # ---------------------------------------------------------------------------
@@ -494,31 +447,14 @@ def field_identity_rows(pset: PotentialSet) -> list:
 
 
 # ---------------------------------------------------------------------------
-# named wrappers and the inertia bundle
+# the inertia bundle
 
 
-def mass_matrix(potentials: PotentialSet,
-                mesh: BoundaryMesh | None = None) -> np.ndarray:
-    """The 5x5 Gram matrix of the Kirchhoff potential gradients.
-
-    Computed by the boundary form: the fluid-volume inner product of
-    grad phi_i and grad phi_j reduces to the contour integral of phi_i
-    times the j-th rigid datum, with sign pinned by the disk value pi.
-    """
-    return potentials.mass
-
-
-def conformal_center_eta(H_or_set, mesh: BoundaryMesh | None = None):
+def conformal_center_eta(pset: PotentialSet):
     """(xi, eta) as real 2-vectors: the first two complex contour moments
     of the harmonic field, components (real part, imaginary part)."""
-    if isinstance(H_or_set, PotentialSet):
-        xi_c = H_or_set.conformal_center
-        eta_c = H_or_set.h_second_moment
-    else:
-        mesh = mesh or H_or_set.mesh
-        h_hat = hat_field(H_or_set.boundary_trace())
-        xi_c = contour_integral(mesh, h_hat, "z")
-        eta_c = contour_integral(mesh, h_hat, "z2")
+    xi_c = pset.conformal_center
+    eta_c = pset.h_second_moment
     return (np.array([xi_c.real, xi_c.imag]),
             np.array([eta_c.real, eta_c.imag]))
 
@@ -613,9 +549,6 @@ class ScaledPotentials:
 
     base: PotentialSet
     eps: float
-
-    def scaled_mesh(self) -> BoundaryMesh:
-        return build_mesh(self.base.mesh.shape.scaled(self.eps), self.base.mesh.n)
 
     def _pow(self, i: int) -> float:
         return self.eps if i >= 3 else 1.0

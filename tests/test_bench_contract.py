@@ -1,0 +1,49 @@
+"""The library surface the benchmark under bench/ relies on.
+
+bench/tracer.py wraps functions by attribute path, and the workloads call
+a few entry points by name.  A rename or deletion in the package that
+breaks either fails here, in the regular suite, and not only in the
+benchmark's own tests.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from vortexbody import geometry, lab, potential
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("prefix, path",
+                         [(prefix, path)
+                          for prefix, path, _ in load_tracer().TARGETS])
+def test_tracer_target_resolves(prefix, path):
+    module = importlib.import_module("vortexbody." + prefix.split(".")[0])
+    owner_name, _, attr = path.rpartition(".")
+    if owner_name:
+        # methods are wrapped on the class that defines them
+        owner = getattr(module, owner_name)
+        assert callable(owner.__dict__[attr])
+    else:
+        assert callable(getattr(module, attr))
+
+
+def test_workload_entry_points():
+    assert "threads" in inspect.signature(lab.run).parameters
+    check_params = inspect.signature(lab.check).parameters
+    assert {"panels", "seed"} <= set(check_params)
+    assert lab.CANONICAL_SHAPES
+    for fn in (lab.parse_config, lab.initial_field, geometry.build_mesh,
+               potential.build_potential_set, potential.build_mass_data):
+        assert callable(fn)

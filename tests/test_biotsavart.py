@@ -1,6 +1,6 @@
-"""Blob kernel, exterior correction and transport, checked against
-closed-form flows: single vortices, Rankine patches, the circle-theorem
-image system and corotating pairs."""
+"""Blob kernel and exterior correction, checked against closed-form
+flows: single vortices, Rankine patches, the circle-theorem image system
+and corotating pairs."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,12 @@ from vortexbody.biotsavart import (
     BodyCollisionError,
     BodyFrameVelocity,
     HydrodynamicField,
-    advect,
     pair_stream_matrix,
     velocity_free_space,
     velocity_gradient,
 )
 from vortexbody.geometry import build_mesh, disk, perp, rotation
+from vortexbody.limit_system import VortexWaveState, vw_step
 from vortexbody.potential import ScaledPotentials, build_potential_set
 
 EPS = 0.3
@@ -204,57 +204,18 @@ def test_body_frame_reduces_to_harmonic_field(disk_scaled):
 
 
 def test_corotating_pair_period():
+    # the blobs of a vortex-wave state with a massless, distant vortex
+    # move under the blob kernel alone
     d0, strength = 1.0, 0.75   # per blob
     pair = BlobField(x=[[d0 / 2, 0.0], [-d0 / 2, 0.0]],
-                     gamma=[strength, strength], delta=1e-8)
+                     gamma=[strength, strength], delta=1e-8, frame="lab")
     period = 2.0 * np.pi**2 * d0**2 / strength
     n = 2000
-    cur = pair
+    cur = VortexWaveState(h=[100.0, 0.0], field=pair, gamma=0.0)
     for _ in range(n):
-        cur = advect(cur,
-                     lambda q: velocity_free_space(cur.with_positions(q), q),
-                     period / n)
-    assert np.abs(cur.x - pair.x).max() < 1e-6
-    assert np.array_equal(cur.gamma, pair.gamma)
-
-
-def test_advect_is_locally_fifth_order():
-    om = 1.3
-    rig = BlobField(x=[[1.0, 0.0]], gamma=[1.0], delta=0.1)
-
-    def vel(q):
-        return om * np.stack([-q[:, 1], q[:, 0]], -1)
-
-    errs = []
-    for dt in (0.1, 0.05):
-        nxt = advect(rig, vel, dt)
-        errs.append(np.abs(nxt.x[0] - rotation(om * dt) @ [1.0, 0.0]).max())
-    ratio = errs[0] / errs[1]
-    assert 25.0 < ratio < 40.0
-
-
-def test_advect_halving_rescues_grazing_step():
-    # large dt makes an RK4 stage overshoot the unit circle; halving keeps
-    # every stage inside the allowed band and the result stays accurate
-    om = 1.0
-    f = BlobField(x=[[1.0, 0.0]], gamma=[1.0], delta=0.1)
-
-    def vel(q):
-        return om * np.stack([-q[:, 1], q[:, 0]], -1)
-
-    out = advect(f, vel, 2.0, forbidden=lambda q: (q**2).sum(1) > 1.35**2)
-    assert np.abs(out.x[0] - rotation(2.0) @ [1.0, 0.0]).max() < 0.02
-
-
-def test_advect_collision_raises():
-    f = BlobField(x=[[-1.0, 0.0]], gamma=[1.0], delta=0.1)
-    vel = lambda q: np.tile([1.0, 0.0], (len(q), 1))
-    forb = lambda q: (q**2).sum(1) < 0.3**2
-    with pytest.raises(BodyCollisionError):
-        advect(f, vel, 2.5, forbidden=forb, max_halvings=3)
-    # a short step that stays clear goes through untouched
-    ok = advect(f, vel, 0.3, forbidden=forb)
-    assert np.allclose(ok.x[0], [-0.7, 0.0], atol=1e-14)
+        cur = vw_step(cur, period / n)
+    assert np.abs(cur.field.x - pair.x).max() < 1e-6
+    assert np.array_equal(cur.field.gamma, pair.gamma)
 
 
 def test_pair_stream_consistency():

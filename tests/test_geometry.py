@@ -108,12 +108,6 @@ def test_spectral_refinement():
     assert e8 / e16 > 10.0
 
 
-def test_digest_keys_curve_data():
-    assert vb.disk(1.0).digest() == vb.disk(1.0).digest()
-    assert vb.disk(1.0).digest() != vb.disk(1.1).digest()
-    assert vb.ellipse(2, 1).digest() != vb.ellipse(1, 2).digest()
-
-
 @settings(max_examples=25, deadline=None)
 @given(theta=st.floats(-6.0, 6.0), hx=st.floats(-2, 2), hy=st.floats(-2, 2))
 def test_placement_roundtrip(theta, hx, hy):

@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from vortexbody import lab
+from vortexbody.biotsavart import BodyCollisionError
 from vortexbody.coupled_system import VorticityPatch
 from vortexbody.geometry import disk
 from vortexbody.lab import (
@@ -14,6 +16,7 @@ from vortexbody.lab import (
     ConfigError,
     ExperimentConfig,
     RunRecord,
+    assemble_report,
     check,
     compare,
     fit_slope,
@@ -98,6 +101,12 @@ def test_parse_config_rejects_garbage(tmp_path):
         "[sweep]\neps = 0.1\n[vorticity]\npatch = 1.0 1.4\n",
         "[sweep]\neps = 0.1\n[body]\nell0 = 1.0\n",
         "[sweep]\neps = 0.1\n[time]\ndt = 2.0\nt = 1.0\n",
+        "[sweep]\neps = 0.1\n[shape]\npanels = 65\n",
+        "[sweep]\neps = 0.1\n[vorticity]\ndelta = -0.1\n",
+        "[sweep]\neps = 0.1\n[vorticity]\ndelta = 0\n",
+        "[sweep]\neps = 0.1\n[vorticity]\ndelta = nan\n",
+        "[sweep]\neps = 0.1\n[vorticity]\npatch = 1.0 1.4 1.0\n"
+        "delta = -0.1\n",
     ):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, text, name="bad.ini"))
@@ -109,8 +118,10 @@ def test_config_invariants(tmp_path):
     good = parse_config(write_config(tmp_path))
     for field, value in (("eps", ()), ("eps", (0.1, 0.2)), ("eps", (0.1, 0.1)),
                          ("eps", (-0.1,)), ("m1", 0.0), ("J1", -1.0),
-                         ("rho", 1.0), ("panels", 8), ("T", np.inf),
-                         ("dt", 0.0)):
+                         ("rho", 1.0), ("panels", 8), ("panels", 65),
+                         ("T", np.inf), ("dt", 0.0), ("delta", 0.0),
+                         ("delta", -0.15), ("delta", np.nan),
+                         ("delta", np.inf)):
         from dataclasses import replace
         with pytest.raises(ConfigError):
             replace(good, **{field: value})
@@ -144,8 +155,9 @@ def _record(h, blobs, kind="coupled", eps=0.2):
     m = len(h)
     n = blobs.shape[1]
     return RunRecord(
-        kind=kind, eps=None if kind == "limit" else eps, gamma=1.0,
+        kind=kind, eps=None if kind == "limit" else eps,
         t=np.arange(m) * 0.1, h=np.asarray(h, dtype=float),
+        gamma=np.ones(m), beta=np.full(m, float(n)),
         support=np.ones((m, 2)), blob_lab=np.asarray(blobs, dtype=float),
         blob_gamma=np.ones(n), aborted=None, abort_detail="",
         t_eps=0.1 * (m - 1), elapsed=0.0,
@@ -174,6 +186,21 @@ def test_compare_rejects_mismatched_lattices():
     with pytest.raises(ConfigError):
         compare(_record(h, np.zeros((4, 3, 2))),
                 _record(h, np.zeros((4, 5, 2)), kind="limit"))
+
+
+def test_report_drifts_are_measured(tmp_path):
+    cfg = parse_config(write_config(tmp_path))
+    h = np.zeros((5, 2))
+    blobs = np.zeros((5, 3, 2))
+    rec = _record(h, blobs)
+    rec.energy = np.ones(5)
+    rec.ell = np.zeros((5, 2))
+    rec.r = np.zeros(5)
+    rec.beta = np.array([3.0, 3.0, 3.5, 3.0, 2.75])
+    rec.gamma = np.array([1.0, 1.0, 1.0, 1.0, 1.125])
+    row = assemble_report(cfg, [rec], _record(h, blobs, kind="limit")).rows[0]
+    assert row["beta_drift"] == 0.5
+    assert row["gamma_drift"] == 0.125
 
 
 def test_fit_slope():
@@ -326,6 +353,30 @@ def test_coupled_collision_abort(tmp_path):
     assert records[0].aborted == "collision"
 
 
+def test_stage_collision_aborts(tmp_path, monkeypatch):
+    # a blob entering the body inside an RK stage stops that run like any
+    # other abort: partial artifacts, a marker, exit code 2
+    real_step = lab.coupled_step
+
+    def step(state, dt):
+        if round(state.t / dt) == 2:
+            raise BodyCollisionError("blob inside the body")
+        return real_step(state, dt)
+
+    monkeypatch.setattr(lab, "coupled_step", step)
+    out = tmp_path / "out"
+    code = main(["converge", "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--threads", "1"])
+    assert code == 2
+    for eps in ("0.2", "0.1"):
+        marker = json.loads((out / f"coupled-eps{eps}.aborted").read_text())
+        assert marker["reason"] == "collision"
+        assert marker["t_reached"] == pytest.approx(0.004)
+        with open(out / f"coupled-eps{eps}-trajectory.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 3
+    assert (out / "report.json").exists()
+
+
 def test_annulus_exit_abort(tmp_path):
     path = write_config(tmp_path, **{"rho = 4.0": "rho = 1.2"})
     cfg = parse_config(path)
@@ -355,6 +406,11 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate-limit", "--config", str(good),
                  "--out", str(tmp_path / "sl")]) == 0
     assert (tmp_path / "sl" / "limit-trajectory.csv").exists()
+
+    # the thread pool exists only where there is a scale sweep
+    for command in ("check-identities", "potentials", "simulate-limit"):
+        with pytest.raises(SystemExit):
+            main([command, "--threads", "2"])
 
 
 # --------------------------------------------------------------------------

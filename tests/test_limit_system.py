@@ -11,12 +11,19 @@ from vortexbody.limit_system import (
     support_annulus,
     vw_rhs,
     vw_step,
-    weighted_centroid,
 )
 
 
 def lab_blobs(x, gamma, delta=1e-8):
     return BlobField(x=x, gamma=gamma, delta=delta, frame="lab")
+
+
+def weighted_centroid(state: VortexWaveState) -> np.ndarray:
+    """Circulation-weighted centroid (gamma h + sum G_j x_j)/(gamma + sum G_j),
+    an invariant of the exact dynamics; its drift measures time-stepping
+    error."""
+    total = state.gamma + state.field.beta
+    return (state.gamma * state.h + state.field.gamma @ state.field.x) / total
 
 
 def test_empty_vorticity_keeps_vortex_static():

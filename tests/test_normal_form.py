@@ -29,8 +29,6 @@ from vortexbody.normal_form import (
     modulation_rate_monitor,
     normal_form_residual,
     rotated_mass_identity_check,
-    structure_tensors,
-    weak_gyro_calibration,
     weakly_gyroscopic_G,
 )
 from vortexbody.potential import ScaledPotentials, build_mass_data, build_potential_set
@@ -195,16 +193,24 @@ def test_weakly_gyroscopic_G_lives_on_the_spin_axis(asym_state):
 
 
 def test_structure_tensor_bundle(asym_setup):
-    _, md = asym_setup
-    tensors = structure_tensors(md)
+    # the constant ingredients of the modulated equation, read off MassData
+    pset, md = asym_setup
     eps, alpha = 0.1, 2.0
-    want = eps ** alpha * md.genuine + eps ** 2 * md.added_3x3
-    np.testing.assert_allclose(tensors.inertia(eps, alpha), want, rtol=0, atol=0)
-    np.testing.assert_allclose(tensors.axis, gyro_axis(md), rtol=0, atol=0)
+    Mg, Ma = md.genuine, md.added_3x3
+    np.testing.assert_array_equal(Ma, pset.mass[:3, :3])
+    np.testing.assert_array_equal(md.added_2x2, pset.mass[:2, :2])
+    np.testing.assert_array_equal(Mg, np.diag([md.m1, md.m1, md.J1]))
+    # acting on modulated momenta, which carry the spin as eps r, the
+    # inertia is the total mass without its diagonal spin scaling
+    I_inv = np.diag([1.0, 1.0, 1.0 / eps])
+    np.testing.assert_allclose(I_inv @ md.total_mass(eps, alpha) @ I_inv,
+                               eps ** alpha * Mg + eps ** 2 * Ma,
+                               rtol=1e-14, atol=0)
     p = np.array([0.4, -1.2, 0.7])
-    for which in ("g", "under", "a"):
-        np.testing.assert_allclose(tensors.apply(which, p),
-                                   apply_lambda(md, which, p), rtol=0, atol=0)
+    np.testing.assert_allclose(
+        apply_lambda(md, "a", p),
+        apply_lambda(md, "under", p) + p[2] * cross_product(p, md.mu),
+        rtol=0, atol=1e-15)
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +344,27 @@ def test_rotated_mass_identity_trivial(asym_setup):
     pset, md = asym_setup
     st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0)
     assert rotated_mass_identity_check([st] * 5, 0.01) == 0.0
+
+
+def weak_gyro_calibration(states, dt: float) -> float:
+    """Fitted constant of the weak-gyroscopic bound: the running integral
+    of p . G against eps (1 + t + integral of |p|^2), maximized in time."""
+    eps = states[0].eps
+    mass = states[0].mass
+    mods = [modulation(s) for s in states]
+    p = np.array([m.p_modulated for m in mods])
+    dots = np.array([pk @ weakly_gyroscopic_G(mk, mass)
+                     for pk, mk in zip(p, mods)])
+    sizes2 = (p ** 2).sum(1)
+    num = 0.0
+    size_int = 0.0
+    best = 0.0
+    for k in range(1, len(states)):
+        num += 0.5 * dt * (dots[k - 1] + dots[k])
+        size_int += 0.5 * dt * (sizes2[k - 1] + sizes2[k])
+        elapsed = states[k].t - states[0].t
+        best = max(best, abs(num) / (eps * (1.0 + elapsed + size_int)))
+    return best
 
 
 def test_weak_gyro_calibration_stable(asym_setup, random_blobs):

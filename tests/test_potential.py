@@ -29,7 +29,6 @@ from vortexbody.potential import (
     conformal_center_eta,
     field_identity_rows,
     laurent_coefficients,
-    mass_matrix,
     moment_closed_forms,
     moment_integrals,
     solve_exterior_neumann,
@@ -78,7 +77,7 @@ def test_disk_phi3_identically_zero(disk_set):
 
 def test_disk_mass_matrix(disk_set):
     expected = np.diag([np.pi, np.pi, 0.0, np.pi / 2, np.pi / 2])
-    assert np.abs(mass_matrix(disk_set) - expected).max() < 1e-10
+    assert np.abs(disk_set.mass - expected).max() < 1e-10
     assert disk_set.mass_defect < 1e-12
 
 
@@ -223,23 +222,6 @@ def test_mass_data_bundle(disk_set, ellipse_set):
     ev_d = np.linalg.eigvalsh(build_mass_data(disk_set).added_3x3)
     assert ev_d.min() > -1e-12
     assert np.sort(np.abs(ev_d))[0] < 1e-10
-
-
-def test_potential_set_cache(tmp_path, bump_set):
-    mesh = bump_set.mesh
-    first = build_potential_set(mesh, cache_dir=tmp_path)
-    assert (tmp_path / f"potentials-{mesh.digest()}.npz").exists()
-    second = build_potential_set(mesh, cache_dir=tmp_path)
-    assert np.array_equal(first.mass, second.mass)
-    assert first.conformal_center == second.conformal_center
-    assert np.array_equal(first.phi[2].boundary_values,
-                          second.phi[2].boundary_values)
-    assert np.abs(second.phi[0].boundary_trace()
-                  - bump_set.phi[0].boundary_trace()).max() < 1e-14
-
-
-# ---------------------------------------------------------------------------
-# volume-quadrature oracle for the mass coefficients
 
 
 def _volume_gram_diag(pset, i, collar=0.08, jet_order=12,
