@@ -41,6 +41,7 @@ from .potential import (  # noqa: F401
 )
 from .biotsavart import (  # noqa: F401
     BlobField,
+    HydrodynamicField,
     velocity_free_space,
     velocity_gradient,
 )

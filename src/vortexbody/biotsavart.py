@@ -1,6 +1,8 @@
 """Vorticity carried by regularized blobs, and every velocity assembly
-built on it: free-space sums, the zero-flux zero-circulation exterior
-field around the body, and the full body-frame decomposition.
+built on it: free-space sums, and the zero-flux zero-circulation exterior
+field around the body, which also serves the body-frame velocity at the
+blobs and the adjoint sum of the vorticity force from one blob x node
+geometry per blob snapshot.
 
 The blob kernel is the Gaussian-core regularization
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import exp1
 
-from .geometry import TWO_PI, polygon_contains
-from .potential import ScaledPotentials, log_gradient_sum
+from .geometry import TWO_PI, perp, polygon_contains
+from .potential import ScaledPotentials
 
 
 class BodyCollisionError(RuntimeError):
@@ -153,107 +155,102 @@ def velocity_gradient(field: BlobField, point) -> GradientSample:
 
 
 # ---------------------------------------------------------------------------
-# exterior hydrodynamic field
+# exterior hydrodynamic field and the body-frame velocity at the blobs
 
 
 class HydrodynamicField:
     """The zero-flux, zero-circulation velocity induced by a blob field
-    outside the body.
+    outside the body, and everything a coupled stage reads from the same
+    blob x node geometry.
 
-    One boundary solve per blob snapshot: the free-space field's normal
-    trace is cancelled by an exterior potential, solved on the unit mesh
-    (the kernel is scale-invariant) and evaluated through the scaling
-    laws.  The correction density is reused for every evaluation point.
+    The body-frame fluid velocity is
+
+        v = K_H[omega] + gamma H + l1 grad Phi_1 + l2 grad Phi_2 + r grad Phi_3,
+
+    where K_H[omega] is the free-space blob sum plus an exterior
+    correction cancelling its normal trace.  The correction, the Kirchhoff
+    potentials and H are single layers on the same unit-mesh nodes, so one
+    build of kx = d1/r^2, ky = d2/r^2 (d = x/eps - node) serves the
+    free-space field at the nodes (the correction's data), the gradients
+    of every layer at the blobs (one GEMM), the adjoint sum behind
+    force_B, and the blob clearance.  The Neumann kernel is
+    scale-invariant, so the correction is solved on the unit mesh.
     """
 
     def __init__(self, scaled: ScaledPotentials, field: BlobField):
         base = scaled.base
         mesh = base.mesh
         eps = scaled.eps
-        nodes_eps = eps * mesh.x
-        if field.n and polygon_contains(nodes_eps, field.x).any():
+        if field.n and polygon_contains(eps * mesh.x, field.x).any():
             raise BodyCollisionError("blob inside the body")
         self.scaled = scaled
         self.field = field
-        u_free = velocity_free_space(field, nodes_eps)
-        g = -(u_free * mesh.normal).sum(axis=1)
+        # the blob-blob sum first: its chunk temporaries, the largest
+        # arrays of a stage, are then gone before the node geometry exists
+        self._free = velocity_free_space(field, field.x)
+
+        # the (blobs, nodes) geometry, updated in place so that the build
+        # never holds more than four such arrays at a time
+        unit = field.x / eps
+        kx = np.subtract.outer(unit[:, 0], mesh.x[:, 0])
+        ky = np.subtract.outer(unit[:, 1], mesh.x[:, 1])
+        r2 = kx * kx
+        r2 += ky * ky
+        self.clearance = eps * float(np.sqrt(r2.min())) if field.n else np.inf
+        kx /= r2
+        ky /= r2
+        self._kx, self._ky = kx, ky
+
+        # free-space blob velocity at the scaled nodes eps*y: the node
+        # minus blob offset is -eps*d, so u = (G/2pi) @ (core (ky, -kx)) / eps
+        core = np.multiply(r2, -(eps / field.delta) ** 2, out=r2)
+        np.expm1(core, out=core)
+        np.negative(core, out=core)
+        g = field.gamma / TWO_PI
+        u_free = np.column_stack([g @ (core * ky), -(g @ (core * kx))]) / eps
+
+        g_n = -(u_free * mesh.normal).sum(axis=1)
         # project out the tiny incompatible part (blob-core tails inside
         # the body); its size is a quality diagnostic
         w_eps = eps * mesh.w
-        self.flux_defect = float(np.sum(g * w_eps) / np.sum(w_eps))
-        g = g - self.flux_defect
-        self._sigma = base.ops.neumann_density(g, compat_tol=np.inf)
-        self._charges = self._sigma * mesh.w
+        self.flux_defect = float(np.sum(g_n * w_eps) / np.sum(w_eps))
+        sigma = base.ops.neumann_density(g_n - self.flux_defect,
+                                         compat_tol=np.inf)
+        self.charges = sigma * mesh.w
         self._boundary_tangent = ((u_free * mesh.tau).sum(axis=1)
                                   + base.ops.arc_derivative(
-                                      base.ops.layer_values(self._sigma)))
+                                      base.ops.layer_values(sigma)))
 
-    def velocity(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        correction = log_gradient_sum(pts / self.scaled.eps,
-                                      self.scaled.base.mesh.x, self._charges)
-        return velocity_free_space(self.field, pts) + correction
+        # every layer gradient at the blobs from one GEMM; the columns are
+        # the correction, phi_1, phi_2, eps phi_3 (its scaling law) and H
+        phi = base.phi
+        columns = np.column_stack([self.charges, phi[0].charges,
+                                   phi[1].charges, eps * phi[2].charges,
+                                   base.H.charges]) / TWO_PI
+        self._grad = np.stack([kx @ columns, ky @ columns], axis=-1)
+        d = unit - base.H.pole
+        self._h_pole = perp(d) / (TWO_PI * (d ** 2).sum(axis=1)[:, None])
 
-    def boundary_trace(self) -> np.ndarray:
-        """Velocity on the body boundary: tangent up to the flux defect."""
-        return self._boundary_tangent[:, None] * self.scaled.base.mesh.tau
+    def blob_velocity(self, gamma: float, ell, r: float) -> np.ndarray:
+        """The body-frame fluid velocity v at every blob."""
+        g = self._grad
+        h = self._h_pole + perp(g[:, 4])
+        return (self._free + g[:, 0] + ell[0] * g[:, 1] + ell[1] * g[:, 2]
+                + r * g[:, 3] + (gamma / self.scaled.eps) * h)
 
+    def gradient_adjoint(self, weights) -> np.ndarray:
+        """Transpose of the layer gradient at the blobs: for each node y_k,
+        sum_j weights_j . grad (1/2pi) ln|x_j/eps - y_k| in unit variables."""
+        return (weights[:, 0] @ self._kx + weights[:, 1] @ self._ky) / TWO_PI
 
-class BodyFrameVelocity:
-    """The full body-frame fluid velocity
-
-        v = K_H[omega] + gamma H + l1 grad Phi_1 + l2 grad Phi_2 + r grad Phi_3
-
-    and its circulation-free part obtained by dropping gamma H.
-    """
-
-    def __init__(self, scaled: ScaledPotentials, field: BlobField,
-                 gamma: float, ell, r: float):
-        self.scaled = scaled
-        self.gamma = float(gamma)
-        self.ell = np.asarray(ell, dtype=float)
-        self.r = float(r)
-        self.hydro = HydrodynamicField(scaled, field)
-        # the exterior correction and the Kirchhoff potentials are all
-        # single layers on the same nodes: merge their charges so one
-        # gradient sum serves the whole circulation-free part
-        phi = scaled.base.phi
-        self._layer_charges = (self.hydro._charges
-                               + self.ell[0] * phi[0].charges
-                               + self.ell[1] * phi[1].charges
-                               + self.r * scaled.eps * phi[2].charges)
-
-    def tilde_velocity(self, points) -> np.ndarray:
-        """v minus its circulation carrier gamma H."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        layer = log_gradient_sum(pts / self.scaled.eps,
-                                 self.scaled.base.mesh.x, self._layer_charges)
-        return velocity_free_space(self.hydro.field, pts) + layer
-
-    def velocity(self, points) -> np.ndarray:
-        v = self.tilde_velocity(points)
-        if self.gamma != 0.0:
-            v = v + self.gamma * self.scaled.h_velocity(points)
-        return v
-
-    def boundary_trace(self) -> np.ndarray:
-        return (self.tilde_boundary_trace()
-                + self.gamma * self.scaled.h_boundary_trace())
-
-    def tilde_boundary_trace(self) -> np.ndarray:
+    def tilde_boundary_trace(self, ell, r: float) -> np.ndarray:
+        """Boundary trace of v minus its circulation carrier gamma H: the
+        correction's tangent trace plus the rigid-motion potentials."""
         s = self.scaled
-        pot = (self.ell[0] * s.phi_boundary_trace(1)
-               + self.ell[1] * s.phi_boundary_trace(2)
-               + self.r * s.phi_boundary_trace(3))
-        return self.hydro.boundary_trace() + pot
-
-    def boundary_normal_data(self) -> np.ndarray:
-        """What v.n must equal on the boundary: the rigid normal velocity."""
-        mesh = self.scaled.base.mesh
-        k1 = mesh.neumann_data(1)
-        k2 = mesh.neumann_data(2)
-        k3 = self.scaled.eps * mesh.neumann_data(3)
-        return self.ell[0] * k1 + self.ell[1] * k2 + self.r * k3
+        return (self._boundary_tangent[:, None] * s.base.mesh.tau
+                + ell[0] * s.phi_boundary_trace(1)
+                + ell[1] * s.phi_boundary_trace(2)
+                + r * s.phi_boundary_trace(3))
 
 
 # ---------------------------------------------------------------------------

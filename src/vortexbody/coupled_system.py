@@ -22,7 +22,7 @@ from .potential import MassData, ScaledPotentials, log_potential_sum
 from .biotsavart import (
     BlobField,
     BodyCollisionError,
-    BodyFrameVelocity,
+    HydrodynamicField,
     pair_stream_matrix,
 )
 
@@ -103,24 +103,11 @@ class CoupledState:
     def p(self) -> np.ndarray:
         return np.array([self.ell[0], self.ell[1], self.r])
 
-    def flow(self, field: BlobField | None = None, ell=None,
-             r: float | None = None) -> BodyFrameVelocity:
-        return BodyFrameVelocity(
-            self.scaled,
-            self.field if field is None else field,
-            self.gamma,
-            self.ell if ell is None else ell,
-            self.r if r is None else r,
-        )
-
-    def body_nodes(self) -> np.ndarray:
-        return self.eps * self.scaled.base.mesh.x
-
     def boundary_distance(self) -> float:
         """Smallest blob distance to the boundary nodes."""
         if self.field.n == 0:
             return np.inf
-        d = self.field.x[:, None, :] - self.body_nodes()[None, :, :]
+        d = self.field.x[:, None, :] - self.eps * self.scaled.base.mesh.x
         return float(np.sqrt((d ** 2).sum(-1).min()))
 
     def support_radii(self) -> tuple[float, float]:
@@ -170,50 +157,45 @@ def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
 # forces
 
 
-def force_B(state: CoupledState, flow: BodyFrameVelocity | None = None,
-            velocity_at_blobs: np.ndarray | None = None) -> np.ndarray:
+def _hydro(state: CoupledState,
+           hydro: HydrodynamicField | None) -> HydrodynamicField:
+    return HydrodynamicField(state.scaled, state.field) if hydro is None else hydro
+
+
+def force_B(state: CoupledState,
+            hydro: HydrodynamicField | None = None) -> np.ndarray:
     """Vorticity force: blob sum of [v - ell - r x^perp]^perp . grad Phi_i.
 
     Evaluated adjointly: the potentials are single layers on shared
-    nodes, so the blob sum collapses onto one pairwise pass followed by
-    a dot product with each charge vector.
+    nodes, so the blob sum collapses onto the transposed product with
+    the stage's blob x node geometry (``hydro``, built from the state
+    when not given) followed by a dot product with each charge vector.
     """
     if state.field.n == 0:
         return np.zeros(3)
-    if velocity_at_blobs is None:
-        if flow is None:
-            flow = state.flow()
-        velocity_at_blobs = flow.velocity(state.field.x)
-    x = state.field.x
-    u_perp = perp(velocity_at_blobs - state.ell - state.r * perp(x))
-    weights = state.field.gamma[:, None] * u_perp
-
-    unit = x / state.eps
-    nodes = state.scaled.base.mesh.x
-    d = unit[:, None, :] - nodes[None, :, :]
-    r2 = (d ** 2).sum(-1)
-    lobe = ((weights[:, None, :] * d).sum(-1) / r2).sum(0) / TWO_PI
+    hydro = _hydro(state, hydro)
+    v = hydro.blob_velocity(state.gamma, state.ell, state.r)
+    u_perp = perp(v - state.ell - state.r * perp(state.field.x))
+    lobe = hydro.gradient_adjoint(state.field.gamma[:, None] * u_perp)
 
     phi = state.scaled.base.phi
     return np.array([phi[0].charges @ lobe, phi[1].charges @ lobe,
                      state.eps * (phi[2].charges @ lobe)])
 
 
-def force_C(state: CoupledState, flow: BodyFrameVelocity | None = None):
+def force_C(state: CoupledState, hydro: HydrodynamicField | None = None):
     """Boundary force terms (C_a, C_b, C_c), each a 3-vector.
 
     C_c vanishes identically (an exact property of the harmonic field);
     it is still computed so the cancellation is visible in tests.
     """
-    if flow is None:
-        flow = state.flow()
     mesh = state.scaled.base.mesh
     w = state.eps * mesh.w
     # normal data of the three rigid motions on the scaled body
     K = np.stack([mesh.neumann_data(1), mesh.neumann_data(2),
                   state.eps * mesh.neumann_data(3)])
 
-    vt = flow.tilde_boundary_trace()
+    vt = _hydro(state, hydro).tilde_boundary_trace(state.ell, state.r)
     rigid = state.ell + state.r * perp(state.eps * mesh.x)
     H = state.scaled.h_boundary_trace()
 
@@ -238,13 +220,12 @@ class ForceBreakdown:
         return -(self.B + self.C_a + self.C_b + self.C_c + self.coriolis)
 
 
-def accelerations(state: CoupledState, flow: BodyFrameVelocity | None = None,
-                  velocity_at_blobs: np.ndarray | None = None) -> ForceBreakdown:
+def accelerations(state: CoupledState,
+                  hydro: HydrodynamicField | None = None) -> ForceBreakdown:
     """Solve M (ell', r') = -B - C - (m r ell^perp, 0)."""
-    if flow is None:
-        flow = state.flow()
-    B = force_B(state, flow, velocity_at_blobs)
-    C_a, C_b, C_c = force_C(state, flow)
+    hydro = _hydro(state, hydro)
+    B = force_B(state, hydro)
+    C_a, C_b, C_c = force_C(state, hydro)
     cor = np.array([*(state.body_mass * state.r * perp(state.ell)), 0.0])
     rhs = -(B + C_a + C_b + C_c + cor)
     accel = np.linalg.solve(state.inertia_matrix, rhs)
@@ -257,19 +238,15 @@ def accelerations(state: CoupledState, flow: BodyFrameVelocity | None = None,
 
 
 def _stage_rhs(state: CoupledState, x, ell, r, theta):
-    """Time derivatives of (blob positions, ell, r, theta, h) at a stage."""
-    field = state.field.with_positions(x)
-    flow = state.flow(field=field, ell=ell, r=r)
-    if field.n:
-        v = flow.velocity(x)
-        x_dot = v - ell - r * perp(x)
-    else:
-        v = None
-        x_dot = np.zeros((0, 2))
-    stage = replace(state, field=field, ell=ell, r=float(r))
-    fb = accelerations(stage, flow, velocity_at_blobs=v)
+    """Time derivatives of (blob positions, ell, r, theta, h) at a stage,
+    and the stage's blob clearance to the body nodes."""
+    stage = replace(state, field=state.field.with_positions(x), ell=ell,
+                    r=float(r))
+    hydro = HydrodynamicField(stage.scaled, stage.field)
+    fb = accelerations(stage, hydro)
+    x_dot = hydro.blob_velocity(stage.gamma, ell, r) - ell - r * perp(x)
     h_dot = rotation(theta) @ ell
-    return x_dot, fb.accel[:2], fb.accel[2], float(r), h_dot
+    return (x_dot, fb.accel[:2], fb.accel[2], float(r), h_dot), hydro.clearance
 
 
 def coupled_step(state: CoupledState, dt: float) -> CoupledState:
@@ -285,10 +262,9 @@ def coupled_step(state: CoupledState, dt: float) -> CoupledState:
     ell0, r0 = state.ell, state.r
     th0, h0 = state.placement.theta, state.placement.h
 
-    k1 = _stage_rhs(state, x0, ell0, r0, th0)
+    k1, clearance = _stage_rhs(state, x0, ell0, r0, th0)
     if state.field.n:
         vmax = float(np.hypot(k1[0][:, 0], k1[0][:, 1]).max())
-        clearance = state.boundary_distance()
         if dt * vmax >= 0.2 * clearance:
             raise TimeStepError(
                 f"dt {dt:.3e} x speed {vmax:.3f} exceeds a fifth of the "
@@ -298,9 +274,9 @@ def coupled_step(state: CoupledState, dt: float) -> CoupledState:
         return (x0 + c * dt * k[0], ell0 + c * dt * k[1], r0 + c * dt * k[2],
                 th0 + c * dt * k[3])
 
-    k2 = _stage_rhs(state, *at(0.5, k1))
-    k3 = _stage_rhs(state, *at(0.5, k2))
-    k4 = _stage_rhs(state, *at(1.0, k3))
+    k2, _ = _stage_rhs(state, *at(0.5, k1))
+    k3, _ = _stage_rhs(state, *at(0.5, k2))
+    k4, _ = _stage_rhs(state, *at(1.0, k3))
 
     def mix(i):
         return (dt / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])

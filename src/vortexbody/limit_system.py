@@ -42,7 +42,12 @@ def support_annulus(state: VortexWaveState) -> tuple[float, float]:
     return (float(d.min()), float(d.max()))
 
 
-def _rhs(h, field: BlobField, gamma: float):
+def vw_rhs(h, field: BlobField, gamma: float):
+    """Velocities of the vortex at h and of every blob.
+
+    The vortex sees only the blobs (no self term); the blobs see each
+    other and the exact point-vortex kernel.
+    """
     rho_min = field.distances_to(h).min() if field.n else np.inf
     if rho_min < 5.0 * field.delta:
         raise VortexCollisionError(
@@ -57,15 +62,6 @@ def _rhs(h, field: BlobField, gamma: float):
     return h_dot, blob_dot
 
 
-def vw_rhs(state: VortexWaveState):
-    """Velocities of the vortex and of every blob.
-
-    The vortex sees only the blobs (no self term); the blobs see each
-    other and the exact point-vortex kernel.
-    """
-    return _rhs(state.h, state.field, state.gamma)
-
-
 def vw_step(state: VortexWaveState, dt: float) -> VortexWaveState:
     """One RK4 step of the joint (vortex, blobs) system."""
     if dt <= 0:
@@ -74,10 +70,10 @@ def vw_step(state: VortexWaveState, dt: float) -> VortexWaveState:
     f = state.field
     g = state.gamma
 
-    kh1, kx1 = _rhs(h0, f, g)
-    kh2, kx2 = _rhs(h0 + 0.5 * dt * kh1, f.with_positions(x0 + 0.5 * dt * kx1), g)
-    kh3, kx3 = _rhs(h0 + 0.5 * dt * kh2, f.with_positions(x0 + 0.5 * dt * kx2), g)
-    kh4, kx4 = _rhs(h0 + dt * kh3, f.with_positions(x0 + dt * kx3), g)
+    kh1, kx1 = vw_rhs(h0, f, g)
+    kh2, kx2 = vw_rhs(h0 + 0.5 * dt * kh1, f.with_positions(x0 + 0.5 * dt * kx1), g)
+    kh3, kx3 = vw_rhs(h0 + 0.5 * dt * kh2, f.with_positions(x0 + 0.5 * dt * kx2), g)
+    kh4, kx4 = vw_rhs(h0 + dt * kh3, f.with_positions(x0 + dt * kx3), g)
 
     h1 = h0 + (dt / 6.0) * (kh1 + 2 * kh2 + 2 * kh3 + kh4)
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .biotsavart import velocity_free_space, velocity_gradient
+from .biotsavart import HydrodynamicField, velocity_free_space, velocity_gradient
 from .coupled_system import CoupledState
 from .geometry import perp
 from .potential import MassData
@@ -271,7 +271,8 @@ def boundary_approximation_defect(state: CoupledState,
                  - mod.a * sc.phi_boundary_trace(4)
                  - mod.b * sc.phi_boundary_trace(5)
                  + state.r * sc.phi_boundary_trace(3))
-    exact = state.flow().tilde_boundary_trace()
+    exact = HydrodynamicField(sc, state.field).tilde_boundary_trace(
+        state.ell, state.r)
     gap = exact - surrogate
     return float(np.sqrt(((gap ** 2).sum(1) * state.eps * mesh.w).sum()))
 

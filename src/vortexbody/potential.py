@@ -26,6 +26,7 @@ implements those scaling laws.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,9 @@ class BoundaryOperators:
         B[:n, n] = 1.0
         B[n, :n] = w
         self._lu_dirichlet = lu_factor(B)
+        # scipy.linalg.lu_solve corrupts the heap when threads solve
+        # against one shared factor; the threaded sweep shares this object
+        self._solve_lock = threading.Lock()
 
     # -- solves ------------------------------------------------------------
 
@@ -150,12 +154,14 @@ class BoundaryOperators:
             raise ValueError(
                 f"incompatible Neumann data: net flux {total:.3e} "
                 f"(relative {abs(total) / scale:.3e})")
-        return lu_solve(self._lu_neumann, g)
+        with self._solve_lock:
+            return lu_solve(self._lu_neumann, g)
 
     def dirichlet_density(self, f: np.ndarray):
         """(sigma, c) with S sigma + c = f on the boundary, sum sigma w = 0."""
         rhs = np.concatenate([np.asarray(f, dtype=float), [0.0]])
-        sol = lu_solve(self._lu_dirichlet, rhs)
+        with self._solve_lock:
+            sol = lu_solve(self._lu_dirichlet, rhs)
         return sol[:-1], float(sol[-1])
 
     # -- boundary traces ----------------------------------------------------
@@ -494,20 +500,6 @@ class MassData:
         m = self.mass
         return np.array([m[0, 2], m[1, 2], 0.0])
 
-    @property
-    def mu_hat(self) -> np.ndarray:
-        m = self.mass
-        return np.array([2 * m[1, 4] - m[2, 1] + m[0, 3],
-                         -2 * m[0, 4] - m[2, 0] + m[3, 1],
-                         0.0])
-
-    @property
-    def mu_check(self) -> np.ndarray:
-        m = self.mass
-        return np.array([-2 * m[1, 3] - m[2, 0] + m[4, 0],
-                         2 * m[0, 3] + m[2, 1] + m[4, 1],
-                         0.0])
-
     @staticmethod
     def scale_operator(eps: float) -> np.ndarray:
         return np.diag([1.0, 1.0, eps])
@@ -517,14 +509,6 @@ class MassData:
         I = self.scale_operator(eps)
         return (eps ** alpha * I @ self.genuine @ I
                 + eps ** 2 * I @ self.added_3x3 @ I)
-
-    def total_mass_rotated(self, eps: float, alpha: float,
-                           theta: float) -> np.ndarray:
-        """The same inertia expressed in a frame rotated by theta."""
-        from .geometry import rotation
-        Q = np.eye(3)
-        Q[:2, :2] = rotation(theta)
-        return Q @ self.total_mass(eps, alpha) @ Q.T
 
 
 def build_mass_data(pset: PotentialSet, m1: float = 1.0,
@@ -550,18 +534,9 @@ class ScaledPotentials:
     base: PotentialSet
     eps: float
 
-    def _pow(self, i: int) -> float:
-        return self.eps if i >= 3 else 1.0
-
-    def phi_gradient(self, i: int, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float) / self.eps
-        return self._pow(i) * self.base.phi[i - 1].gradient(pts)
-
     def phi_boundary_trace(self, i: int) -> np.ndarray:
-        return self._pow(i) * self.base.phi[i - 1].boundary_trace()
-
-    def h_velocity(self, points) -> np.ndarray:
-        return self.base.H.velocity(np.asarray(points, dtype=float) / self.eps) / self.eps
+        return ((self.eps if i >= 3 else 1.0)
+                * self.base.phi[i - 1].boundary_trace())
 
     def h_stream(self, points) -> np.ndarray:
         return self.base.H.stream(np.asarray(points, dtype=float) / self.eps)

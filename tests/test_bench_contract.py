@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from vortexbody import geometry, lab, potential
+from vortexbody import coupled_system, geometry, lab, potential
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -47,3 +47,23 @@ def test_workload_entry_points():
     for fn in (lab.parse_config, lab.initial_field, geometry.build_mesh,
                potential.build_potential_set, potential.build_mass_data):
         assert callable(fn)
+
+
+def test_one_blob_node_pass_per_stage():
+    # each RK stage builds its blob x node geometry once: the tracer
+    # counts the collision check and force_B, nothing else of that shape
+    tracer_module = load_tracer()
+    pset = potential.build_potential_set(
+        geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
+    state = coupled_system.init_coupled(
+        potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
+        alpha=2.0, gamma=1.0,
+        patch=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1))
+    assert state.field.n != pset.mesh.n
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        for _ in range(2):
+            state = coupled_system.coupled_step(state, 1e-3)
+    assert tracer.calls[tracer_module.STEP] == 2
+    passes, _ = tracer.metrics(1)[tracer_module.PASSES]
+    assert 0.0 < passes <= 2.0

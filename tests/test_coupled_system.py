@@ -7,7 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vortexbody.biotsavart import BlobField, velocity_free_space, velocity_gradient
+from vortexbody.biotsavart import (
+    BlobField,
+    HydrodynamicField,
+    velocity_free_space,
+    velocity_gradient,
+)
 from vortexbody.coupled_system import (
     TimeStepError,
     VorticityPatch,
@@ -20,7 +25,12 @@ from vortexbody.coupled_system import (
     total_energy,
 )
 from vortexbody.geometry import build_mesh, disk, ellipse, perp, rotation
-from vortexbody.potential import ScaledPotentials, build_mass_data, build_potential_set
+from vortexbody.potential import (
+    ScaledPotentials,
+    build_mass_data,
+    build_potential_set,
+    log_gradient_sum,
+)
 
 EPS = 0.1
 ALPHA = 2.0
@@ -122,6 +132,41 @@ def test_ellipse_spin_couple_is_zero_without_flow(ellipse_setup):
                       r0=0.9)
     _, _, C_c = force_C(st)
     assert np.abs(C_c).max() < 1e-8
+
+
+def test_stage_geometry_matches_direct_sums(ellipse_setup):
+    # one blob x node build serves the blob velocity, the adjoint sum of
+    # force_B and the dt-guard clearance; each against its direct form
+    sp, md = ellipse_setup
+    rng = np.random.default_rng(19)
+    n = 40
+    rad = rng.uniform(0.4, 0.9, n)
+    ang = rng.uniform(0.0, 2 * np.pi, n)
+    field = BlobField(x=np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]),
+                      gamma=rng.normal(size=n), delta=0.03)
+    st = init_coupled(sp, md, alpha=ALPHA, gamma=-1.3, ell0=(0.4, -0.25),
+                      r0=2.1, field=field)
+    hy = HydrodynamicField(sp, st.field)
+    x = st.field.x
+    mesh, phi = sp.base.mesh, sp.base.phi
+
+    charges = (hy.charges + st.ell[0] * phi[0].charges
+               + st.ell[1] * phi[1].charges + st.r * EPS * phi[2].charges)
+    v = (velocity_free_space(st.field, x)
+         + log_gradient_sum(x / EPS, mesh.x, charges)
+         + st.gamma / EPS * sp.base.H.velocity(x / EPS))
+    got = hy.blob_velocity(st.gamma, st.ell, st.r)
+    assert np.abs(got - v).max() < 1e-12 * np.abs(v).max()
+
+    u_perp = perp(v - st.ell - st.r * perp(x))
+    direct = np.array([
+        np.sum(st.field.gamma * (u_perp * phi[i].gradient(x / EPS)).sum(1))
+        * (EPS if i == 2 else 1.0) for i in range(3)])
+    B = force_B(st, hy)
+    assert np.abs(B - direct).max() < 1e-12 * np.abs(direct).max()
+    assert np.array_equal(force_B(st), B)
+
+    assert hy.clearance == pytest.approx(st.boundary_distance(), rel=1e-14)
 
 
 def test_disk_orbit_matches_reduced_ode(disk_setup):

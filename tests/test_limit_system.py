@@ -29,7 +29,7 @@ def weighted_centroid(state: VortexWaveState) -> np.ndarray:
 def test_empty_vorticity_keeps_vortex_static():
     st = VortexWaveState(h=[0.4, -0.2], field=BlobField.empty(frame="lab"),
                          gamma=3.0)
-    h_dot, blob_dot = vw_rhs(st)
+    h_dot, blob_dot = vw_rhs(st.h, st.field, st.gamma)
     assert np.array_equal(h_dot, [0.0, 0.0])
     assert blob_dot.shape == (0, 2)
     out = st
@@ -44,7 +44,7 @@ def test_symmetric_ring_cancels():
     ring = lab_blobs(np.stack([2 * np.cos(th), 2 * np.sin(th)], -1) + [1.0, 0.5],
                      np.full(12, 0.3))
     st = VortexWaveState(h=[1.0, 0.5], field=ring, gamma=1.0)
-    h_dot, _ = vw_rhs(st)
+    h_dot, _ = vw_rhs(st.h, st.field, st.gamma)
     assert np.abs(h_dot).max() < 1e-14
 
 
@@ -52,7 +52,7 @@ def test_single_far_blob_speed():
     d, G = 2.5, 1.7
     st = VortexWaveState(h=[0.0, 0.0], field=lab_blobs([[d, 0.0]], [G]),
                          gamma=5.0)
-    h_dot, blob_dot = vw_rhs(st)
+    h_dot, blob_dot = vw_rhs(st.h, st.field, st.gamma)
     assert abs(np.hypot(*h_dot) - G / (2 * np.pi * d)) < 1e-12
     # the blob feels only the vortex (gamma, not G)
     assert abs(np.hypot(*blob_dot[0]) - 5.0 / (2 * np.pi * d)) < 1e-12
@@ -63,7 +63,7 @@ def test_vortex_velocity_matches_kernel_module():
     fld = lab_blobs(rng.normal(size=(7, 2)) + [3.0, 1.0],
                     rng.normal(size=7), delta=0.04)
     st = VortexWaveState(h=[0.1, -0.3], field=fld, gamma=4.0)
-    h_dot, _ = vw_rhs(st)
+    h_dot, _ = vw_rhs(st.h, st.field, st.gamma)
     direct = velocity_free_space(fld, st.h)[0]
     assert np.array_equal(h_dot, direct)
 
@@ -139,7 +139,7 @@ def test_blob_near_vortex_rejected():
                          field=lab_blobs([[0.2, 0.0]], [1.0], delta=0.1),
                          gamma=1.0)
     with pytest.raises(VortexCollisionError):
-        vw_rhs(st)
+        vw_rhs(st.h, st.field, st.gamma)
 
 
 def test_body_frame_blobs_rejected():
