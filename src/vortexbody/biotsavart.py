@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import exp1
 
-from .geometry import TWO_PI, perp, polygon_contains
+from .geometry import TWO_PI, perp, point_vortex, polygon_contains, squared_distances
 from .potential import ScaledPotentials
 
 
@@ -74,35 +74,22 @@ class BlobField:
         return np.hypot(*(self.x - np.asarray(point, float)).T)
 
 
-def _kernel_terms(field: BlobField, points):
-    """Pairwise differences, squared distances and the core factor."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d = pts[:, None, :] - field.x[None, :, :]
-    rho = d[..., 0] ** 2 + d[..., 1] ** 2
-    core = -np.expm1(-rho / field.delta ** 2)
-    return pts, d, rho, core
-
-
 def velocity_free_space(field: BlobField, points) -> np.ndarray:
     """Regularized Biot-Savart sum at each point; rows align with points.
 
-    Evaluation at a blob's own center is fine: that term vanishes in
-    the core limit.  Large point sets are processed in chunks to keep
-    the pairwise temporaries bounded.
+    With G = (1 - exp(-rho/delta^2))/rho over the squared pair distances
+    rho (0 where rho = 0, the core limit of a blob at its own center),
+    u = perp(p (G Gamma) - G (Gamma y))/2pi: one product of G against the
+    columns [Gamma, Gamma y1, Gamma y2].
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if field.n == 0:
-        return np.zeros_like(pts)
-    out = np.empty_like(pts)
-    step = max(1, 2 ** 21 // max(field.n, 1))
-    for lo in range(0, pts.shape[0], step):
-        _, d, rho, core = _kernel_terms(field, pts[lo:lo + step])
-        coef = np.zeros_like(rho)
-        np.divide(core, rho, out=coef, where=rho > 0.0)
-        coef *= field.gamma / TWO_PI
-        out[lo:lo + step, 0] = -(coef * d[..., 1]).sum(axis=1)
-        out[lo:lo + step, 1] = (coef * d[..., 0]).sum(axis=1)
-    return out
+    rho = squared_distances(pts, field.x)
+    minus_g = np.divide(rho, -field.delta ** 2)
+    np.expm1(minus_g, out=minus_g)
+    np.divide(minus_g, rho, out=minus_g, where=rho > 0.0)
+    moments = minus_g @ (field.gamma[:, None] * np.column_stack(
+        [np.ones(field.n), field.x]))
+    return perp(moments[:, 1:] - pts * moments[:, :1]) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -120,11 +107,6 @@ class GradientSample:
     def matrix(self) -> np.ndarray:
         return np.array([[-self.a, self.b], [self.b, self.a]])
 
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.array([-self.a * v[0] + self.b * v[1],
-                         self.b * v[0] + self.a * v[1]])
-
 
 def velocity_gradient(field: BlobField, point) -> GradientSample:
     """Symmetric part of the blob-sum Jacobian at one point.
@@ -133,12 +115,12 @@ def velocity_gradient(field: BlobField, point) -> GradientSample:
     off-diagonal is symmetrized, discarding the local vorticity of any
     nearby cores (the clean flag reports whether any are near).
     """
-    if field.n == 0:
-        return GradientSample(0.0, 0.0, True)
-    pts, d, rho, core = _kernel_terms(field, point)
+    pts = np.asarray(point, dtype=float).reshape(-1, 2)
     if pts.shape[0] != 1:
         raise ValueError("one sample point at a time")
-    d, rho, core = d[0], rho[0], core[0]
+    d = pts[0] - field.x
+    rho = d[:, 0] ** 2 + d[:, 1] ** 2
+    core = -np.expm1(-rho / field.delta ** 2)
     # dG/d(rho) for G = (1 - exp(-rho/delta^2)) / rho.  The direct form
     # loses all digits for rho << delta^2, so switch to the series there.
     delta2 = field.delta ** 2
@@ -150,7 +132,7 @@ def velocity_gradient(field: BlobField, point) -> GradientSample:
                   (rho / delta2 * np.exp(-u) - core) / safe_rho ** 2)
     a = float(np.sum(field.gamma / np.pi * d[:, 0] * d[:, 1] * gp))
     b = float(np.sum(field.gamma / TWO_PI * (d[:, 0] ** 2 - d[:, 1] ** 2) * gp))
-    clean = bool(rho.min() > (5.0 * field.delta) ** 2) if field.n else True
+    clean = bool(np.all(rho > (5.0 * field.delta) ** 2))
     return GradientSample(a, b, clean)
 
 
@@ -185,8 +167,8 @@ class HydrodynamicField:
             raise BodyCollisionError("blob inside the body")
         self.scaled = scaled
         self.field = field
-        # the blob-blob sum first: its chunk temporaries, the largest
-        # arrays of a stage, are then gone before the node geometry exists
+        # the blob-blob sum first: its two (blobs, blobs) arrays, the
+        # largest of a stage, are then gone before the node geometry exists
         self._free = velocity_free_space(field, field.x)
 
         # the (blobs, nodes) geometry, updated in place so that the build
@@ -228,8 +210,7 @@ class HydrodynamicField:
                                    phi[1].charges, eps * phi[2].charges,
                                    base.H.charges]) / TWO_PI
         self._grad = np.stack([kx @ columns, ky @ columns], axis=-1)
-        d = unit - base.H.pole
-        self._h_pole = perp(d) / (TWO_PI * (d ** 2).sum(axis=1)[:, None])
+        self._h_pole = point_vortex(unit, base.H.pole)
 
     def blob_velocity(self, gamma: float, ell, r: float) -> np.ndarray:
         """The body-frame fluid velocity v at every blob."""
@@ -260,14 +241,19 @@ class HydrodynamicField:
 def pair_stream_matrix(field: BlobField) -> np.ndarray:
     """Regularized free-space stream values for every blob pair.
 
-    Off-diagonal: (1/2pi)(ln r + E1(r^2/delta^2)/2), the stream function
-    consistent with the Gaussian-core kernel.  Diagonal: its finite limit
+    Apart: (1/2pi)(ln r + E1(r^2/delta^2)/2), the stream function
+    consistent with the Gaussian-core kernel.  Coincident pairs (the
+    diagonal, and blobs sharing a position): its finite limit
     (1/2pi)(ln delta - euler_gamma/2), the blob self-interaction.
     """
-    d = field.x[:, None, :] - field.x[None, :, :]
-    rho = d[..., 0] ** 2 + d[..., 1] ** 2
-    out = np.empty_like(rho)
-    off = rho > 0
-    out[off] = (0.5 * np.log(rho[off]) + 0.5 * exp1(rho[off] / field.delta ** 2))
-    np.fill_diagonal(out, np.log(field.delta) - 0.5 * np.euler_gamma)
-    return out / TWO_PI
+    rho = squared_distances(field.x, field.x)
+    coincident = rho == 0.0
+    e1 = np.divide(rho, field.delta ** 2)
+    exp1(e1, out=e1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(rho, out=rho)
+        rho += e1
+    # ln rho + E1(rho/delta^2) tends to 2 ln delta - euler_gamma as rho -> 0
+    rho[coincident] = 2.0 * np.log(field.delta) - np.euler_gamma
+    rho /= 2.0 * TWO_PI
+    return rho

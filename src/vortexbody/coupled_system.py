@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import TWO_PI, Placement, perp, polygon_contains, rotation
+from .geometry import (TWO_PI, Placement, perp, polygon_contains, rotation,
+                       squared_distances)
 from .potential import MassData, ScaledPotentials, log_potential_sum
 from .biotsavart import (
     BlobField,
@@ -107,8 +108,8 @@ class CoupledState:
         """Smallest blob distance to the boundary nodes."""
         if self.field.n == 0:
             return np.inf
-        d = self.field.x[:, None, :] - self.eps * self.scaled.base.mesh.x
-        return float(np.sqrt((d ** 2).sum(-1).min()))
+        rho = squared_distances(self.field.x, self.eps * self.scaled.base.mesh.x)
+        return float(np.sqrt(rho.min()))
 
     def support_radii(self) -> tuple[float, float]:
         if self.field.n == 0:

@@ -31,6 +31,26 @@ def perp(v):
     return out
 
 
+def squared_distances(points, sources) -> np.ndarray:
+    """|p_i - y_j|^2 for every point p_i and source y_j, shape (m, n), summed
+    in place from the two coordinate differences: never an (m, n, 2) stack."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    y = np.asarray(sources, dtype=float).reshape(-1, 2)
+    rho = np.subtract.outer(p[:, 0], y[:, 0])
+    rho *= rho
+    d2 = np.subtract.outer(p[:, 1], y[:, 1])
+    d2 *= d2
+    rho += d2
+    return rho
+
+
+def point_vortex(points, center, strength: float = 1.0) -> np.ndarray:
+    """Velocity (strength/2pi) perp(d)/|d|^2, d = p - center, at each point."""
+    d = np.asarray(points, dtype=float).reshape(-1, 2) - center
+    r2 = (d ** 2).sum(axis=1)
+    return strength * perp(d) / (TWO_PI * r2[:, None])
+
+
 def rotation(theta: float) -> np.ndarray:
     """2x2 counterclockwise rotation matrix."""
     c, s = np.cos(theta), np.sin(theta)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import TWO_PI
+from .geometry import point_vortex
 from .biotsavart import BlobField, velocity_free_space
 
 
@@ -53,12 +53,7 @@ def vw_rhs(h, field: BlobField, gamma: float):
         raise VortexCollisionError(
             f"blob within 5 core radii of the vortex (d={rho_min:.3e})")
     h_dot = velocity_free_space(field, h)[0]
-    if field.n == 0:
-        return h_dot, np.zeros((0, 2))
-    d = field.x - h
-    r2 = (d ** 2).sum(axis=1)
-    point_term = (gamma / TWO_PI) * np.stack([-d[:, 1], d[:, 0]], -1) / r2[:, None]
-    blob_dot = velocity_free_space(field, field.x) + point_term
+    blob_dot = velocity_free_space(field, field.x) + point_vortex(field.x, h, gamma)
     return h_dot, blob_dot
 
 

@@ -71,27 +71,25 @@ class ModulationData:
         return np.array([[-self.a, self.b], [self.b, self.a]])
 
     def strain(self, v) -> np.ndarray:
-        """Apply the origin gradient; v may be one vector or (n, 2)."""
-        v = np.asarray(v, dtype=float)
-        return np.stack([-self.a * v[..., 0] + self.b * v[..., 1],
-                         self.b * v[..., 0] + self.a * v[..., 1]], axis=-1)
+        return _strain(self.a, self.b, v)
+
+
+def _strain(a: float, b: float, v) -> np.ndarray:
+    """Apply the gradient [[-a, b], [b, a]]; v may be one vector or (n, 2)."""
+    v = np.asarray(v, dtype=float)
+    return np.stack([-a * v[..., 0] + b * v[..., 1],
+                     b * v[..., 0] + a * v[..., 1]], axis=-1)
 
 
 def modulation(state: CoupledState) -> ModulationData:
     """Sample the blob field at the body origin and modulate (ell, r)."""
-    if state.field.n:
-        drift = velocity_free_space(state.field, np.zeros((1, 2)))[0]
-        gs = velocity_gradient(state.field, np.zeros(2))
-        a, b, clean = gs.a, gs.b, gs.clean
-    else:
-        drift = np.zeros(2)
-        a = b = 0.0
-        clean = True
+    drift = velocity_free_space(state.field, np.zeros((1, 2)))[0]
+    gs = velocity_gradient(state.field, np.zeros(2))
+    a, b, clean = gs.a, gs.b, gs.clean
 
     eps = state.eps
     xi = state.mass.xi
-    strain_xi = np.array([-a * xi[0] + b * xi[1], b * xi[0] + a * xi[1]])
-    ell_mod = state.ell - drift - eps * strain_xi
+    ell_mod = state.ell - drift - eps * _strain(a, b, xi)
     sr = eps * state.r
     return ModulationData(
         origin_velocity=drift, a=a, b=b, ell_modulated=ell_mod,

@@ -33,7 +33,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .contour import contour_integral, hat_field
-from .geometry import TWO_PI, BoundaryMesh, MomentSet, geometric_moments, perp
+from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments, perp,
+                       point_vortex, squared_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -70,26 +71,22 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
 # free-space log-kernel sums (shared by evaluators)
 
 
-def _pairwise(points, nodes):
-    d = np.asarray(points, dtype=float).reshape(-1, 2)[:, None, :] - nodes[None, :, :]
-    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-    return d, r2
-
-
 def log_potential_sum(points, nodes, charges) -> np.ndarray:
     """sum_j charges_j (1/2pi) ln|p - y_j| at each point p."""
-    _, r2 = _pairwise(points, nodes)
-    return (0.25 / np.pi) * (np.log(r2) @ charges)
+    r2 = squared_distances(points, nodes)
+    return (0.25 / np.pi) * (np.log(r2, out=r2) @ charges)
 
 
 def log_gradient_sum(points, nodes, charges) -> np.ndarray:
     """Gradient of log_potential_sum, rows aligned with points."""
-    d, r2 = _pairwise(points, nodes)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    d1 = np.subtract.outer(pts[:, 0], nodes[:, 0])
+    d2 = np.subtract.outer(pts[:, 1], nodes[:, 1])
+    r2 = d1 ** 2 + d2 ** 2
+    d1 /= r2
+    d2 /= r2
     coef = charges / TWO_PI
-    return np.stack([
-        (d[..., 0] / r2) @ coef,
-        (d[..., 1] / r2) @ coef,
-    ], axis=-1)
+    return np.stack([d1 @ coef, d2 @ coef], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +245,8 @@ class HarmonicField:
         return base + log_potential_sum(pts, self.mesh.x, self.charges) + self.constant
 
     def velocity(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        d = pts - self.pole
-        r2 = (d ** 2).sum(axis=1)
-        base = perp(d) / (TWO_PI * r2[:, None])
-        return base + perp(log_gradient_sum(pts, self.mesh.x, self.charges))
+        return (point_vortex(points, self.pole)
+                + perp(log_gradient_sum(points, self.mesh.x, self.charges)))
 
     def normal_stream_derivative(self) -> np.ndarray:
         d = self.mesh.x - self.pole

@@ -2,9 +2,11 @@
 flows: single vortices, Rankine patches, the circle-theorem image system
 and corotating pairs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vortexbody.biotsavart import (
     BlobField,
@@ -14,6 +16,7 @@ from vortexbody.biotsavart import (
     velocity_free_space,
     velocity_gradient,
 )
+from vortexbody.coupled_system import VorticityPatch
 from vortexbody.geometry import build_mesh, disk, perp, rotation
 from vortexbody.limit_system import VortexWaveState, vw_step
 from vortexbody.potential import ScaledPotentials, build_potential_set, log_gradient_sum
@@ -96,6 +99,7 @@ def test_gradient_core_center_is_finite():
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.1, 3.0))
+@example(40.0, -25.0, 0.7)   # far from the origin: p (G Gamma) - G (Gamma y) cancels
 def test_kernel_equivariance(cx, cy, angle):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 2))
@@ -111,6 +115,24 @@ def test_kernel_equivariance(cx, cy, angle):
     R = rotation(angle)
     u_rot = velocity_free_space(f.with_positions(x @ R.T), p @ R.T)
     assert np.allclose(u_rot, u @ R.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda f: velocity_free_space(f, f.x),
+    pair_stream_matrix,
+], ids=["velocity_free_space", "pair_stream_matrix"])
+def test_blob_blob_kernels_hold_few_pair_arrays(kernel):
+    # the blob-blob kernels build their (n, n) arrays in place, so the
+    # peak stays within four such arrays (1092 blobs: 9.5 MB each)
+    f = VorticityPatch(1.0, 1.8, spacing=0.08).discretize()
+    kernel(f)   # warm up lazily imported code paths
+    tracemalloc.start()
+    try:
+        kernel(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * f.n ** 2 * 8, peak / (f.n ** 2 * 8)
 
 
 def exterior_velocity(hy, points):

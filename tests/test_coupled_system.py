@@ -89,6 +89,26 @@ def test_empty_field_energy_is_quadratic(disk_setup):
     assert abs(total_energy(st) - 0.5 * p @ st.inertia_matrix @ p) < 1e-14
 
 
+def test_coincident_blobs_energy_equals_merged(ellipse_setup):
+    # overlapping patches share lattice points, so two blobs can sit at
+    # one position; their pair term is the self-interaction, and the
+    # energy is that of one blob carrying both strengths
+    sp, md = ellipse_setup
+    parts = [VorticityPatch(1.0, 1.8, 1.0, spacing=0.3).discretize(),
+             VorticityPatch(1.4, 2.0, 0.5, spacing=0.3).discretize()]
+    x = np.vstack([f.x for f in parts])
+    g = np.concatenate([f.gamma for f in parts])
+    pos, where = np.unique(x, axis=0, return_inverse=True)
+    assert len(pos) < len(x)
+    dup = BlobField(x=x, gamma=g, delta=0.3)
+    merged = BlobField(x=pos, gamma=np.bincount(where.ravel(), weights=g),
+                       delta=0.3)
+    energy = [total_energy(init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi,
+                                        ell0=(0.5, 0.0), field=f))
+              for f in (dup, merged)]
+    assert energy[0] == pytest.approx(energy[1], rel=1e-13, abs=0.0)
+
+
 def test_green_function_matches_disk_images(disk_setup):
     sp, md = disk_setup
     y = np.array([0.45, 0.15])
