@@ -23,6 +23,11 @@ from scipy.special import exp1
 from .geometry import TWO_PI, perp, point_vortex, polygon_contains, squared_distances
 from .potential import ScaledPotentials
 
+# rows per block of every blob-blob pair sum: a (PAIR_ROWS, n) block stays
+# in cache and below the allocator's mmap threshold, and no (n, n) array
+# is ever held
+PAIR_ROWS = 64
+
 
 class BodyCollisionError(RuntimeError):
     """Raised when vorticity reaches the body: outside the regime where
@@ -79,16 +84,20 @@ def velocity_free_space(field: BlobField, points) -> np.ndarray:
 
     With G = (1 - exp(-rho/delta^2))/rho over the squared pair distances
     rho (0 where rho = 0, the core limit of a blob at its own center),
-    u = perp(p (G Gamma) - G (Gamma y))/2pi: one product of G against the
-    columns [Gamma, Gamma y1, Gamma y2].
+    u = perp(p (G Gamma) - G (Gamma y))/2pi: G times the columns
+    [Gamma, Gamma y1, Gamma y2], built and multiplied PAIR_ROWS points
+    at a time.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    rho = squared_distances(pts, field.x)
-    minus_g = np.divide(rho, -field.delta ** 2)
-    np.expm1(minus_g, out=minus_g)
-    np.divide(minus_g, rho, out=minus_g, where=rho > 0.0)
-    moments = minus_g @ (field.gamma[:, None] * np.column_stack(
-        [np.ones(field.n), field.x]))
+    columns = field.gamma[:, None] * np.column_stack([np.ones(field.n), field.x])
+    moments = np.empty((len(pts), 3))
+    for i0 in range(0, len(pts), PAIR_ROWS):
+        rows = slice(i0, i0 + PAIR_ROWS)
+        rho = squared_distances(pts[rows], field.x)
+        minus_g = np.divide(rho, -field.delta ** 2)
+        np.expm1(minus_g, out=minus_g)
+        np.divide(minus_g, rho, out=minus_g, where=rho > 0.0)
+        np.matmul(minus_g, columns, out=moments[rows])
     return perp(moments[:, 1:] - pts * moments[:, :1]) / TWO_PI
 
 
@@ -167,8 +176,8 @@ class HydrodynamicField:
             raise BodyCollisionError("blob inside the body")
         self.scaled = scaled
         self.field = field
-        # the blob-blob sum first: its two (blobs, blobs) arrays, the
-        # largest of a stage, are then gone before the node geometry exists
+        # the blob-blob sum, in (PAIR_ROWS, blobs) blocks freed before the
+        # node geometry exists
         self._free = velocity_free_space(field, field.x)
 
         # the (blobs, nodes) geometry, updated in place so that the build
@@ -238,22 +247,26 @@ class HydrodynamicField:
 # energy bookkeeping helpers
 
 
-def pair_stream_matrix(field: BlobField) -> np.ndarray:
-    """Regularized free-space stream values for every blob pair.
+def pair_stream_matrix(field: BlobField, start: int = 0,
+                       stop: int | None = None) -> np.ndarray:
+    """Regularized free-space stream values between blobs start:stop (rows)
+    and blobs start: (columns); the defaults give every pair.
 
     Apart: (1/2pi)(ln r + E1(r^2/delta^2)/2), the stream function
-    consistent with the Gaussian-core kernel.  Coincident pairs (the
-    diagonal, and blobs sharing a position): its finite limit
-    (1/2pi)(ln delta - euler_gamma/2), the blob self-interaction.
+    consistent with the Gaussian-core kernel.  E1 is evaluated only where
+    r^2 < 40 delta^2; beyond, E1 < 1.1e-19 and is dropped.
+    Coincident pairs (the diagonal, and blobs sharing a position): its
+    finite limit (1/2pi)(ln delta - euler_gamma/2), the blob
+    self-interaction.
     """
-    rho = squared_distances(field.x, field.x)
-    coincident = rho == 0.0
-    e1 = np.divide(rho, field.delta ** 2)
-    exp1(e1, out=e1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(rho, out=rho)
-        rho += e1
+    rho = squared_distances(field.x[start:stop], field.x[start:])
+    delta2 = field.delta ** 2
+    apart = rho > 0.0
+    near = apart & (rho < 40.0 * delta2)
+    e1 = exp1(rho[near] / delta2)
+    np.log(rho, out=rho, where=apart)
+    rho[near] += e1
     # ln rho + E1(rho/delta^2) tends to 2 ln delta - euler_gamma as rho -> 0
-    rho[coincident] = 2.0 * np.log(field.delta) - np.euler_gamma
+    rho[~apart] = 2.0 * np.log(field.delta) - np.euler_gamma
     rho /= 2.0 * TWO_PI
     return rho

@@ -24,6 +24,7 @@ from .biotsavart import (
     BlobField,
     BodyCollisionError,
     HydrodynamicField,
+    PAIR_ROWS,
     pair_stream_matrix,
 )
 
@@ -335,7 +336,14 @@ def total_energy(state: CoupledState) -> float:
     if f.n == 0:
         return 0.5 * quad
 
-    psi = f.gamma @ pair_stream_matrix(f) @ f.gamma
+    # gamma^T P gamma over the upper block-triangle of the symmetric P:
+    # each row block b against columns i0:, its diagonal block counted once
+    g = f.gamma
+    psi = 0.0
+    for i0 in range(0, f.n, PAIR_ROWS):
+        g_b = g[i0:i0 + PAIR_ROWS]
+        block = pair_stream_matrix(f, i0, i0 + PAIR_ROWS)
+        psi += g_b @ (2.0 * (block @ g[i0:]) - block[:, :len(g_b)] @ g_b)
     correction = _boundary_correction(state, f.x, f.gamma, f.x)
     green = psi + float(f.gamma @ correction)
 

@@ -313,7 +313,9 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, step,
     ``sample(state)`` returns the run-specific series values as a dict
     keyed by RunRecord field; t, gamma and beta are recorded here.  An
     exception in ``stops`` raised by ``step`` ends the run with the abort
-    reason ``reason(state, exc)``, state being the last one reached.
+    reason ``reason(state, exc)``, state being the last one reached.  A
+    sample holding a non-finite value ends it as ``non-finite`` and is
+    not kept.
     """
     started = time.perf_counter()
     steps = config.steps
@@ -337,6 +339,15 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, step,
             aborted, detail = reason(state, exc), str(exc)
             break
         record(k, state)
+        # support is (inf, 0) for an empty field; the positions it is
+        # read from are checked in blob_lab
+        bad = [key for key, values in series.items() if key != "support"
+               and not np.isfinite(values[k]).all()]
+        if bad:
+            aborted = "non-finite"
+            detail = (f"non-finite {', '.join(bad)} "
+                      f"at t={series['t'][k]:.6g}")
+            break
         done = k
         support = series["support"][k]
         if n and not (support[0] >= 1.0 / config.rho
@@ -681,7 +692,7 @@ log-log slopes of the two distance columns with standard errors.
 ## *.aborted
 
 Present only for stopped runs; holds the machine-readable reason
-(collision | annulus-exit | dt-guard) and the time reached.
+(collision | annulus-exit | dt-guard | non-finite) and the time reached.
 """
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import exp1
 
 from vortexbody.biotsavart import (
     BlobField,
@@ -133,6 +134,39 @@ def test_blob_blob_kernels_hold_few_pair_arrays(kernel):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * f.n ** 2 * 8, peak / (f.n ** 2 * 8)
+
+
+@pytest.mark.parametrize("m", [1, 64, 65, 200])
+def test_velocity_free_space_blocks_match_one_product(m):
+    # the row-blocked sum against one unblocked product of the full G
+    rng = np.random.default_rng(m)
+    f = BlobField(x=rng.uniform(-1, 1, (150, 2)),
+                  gamma=rng.normal(size=150), delta=0.1)
+    pts = np.vstack([f.x[:min(m, 20)], rng.uniform(-1.5, 1.5, (m, 2))])[:m]
+    d = pts[:, None, :] - f.x[None, :, :]
+    rho = (d ** 2).sum(axis=-1)
+    g = np.zeros_like(rho)
+    apart = rho > 0
+    g[apart] = -np.expm1(-rho[apart] / f.delta ** 2) / rho[apart]
+    moments = g @ (f.gamma[:, None] * np.column_stack([np.ones(f.n), f.x]))
+    want = perp(pts * moments[:, :1] - moments[:, 1:]) / (2 * np.pi)
+    got = velocity_free_space(f, pts)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("delta", [0.07, 0.3])
+@pytest.mark.parametrize("side", [-1e-9, 1e-9])
+def test_pair_stream_cutoff_is_below_roundoff(delta, side):
+    # E1 is dropped from 40 core radii squared on; on either side of the
+    # cut the value equals the uncut stream
+    rho = (40.0 + side) * delta ** 2
+    f = BlobField(x=[[0.0, 0.0], [np.sqrt(rho), 0.0]], gamma=[1.0, 1.0],
+                  delta=delta)
+    r2 = f.x[1, 0] ** 2
+    want = (np.log(r2) + exp1(r2 / delta ** 2)) / (4 * np.pi)
+    got = pair_stream_matrix(f)
+    assert got[0, 1] == got[1, 0]
+    assert abs(got[0, 1] - want) <= 1e-15 * abs(want)
 
 
 def exterior_velocity(hy, points):

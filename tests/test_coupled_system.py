@@ -2,10 +2,13 @@
 disk with pure circulation, Green's function against the circle images,
 energy conservation under step halving, and frame-change identities."""
 
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from vortexbody.biotsavart import (
     BlobField,
@@ -16,6 +19,7 @@ from vortexbody.biotsavart import (
 from vortexbody.coupled_system import (
     TimeStepError,
     VorticityPatch,
+    _boundary_correction,
     accelerations,
     coupled_step,
     force_B,
@@ -107,6 +111,73 @@ def test_coincident_blobs_energy_equals_merged(ellipse_setup):
                                         ell0=(0.5, 0.0), field=f))
               for f in (dup, merged)]
     assert energy[0] == pytest.approx(energy[1], rel=1e-13, abs=0.0)
+
+
+def test_coincident_blobs_energy_emits_no_warning(ellipse_setup):
+    # ln 0 + E1(0) is never formed for blobs sharing a position
+    sp, md = ellipse_setup
+    parts = [VorticityPatch(1.0, 1.8, 1.0, spacing=0.3).discretize(),
+             VorticityPatch(1.4, 2.0, 0.5, spacing=0.3).discretize()]
+    dup = BlobField(x=np.vstack([f.x for f in parts]),
+                    gamma=np.concatenate([f.gamma for f in parts]), delta=0.3)
+    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(0.5, 0.0),
+                      field=dup)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(total_energy(st))
+
+
+def dense_pair_stream(field):
+    """Every pair's regularized stream, E1 evaluated on all of them."""
+    d = field.x[:, None, :] - field.x[None, :, :]
+    rho = (d ** 2).sum(axis=-1)
+    apart = rho > 0
+    psi = np.full(rho.shape, (np.log(field.delta) - np.euler_gamma / 2) / 2)
+    psi[apart] = (np.log(rho[apart]) + exp1(rho[apart] / field.delta ** 2)) / 4
+    return psi / np.pi
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+def test_blocked_pair_sum_matches_dense(ellipse_setup, n):
+    # total_energy sums gamma^T P gamma over the upper block-triangle with
+    # E1 cut off; against one dense product it differs only by roundoff.
+    # The first blob's position is repeated, inside a block and across one
+    sp, md = ellipse_setup
+    rng = np.random.default_rng(n)
+    radius = rng.uniform(1.2, 1.8, n)
+    angle = rng.uniform(0, 2 * np.pi, n)
+    x = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    x[n // 2] = x[-1] = x[0]
+    f = BlobField(x=x, gamma=rng.uniform(0.5, 1.5, n), delta=0.1)
+    st = init_coupled(sp, md, alpha=ALPHA, gamma=1.0, ell0=(0.5, 0.0), field=f)
+    psi = f.gamma @ dense_pair_stream(f) @ f.gamma
+    p = st.p
+    correction = _boundary_correction(st, f.x, f.gamma, f.x)
+    stream = sp.h_stream(f.x)
+    dense = 0.5 * (p @ st.inertia_matrix @ p - psi - f.gamma @ correction
+                   - 2.0 * (f.beta + st.gamma) * (f.gamma @ stream))
+    # total_energy = dense + (psi - blocked psi)/2
+    assert abs(2.0 * (dense - total_energy(st))) <= 1e-14 * abs(psi)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda st: velocity_free_space(st.field, st.field.x),
+    total_energy,
+], ids=["velocity_free_space", "total_energy"])
+def test_blob_blob_sums_hold_no_pair_matrix(disk_setup, kernel):
+    # row blocks keep the peak linear in n: at 2796 blobs a quarter of
+    # one (n, n) array (15.6 MB) bounds it
+    sp, md = disk_setup
+    f = VorticityPatch(1.0, 1.8, spacing=0.05).discretize()
+    st = init_coupled(sp, md, alpha=ALPHA, gamma=1.0, field=f)
+    kernel(st)   # warm up lazily imported code paths
+    tracemalloc.start()
+    try:
+        kernel(st)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= f.n ** 2 * 8 / 4, peak / (f.n ** 2 * 8)
 
 
 def test_green_function_matches_disk_images(disk_setup):

@@ -3,6 +3,7 @@ exit codes, and the aggregated identity report."""
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -375,6 +376,36 @@ def test_stage_collision_aborts(tmp_path, monkeypatch):
         with open(out / f"coupled-eps{eps}-trajectory.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 1 + 3
     assert (out / "report.json").exists()
+
+
+def test_nonfinite_state_aborts(tmp_path, monkeypatch):
+    # a NaN in a sampled value ends the run before the annulus test reads
+    # it: partial artifacts without the bad sample, a marker, exit code 2
+    real_step = lab.coupled_step
+
+    def step(state, dt):
+        new = real_step(state, dt)
+        if round(state.t / dt) == 2:
+            new = replace(new, ell=[np.nan, 0.0])
+        return new
+
+    monkeypatch.setattr(lab, "coupled_step", step)
+    out = tmp_path / "out"
+    code = main(["converge", "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--threads", "1"])
+    assert code == 2
+    for eps in ("0.2", "0.1"):
+        marker = json.loads((out / f"coupled-eps{eps}.aborted").read_text())
+        assert marker["reason"] == "non-finite"
+        assert "ell" in marker["detail"]
+        assert marker["t_reached"] == pytest.approx(0.004)
+        with open(out / f"coupled-eps{eps}-trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 3
+        assert np.isfinite(np.array(rows[1:], dtype=float)).all()
+    report = json.loads((out / "report.json").read_text())
+    assert all(row["aborted"] == "non-finite" for row in report["rows"])
+    assert not (out / "limit.aborted").exists()
 
 
 def test_annulus_exit_abort(tmp_path):
