@@ -65,6 +65,7 @@ from .coupled_system import (  # noqa: F401
 )
 from .normal_form import (  # noqa: F401
     ModulationData,
+    ModulationSeries,
     ResidualSeries,
     apply_lambda,
     boundary_approximation_defect,
@@ -73,6 +74,7 @@ from .normal_form import (  # noqa: F401
     modulation,
     normal_form_residual,
     rotated_mass_identity_check,
+    sample_modulation,
 )
 from .lab import (  # noqa: F401
     ConfigError,

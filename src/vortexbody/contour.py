@@ -29,12 +29,6 @@ def hat_field(f) -> np.ndarray:
     return f[..., 0] - 1j * f[..., 1]
 
 
-def unhat(fhat) -> np.ndarray:
-    """Inverse of hat_field."""
-    fhat = np.asarray(fhat)
-    return np.stack([fhat.real, -fhat.imag], axis=-1)
-
-
 def _weight_values(mesh: BoundaryMesh, weight: str) -> np.ndarray:
     z = mesh.z
     if weight == "1":
@@ -66,14 +60,6 @@ def contour_integral(mesh: BoundaryMesh, field=None, weight: str = "1") -> compl
         fhat = hat_field(field) if field.ndim == 2 else field.astype(complex)
     dz = (mesh.tau[:, 0] + 1j * mesh.tau[:, 1]) * mesh.w
     return complex(np.sum(_weight_values(mesh, weight) * fhat * dz))
-
-
-def flux_and_circulation(mesh: BoundaryMesh, field) -> tuple:
-    """(flux through the boundary, circulation along it) of a real field."""
-    field = np.asarray(field)
-    flux = float(np.sum((field * mesh.normal).sum(axis=1) * mesh.w))
-    circ = float(np.sum((field * mesh.tau).sum(axis=1) * mesh.w))
-    return flux, circ
 
 
 def blasius_pair(mesh: BoundaryMesh, f, g, tangency_tol: float = 1e-8):

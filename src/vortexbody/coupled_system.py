@@ -242,6 +242,9 @@ def accelerations(state: CoupledState,
 def _stage_rhs(state: CoupledState, x, ell, r, theta):
     """Time derivatives of (blob positions, ell, r, theta, h) at a stage,
     and the stage's blob clearance to the body nodes."""
+    if not (np.isfinite(x).all() and np.isfinite([*ell, r, theta]).all()):
+        raise FloatingPointError(
+            f"non-finite stage input in the step from t={state.t:.6g}")
     stage = replace(state, field=state.field.with_positions(x), ell=ell,
                     r=float(r))
     hydro = HydrodynamicField(stage.scaled, stage.field)
@@ -255,7 +258,8 @@ def coupled_step(state: CoupledState, dt: float) -> CoupledState:
     """One RK4 step of the joint blob + body system.
 
     Guard: the step must not let any blob cross a fifth of the current
-    clearance to the body; a collision inside a stage aborts the run.
+    clearance to the body; a collision inside a stage aborts the run.  A
+    non-finite stage input raises FloatingPointError before any solve.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -350,12 +354,3 @@ def total_energy(state: CoupledState) -> float:
     stream = state.scaled.h_stream(f.x)
     return 0.5 * (quad - green
                   - 2.0 * (f.beta + state.gamma) * float(f.gamma @ stream))
-
-
-def green_function(state: CoupledState, x, y) -> float:
-    """Exterior Dirichlet Green's function at one pair of points, through
-    the same boundary correction as the energy."""
-    y = np.asarray(y, float).reshape(1, 2)
-    unit = np.ones(1)
-    free = log_potential_sum(x, y, unit)[0]
-    return float(free + _boundary_correction(state, y, unit, x)[0])

@@ -71,15 +71,6 @@ class Placement:
     def to_lab(self, x):
         return np.asarray(x) @ rotation(self.theta).T + np.asarray(self.h)
 
-    def to_body(self, y):
-        return (np.asarray(y) - np.asarray(self.h)) @ rotation(self.theta)
-
-    def vector_to_lab(self, v):
-        return np.asarray(v) @ rotation(self.theta).T
-
-    def vector_to_body(self, v):
-        return np.asarray(v) @ rotation(self.theta)
-
 
 @dataclass(frozen=True)
 class ShapeSpec:

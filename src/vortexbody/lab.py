@@ -23,7 +23,7 @@ import logging
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -46,9 +46,11 @@ from .limit_system import (
     vw_step,
 )
 from .normal_form import (
+    ModulationSeries,
     apply_lambda,
     modulation_rate_monitor,
     normal_form_residual,
+    sample_modulation,
 )
 from .potential import (
     ScaledPotentials,
@@ -298,11 +300,14 @@ class RunRecord:
     r: np.ndarray | None = None
     energy: np.ndarray | None = None
     impulse: np.ndarray | None = None
-    states: list | None = None
+    modulated: ModulationSeries | None = None   # read by the normal form
 
     @property
     def label(self) -> str:
         return "limit" if self.eps is None else f"coupled-eps{self.eps:g}"
+
+
+_RECORD_FIELDS = {f.name for f in fields(RunRecord)}
 
 
 def _integrate(config: ExperimentConfig, eps: float | None, state, step,
@@ -311,11 +316,12 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, step,
     sample and check the annulus until T, an abort or an annulus exit.
 
     ``sample(state)`` returns the run-specific series values as a dict
-    keyed by RunRecord field; t, gamma and beta are recorded here.  An
-    exception in ``stops`` raised by ``step`` ends the run with the abort
-    reason ``reason(state, exc)``, state being the last one reached.  A
-    sample holding a non-finite value ends it as ``non-finite`` and is
-    not kept.
+    keyed by RunRecord field; t, gamma and beta are recorded here.  A
+    coupled sample also holds the columns of its ModulationSeries, which
+    become ``modulated``.  An exception in ``stops`` raised by ``step``
+    ends the run with the abort reason ``reason(state, exc)``, state
+    being the last one reached.  A sample holding a non-finite value ends
+    it as ``non-finite`` and is not kept.
     """
     started = time.perf_counter()
     steps = config.steps
@@ -360,20 +366,26 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, step,
 
     m = done + 1
     last_ok = done - 1 if aborted == "annulus-exit" else done
+    columns = {key: values[:m] for key, values in series.items()}
     rec = RunRecord(
         kind="limit" if eps is None else "coupled", eps=eps,
         blob_gamma=state.field.gamma.copy(), aborted=aborted,
         abort_detail=detail, t_eps=float(series["t"][max(last_ok, 0)]),
         elapsed=time.perf_counter() - started,
-        **{key: values[:m] for key, values in series.items()})
+        **{key: columns[key] for key in columns if key in _RECORD_FIELDS})
+    if eps is not None:
+        rec.modulated = ModulationSeries.from_columns(columns, state)
     log.info("%s: %d/%d steps%s in %.1fs", rec.label, done, steps,
              f", aborted ({aborted})" if aborted else "", rec.elapsed)
     return rec
 
 
 def _coupled_abort_reason(state, exc) -> str:
-    """A dt-guard stop with a blob within two core radii of the body, or
-    a blob inside the body during a stage, is a collision."""
+    """A non-finite stage input is ``non-finite``; a dt-guard stop with a
+    blob within two core radii of the body, or a blob inside the body
+    during a stage, is a collision."""
+    if isinstance(exc, FloatingPointError):
+        return "non-finite"
     if (isinstance(exc, TimeStepError)
             and state.boundary_distance() >= 2.0 * state.field.delta):
         return "dt-guard"
@@ -390,19 +402,15 @@ def run_coupled(config: ExperimentConfig, pset, mass, eps: float) -> RunRecord:
     except ValueError as exc:
         raise ConfigError(f"eps={eps:g}: {exc}") from None
 
-    states = []
-
     def sample(s):
-        states.append(s)
-        return {"h": s.placement.h, "theta": s.placement.theta, "ell": s.ell,
-                "r": s.r, "energy": total_energy(s),
+        return {"h": s.placement.h, "ell": s.ell, "energy": total_energy(s),
                 "support": s.support_radii(),
-                "blob_lab": s.placement.to_lab(s.field.x)}
+                "blob_lab": s.placement.to_lab(s.field.x),
+                **sample_modulation(s)}
 
-    rec = _integrate(config, eps, state, coupled_step, sample,
-                     (TimeStepError, BodyCollisionError), _coupled_abort_reason)
-    rec.states = states
-    return rec
+    return _integrate(config, eps, state, coupled_step, sample,
+                      (TimeStepError, BodyCollisionError, FloatingPointError),
+                      _coupled_abort_reason)
 
 
 def run_limit(config: ExperimentConfig) -> RunRecord:
@@ -469,10 +477,10 @@ def _drift(series: np.ndarray) -> float:
 def _coupled_diagnostics(rec: RunRecord, dt: float) -> dict:
     out = {"residual_fitted_C": None, "residual_max_norm": None,
            "residual_dt_converged": None, "monitor_fitted_C": None}
-    if rec.states is None or len(rec.states) < 5:
+    if rec.modulated is None or len(rec.t) < 5:
         return out
-    series = normal_form_residual(rec.states, dt)
-    _, _, monitor = modulation_rate_monitor(rec.states, dt)
+    series = normal_form_residual(rec.modulated, dt)
+    _, _, monitor = modulation_rate_monitor(rec.modulated, dt)
     out.update(residual_fitted_C=series.fitted_constant,
                residual_max_norm=float(series.norms().max()),
                residual_dt_converged=series.dt_converged,

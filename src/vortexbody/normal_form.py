@@ -10,12 +10,12 @@ equations collapse to two exactly gyroscopic quadratic tensors, a
 circulation term along a fixed axis, a weakly gyroscopic scalar and a
 weakly nonlinear remainder.  This module builds those pieces, the
 closed-form force approximations they come from, and residual and
-identity checks evaluated along stored trajectories.
+identity checks evaluated on series sampled along a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,8 @@ from .potential import MassData
 __all__ = [
     "ModulationData",
     "modulation",
+    "ModulationSeries",
+    "sample_modulation",
     "cross_product",
     "gyro_axis",
     "apply_lambda",
@@ -49,26 +51,15 @@ __all__ = [
 @dataclass(frozen=True)
 class ModulationData:
     """Origin samples of the ambient blob field and the body momentum
-    with the ambient drift removed.
-
-    The three packed momenta share the scaled spin eps*r: ``p_scaled``
-    keeps the raw velocity, ``p_offset`` removes the origin drift, and
-    ``p_modulated`` additionally removes the strain correction through
-    the conformal center.
-    """
+    with the ambient drift and the strain correction through the
+    conformal center removed; the spin is scaled to eps*r."""
 
     origin_velocity: np.ndarray     # ambient velocity at the body origin
     a: float                        # strain scalars: gradient [[-a, b], [b, a]]
     b: float
     ell_modulated: np.ndarray
     p_modulated: np.ndarray         # (ell_modulated, eps r)
-    p_scaled: np.ndarray            # (ell, eps r)
-    p_offset: np.ndarray            # (ell - drift, eps r)
     clean: bool                     # False when a blob core crowds the origin
-
-    @property
-    def gradient_matrix(self) -> np.ndarray:
-        return np.array([[-self.a, self.b], [self.b, self.a]])
 
     def strain(self, v) -> np.ndarray:
         return _strain(self.a, self.b, v)
@@ -90,13 +81,52 @@ def modulation(state: CoupledState) -> ModulationData:
     eps = state.eps
     xi = state.mass.xi
     ell_mod = state.ell - drift - eps * _strain(a, b, xi)
-    sr = eps * state.r
     return ModulationData(
         origin_velocity=drift, a=a, b=b, ell_modulated=ell_mod,
-        p_modulated=np.array([*ell_mod, sr]),
-        p_scaled=np.array([*state.ell, sr]),
-        p_offset=np.array([*(state.ell - drift), sr]),
-        clean=clean)
+        p_modulated=np.array([*ell_mod, eps * state.r]), clean=clean)
+
+
+_SAMPLED = ("t", "theta", "gamma", "r", "drift", "a", "b", "p_modulated")
+
+
+@dataclass(frozen=True)
+class ModulationSeries:
+    """The samples of one coupled run that the trajectory diagnostics
+    read, at a uniform cadence; ``series[::2]`` doubles the cadence."""
+
+    t: np.ndarray
+    theta: np.ndarray
+    gamma: np.ndarray
+    r: np.ndarray
+    drift: np.ndarray           # (m, 2) ambient velocity at the body origin
+    a: np.ndarray               # (m,) strain scalars
+    b: np.ndarray
+    p_modulated: np.ndarray     # (m, 3)
+    eps: float
+    alpha: float
+    mass: MassData
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, samples: slice) -> ModulationSeries:
+        return replace(self, **{key: getattr(self, key)[samples]
+                                for key in _SAMPLED})
+
+    @classmethod
+    def from_columns(cls, columns, state: CoupledState) -> ModulationSeries:
+        """Stack sampled columns keyed by field name; eps, alpha and mass
+        come from ``state``."""
+        return cls(eps=state.eps, alpha=state.alpha, mass=state.mass,
+                   **{key: np.asarray(columns[key]) for key in _SAMPLED})
+
+
+def sample_modulation(state: CoupledState) -> dict:
+    """One ModulationSeries row keyed by field name."""
+    mod = modulation(state)
+    return {"t": state.t, "theta": state.placement.theta,
+            "gamma": state.gamma, "r": state.r, "drift": mod.origin_velocity,
+            "a": mod.a, "b": mod.b, "p_modulated": mod.p_modulated}
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +183,12 @@ def apply_lambda(mass: MassData, which: str, p, q=None) -> np.ndarray:
 
 def weakly_gyroscopic_G(mod: ModulationData, mass: MassData) -> np.ndarray:
     """Weakly gyroscopic vector (0, 0, xi . strain(xi) + a eta_1 - b eta_2)."""
+    return _weak_gyro(mod.a, mod.b, mass)
+
+
+def _weak_gyro(a: float, b: float, mass: MassData) -> np.ndarray:
     xi, eta = mass.xi, mass.eta
-    third = xi @ mod.strain(xi) + mod.a * eta[0] - mod.b * eta[1]
+    third = xi @ _strain(a, b, xi) + a * eta[0] - b * eta[1]
     return np.array([0.0, 0.0, third])
 
 
@@ -279,38 +313,28 @@ def boundary_approximation_defect(state: CoupledState,
 # trajectory diagnostics
 
 
-def _modulated_series(states: Sequence[CoupledState]):
-    mods = [modulation(s) for s in states]
-    p = np.array([m.p_modulated for m in mods])
-    return mods, p
-
-
 @dataclass(frozen=True)
 class ResidualSeries:
     """Centered-difference residual of the modulated body equation,
     rescaled by eps^min(alpha, 2), at the interior sample times."""
 
     t: np.ndarray
-    p_modulated: np.ndarray
     implied: np.ndarray          # remainder force series, (n-2, 3)
     fitted_constant: float       # max |implied| / (1 + |p| + eps |p|^2)
-    eps: float
-    alpha: float
     dt_converged: bool | None = None  # None when the run is too short to tell
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.implied, axis=1)
 
 
-def _residual_core(states, dt, body_rates, mods, p):
-    eps, alpha = states[0].eps, states[0].alpha
-    mass = states[0].mass
+def _residual_core(series: ModulationSeries, dt, body_rates):
+    eps, alpha, mass = series.eps, series.alpha, series.mass
+    p = series.p_modulated
     M = eps ** alpha * mass.genuine + eps ** 2 * mass.added_3x3
     axis = gyro_axis(mass)
-    drift = np.array([m.origin_velocity + eps * m.strain(mass.xi)
-                      for m in mods])
-    out = np.empty((len(states) - 2, 3))
-    for k in range(1, len(states) - 1):
+    drift = series.drift + eps * _strain(series.a, series.b, mass.xi)
+    out = np.empty((len(series) - 2, 3))
+    for k in range(1, len(series) - 1):
         if body_rates is None:
             dp = (p[k + 1] - p[k - 1]) / (2.0 * dt)
         else:
@@ -320,8 +344,9 @@ def _residual_core(states, dt, body_rates, mods, p):
                            eps * rate[2]])
         quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p[k])
                 + eps * apply_lambda(mass, "a", p[k]))
-        gyro = states[k].gamma * cross_product(p[k], axis)
-        weak = eps * states[k].gamma * weakly_gyroscopic_G(mods[k], mass)
+        gyro = series.gamma[k] * cross_product(p[k], axis)
+        weak = eps * series.gamma[k] * _weak_gyro(series.a[k], series.b[k],
+                                                  mass)
         out[k - 1] = (M @ dp + quad - gyro - weak) / eps ** min(alpha, 2.0)
     sizes = np.linalg.norm(p[1:-1], axis=1)
     fitted = float((np.linalg.norm(out, axis=1)
@@ -329,13 +354,13 @@ def _residual_core(states, dt, body_rates, mods, p):
     return out, fitted
 
 
-def normal_form_residual(states: Sequence[CoupledState], dt: float,
+def normal_form_residual(series: ModulationSeries, dt: float,
                          body_rates: Sequence[np.ndarray] | None = None,
                          ) -> ResidualSeries:
     """Everything in the modulated equation except the remainder force,
     moved to one side: what is left over, divided by its expected size.
 
-    The momentum derivative uses centered differences at the stored
+    The momentum derivative uses centered differences at the sampled
     cadence, no smoothing; dt_converged compares against the double
     cadence and flags runs sampled too coarsely for the difference to
     mean anything.  The finite difference of the fast momentum is the
@@ -343,85 +368,71 @@ def normal_form_residual(states: Sequence[CoupledState], dt: float,
     resolved, so exact body rates (ell', r') recorded along the run may
     be passed in to replace it; the slow drift term is still differenced.
     """
-    if len(states) < 3:
-        raise ValueError("need at least three uniformly spaced states")
-    if body_rates is not None and len(body_rates) != len(states):
-        raise ValueError("need one rate triple per state")
-    eps, alpha = states[0].eps, states[0].alpha
-    mods, p = _modulated_series(states)
-    out, fitted = _residual_core(states, dt, body_rates, mods, p)
+    if len(series) < 3:
+        raise ValueError("need at least three uniformly spaced samples")
+    if body_rates is not None and len(body_rates) != len(series):
+        raise ValueError("need one rate triple per sample")
+    out, fitted = _residual_core(series, dt, body_rates)
 
     converged = None
-    if len(states) >= 5:
-        sub = slice(None, None, 2)
+    if len(series) >= 5:
         _, coarse = _residual_core(
-            states[sub], 2.0 * dt,
-            None if body_rates is None else body_rates[sub],
-            mods[sub], p[sub])
+            series[::2], 2.0 * dt,
+            None if body_rates is None else body_rates[::2])
         scale = max(fitted, np.finfo(float).tiny)
         converged = bool(abs(coarse - fitted) <= 0.1 * scale)
 
-    return ResidualSeries(
-        t=np.array([s.t for s in states[1:-1]]),
-        p_modulated=p[1:-1], implied=out, fitted_constant=fitted,
-        eps=eps, alpha=alpha, dt_converged=converged)
+    return ResidualSeries(t=series.t[1:-1], implied=out,
+                          fitted_constant=fitted, dt_converged=converged)
 
 
-def rotated_mass_identity_check(states: Sequence[CoupledState],
-                                dt: float) -> float:
+def rotated_mass_identity_check(series: ModulationSeries, dt: float) -> float:
     """Max gap, over interior times and the two velocity components,
     between the attitude-rotated inertia terms and the plain time
     derivative of the rotated momentum.
 
     Both sides use centered differences; the gap vanishes at rate dt^2.
     """
-    if len(states) < 3:
-        raise ValueError("need at least three uniformly spaced states")
-    eps, alpha = states[0].eps, states[0].alpha
-    mass = states[0].mass
+    if len(series) < 3:
+        raise ValueError("need at least three uniformly spaced samples")
+    eps, alpha, mass = series.eps, series.alpha, series.mass
     Mg, Ma = mass.genuine, mass.added_3x3
     M = eps ** alpha * Mg + eps ** 2 * Ma
-
-    _, p = _modulated_series(states)
+    p = series.p_modulated
 
     def Q(theta):
         c, s = np.cos(theta), np.sin(theta)
         return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
     rotated = np.array([
-        (eps ** alpha * Mg @ Q(s.placement.theta)
-         + eps ** 2 * Q(s.placement.theta) @ Ma) @ pk
-        for s, pk in zip(states, p)])
+        (eps ** alpha * Mg @ Q(theta) + eps ** 2 * Q(theta) @ Ma) @ pk
+        for theta, pk in zip(series.theta, p)])
 
     worst = 0.0
-    for k in range(1, len(states) - 1):
+    for k in range(1, len(series) - 1):
         dp = (p[k + 1] - p[k - 1]) / (2.0 * dt)
         quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p[k])
                 + eps * apply_lambda(mass, "a", p[k]))
-        lhs = (Q(states[k].placement.theta) @ (M @ dp + quad))[:2]
+        lhs = (Q(series.theta[k]) @ (M @ dp + quad))[:2]
         rhs = ((rotated[k + 1] - rotated[k - 1]) / (2.0 * dt))[:2]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
-def modulation_rate_monitor(states: Sequence[CoupledState], dt: float):
+def modulation_rate_monitor(series: ModulationSeries, dt: float):
     """Centered-difference rate of the drift-plus-strain correction,
     with the spin rotation removed, fitted against 1 + |p_modulated|.
 
     Returns (times, rates, fitted constant).  Bounded along healthy runs.
     """
-    eps = states[0].eps
-    mods, p = _modulated_series(states)
-    xi = states[0].mass.xi
-    vals = np.array([m.origin_velocity + eps * m.strain(xi) for m in mods])
-
-    t = np.array([s.t for s in states[1:-1]])
-    rates = np.empty((len(states) - 2, 2))
+    vals = series.drift + series.eps * _strain(series.a, series.b,
+                                               series.mass.xi)
+    rates = np.empty((len(series) - 2, 2))
     fitted = 0.0
-    for k in range(1, len(states) - 1):
+    for k in range(1, len(series) - 1):
         rate = ((vals[k + 1] - vals[k - 1]) / (2.0 * dt)
-                + states[k].r * perp(mods[k].origin_velocity))
+                + series.r[k] * perp(series.drift[k]))
         rates[k - 1] = rate
-        size = np.linalg.norm(p[k])
+        size = np.linalg.norm(series.p_modulated[k])
         fitted = max(fitted, float(np.linalg.norm(rate) / (1.0 + size)))
-    return t, rates, fitted
+    return series.t[1:-1], rates, fitted

@@ -13,11 +13,13 @@ from vortexbody.biotsavart import BlobField
 from vortexbody.coupled_system import coupled_step, force_B, force_C, init_coupled
 from vortexbody.geometry import build_mesh, perturbed_disk
 from vortexbody.normal_form import (
+    ModulationSeries,
     boundary_approximation_defect,
     expansion_B,
     expansion_C,
     modulation,
     normal_form_residual,
+    sample_modulation,
 )
 from vortexbody.potential import ScaledPotentials, build_mass_data, build_potential_set
 
@@ -92,15 +94,20 @@ def frozen_sweep(asym_setup, random_blobs):
     return {"errors": errs, "slopes": slopes, "cc_max": cc_max}
 
 
-def _residual_run(pset, md, blobs, eps, dt, steps):
-    sp = ScaledPotentials(pset, eps)
-    st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
-                      ell0=(1.0, 0.0), r0=0.3 / eps, field=blobs)
-    states = [st]
-    for _ in range(steps):
-        st = coupled_step(st, dt)
-        states.append(st)
-    return states
+def sampled_run(pset, md, blobs, *, eps, dt, steps, r0, on_state=None):
+    """Step a coupled run from ell0 = (1, 0) and return its sampled
+    ModulationSeries, one row per state; ``on_state`` sees every state."""
+    st = init_coupled(ScaledPotentials(pset, eps), md, alpha=2.0,
+                      gamma=FROZEN_GAMMA, ell0=(1.0, 0.0), r0=r0, field=blobs)
+    rows = []
+    for k in range(steps + 1):
+        if k:
+            st = coupled_step(st, dt)
+        rows.append(sample_modulation(st))
+        if on_state is not None:
+            on_state(st)
+    return ModulationSeries.from_columns(
+        {key: [row[key] for row in rows] for key in rows[0]}, st)
 
 
 @pytest.fixture(scope="session")
@@ -111,12 +118,12 @@ def residual_runs(asym_setup, random_blobs):
     pset, md = asym_setup
     runs = {}
     for eps, dt, steps in ((0.1, 2.5e-4, 192), (0.05, 1.25e-4, 384)):
-        states = _residual_run(pset, md, random_blobs, eps, dt, steps)
-        runs[eps] = (states, dt)
+        runs[eps] = (sampled_run(pset, md, random_blobs, eps=eps, dt=dt,
+                                 steps=steps, r0=0.3 / eps), dt)
     return runs
 
 
 @pytest.fixture(scope="session")
 def residual_series(residual_runs):
-    return {eps: normal_form_residual(states, dt)
-            for eps, (states, dt) in residual_runs.items()}
+    return {eps: normal_form_residual(record, dt)
+            for eps, (record, dt) in residual_runs.items()}

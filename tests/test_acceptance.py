@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import FROZEN_GAMMA
+from conftest import sampled_run
 from vortexbody.coupled_system import (
     VorticityPatch,
     coupled_step,
@@ -164,16 +164,12 @@ def test_criterion_6_normal_form(asym_setup, random_blobs, residual_runs,
     assert worst < 1e-12
 
     # rotated-mass identity: centered differences agree at rate dt^2
-    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0,
-                      gamma=FROZEN_GAMMA, ell0=(1.0, 0.0), r0=3.0,
-                      field=random_blobs)
-    dt, states = 1e-3, [st]
-    for _ in range(48):
-        st = coupled_step(st, dt)
-        states.append(st)
-    d1 = rotated_mass_identity_check(states, dt)
-    d2 = rotated_mass_identity_check(states[::2], 2 * dt)
-    d4 = rotated_mass_identity_check(states[::4], 4 * dt)
+    dt = 1e-3
+    record = sampled_run(pset, md, random_blobs, eps=0.1, dt=dt, steps=48,
+                         r0=3.0)
+    d1 = rotated_mass_identity_check(record, dt)
+    d2 = rotated_mass_identity_check(record[::2], 2 * dt)
+    d4 = rotated_mass_identity_check(record[::4], 4 * dt)
     assert 3.0 <= d2 / d1 <= 5.0, (d1, d2)
     assert 3.0 <= d4 / d2 <= 5.0, (d2, d4)
 

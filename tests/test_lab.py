@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vortexbody import lab
+from vortexbody import lab, normal_form
 from vortexbody.biotsavart import BodyCollisionError
 from vortexbody.coupled_system import VorticityPatch
 from vortexbody.geometry import disk
@@ -406,6 +406,76 @@ def test_nonfinite_state_aborts(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert all(row["aborted"] == "non-finite" for row in report["rows"])
     assert not (out / "limit.aborted").exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"report.json holds {token}, which strict JSON rejects")
+
+
+def test_rejected_sample_stays_out_of_the_report(tmp_path, monkeypatch):
+    # the NaN sample after step 6 of 10 is dropped before the normal-form
+    # diagnostics read the run
+    real_step = lab.coupled_step
+
+    def step(state, dt):
+        new = real_step(state, dt)
+        if round(state.t / dt) == 6:
+            new = replace(new, ell=[np.nan, 0.0])
+        return new
+
+    monkeypatch.setattr(lab, "coupled_step", step)
+    out = tmp_path / "out"
+    code = main(["converge", "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--threads", "1"])
+    assert code == 2
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    for row in report["rows"]:
+        assert row["aborted"] == "non-finite" and row["steps"] == 6
+        assert np.isfinite(row["residual_fitted_C"])
+        assert np.isfinite(row["monitor_fitted_C"])
+
+
+def test_nonfinite_stage_input_aborts(tmp_path, monkeypatch, capfd, caplog):
+    # a NaN handed to the stepper stops the run before any boundary solve
+    # sees it: a marker, partial artifacts, exit code 2, no traceback
+    real_step = lab.coupled_step
+
+    def step(state, dt):
+        if round(state.t / dt) == 2:
+            state = replace(state, ell=[np.nan, 0.0])
+        return real_step(state, dt)
+
+    monkeypatch.setattr(lab, "coupled_step", step)
+    out = tmp_path / "out"
+    code = main(["converge", "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--threads", "1"])
+    assert code == 2
+    for eps in ("0.2", "0.1"):
+        marker = json.loads((out / f"coupled-eps{eps}.aborted").read_text())
+        assert marker["reason"] == "non-finite"
+        assert marker["t_reached"] == pytest.approx(0.004)
+        with open(out / f"coupled-eps{eps}-trajectory.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 3
+    json.loads((out / "report.json").read_text(),
+               parse_constant=_reject_constant)
+    assert "Traceback" not in capfd.readouterr().err + caplog.text
+
+
+def test_modulation_runs_once_per_kept_sample(tmp_path, monkeypatch):
+    real = normal_form.modulation
+    seen = []
+
+    def counted(state):
+        seen.append(state.t)
+        return real(state)
+
+    monkeypatch.setattr(normal_form, "modulation", counted)
+    cfg = parse_config(write_config(tmp_path))
+    records, report = run(cfg, out_dir=tmp_path / "out", threads=1)
+    coupled = [r for r in records if r.kind == "coupled"]
+    assert seen == [t for rec in coupled for t in rec.t]
+    assert all(row["residual_fitted_C"] is not None for row in report.rows)
 
 
 def test_annulus_exit_abort(tmp_path):

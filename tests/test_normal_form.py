@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FROZEN_ELL, FROZEN_GAMMA, FROZEN_R
+from conftest import FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, sampled_run
 from vortexbody.biotsavart import BlobField, velocity_free_space
 from vortexbody.coupled_system import (
     accelerations,
-    coupled_step,
     force_B,
     force_C,
     init_coupled,
 )
 from vortexbody.geometry import build_mesh, disk, perp
 from vortexbody.normal_form import (
+    ModulationSeries,
     apply_lambda,
     boundary_approximation_defect,
     cross_product,
@@ -29,6 +29,7 @@ from vortexbody.normal_form import (
     modulation_rate_monitor,
     normal_form_residual,
     rotated_mass_identity_check,
+    sample_modulation,
     weakly_gyroscopic_G,
 )
 from vortexbody.potential import ScaledPotentials, build_mass_data, build_potential_set
@@ -82,20 +83,20 @@ def test_modulated_momentum_bookkeeping(asym_state):
     st = asym_state
     mod = modulation(st)
     eps = st.eps
-    assert np.array_equal(mod.p_scaled, np.array([*st.ell, eps * st.r]))
-    np.testing.assert_allclose(
-        mod.p_offset, np.array([*(st.ell - mod.origin_velocity), eps * st.r]),
-        rtol=0, atol=1e-15)
     want = st.ell - mod.origin_velocity - eps * mod.strain(st.mass.xi)
     np.testing.assert_allclose(mod.ell_modulated, want, rtol=0, atol=1e-15)
     assert np.array_equal(mod.p_modulated,
                           np.array([*mod.ell_modulated, eps * st.r]))
 
 
+def gradient_matrix(mod):
+    return np.array([[-mod.a, mod.b], [mod.b, mod.a]])
+
+
 def test_gradient_matrix_matches_kernel_jacobian(asym_state):
     # independent route: difference the free-space kernel at the origin
     mod = modulation(asym_state)
-    G = mod.gradient_matrix
+    G = gradient_matrix(mod)
     assert G[0, 0] == -G[1, 1] and G[0, 1] == G[1, 0]  # traceless symmetric
     h = 1e-5
     field = asym_state.field
@@ -112,10 +113,10 @@ def test_gradient_matrix_matches_kernel_jacobian(asym_state):
 def test_strain_is_the_gradient_matrix_action(asym_state):
     mod = modulation(asym_state)
     v = np.array([0.7, -0.4])
-    np.testing.assert_allclose(mod.strain(v), mod.gradient_matrix @ v,
+    np.testing.assert_allclose(mod.strain(v), gradient_matrix(mod) @ v,
                                rtol=0, atol=1e-16)
     batch = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 2.0]])
-    np.testing.assert_allclose(mod.strain(batch), batch @ mod.gradient_matrix.T,
+    np.testing.assert_allclose(mod.strain(batch), batch @ gradient_matrix(mod).T,
                                rtol=0, atol=1e-16)
 
 
@@ -267,15 +268,18 @@ def test_empty_field_expansions(asym_setup):
 # trajectory diagnostics
 
 
-def _short_run(pset, md, blobs, eps, dt, steps):
-    sp = ScaledPotentials(pset, eps)
-    st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA, ell0=(1.0, 0.0),
-                      r0=0.3 / eps, field=blobs)
-    states = [st]
-    for _ in range(steps):
-        st = coupled_step(st, dt)
-        states.append(st)
-    return states
+def _short_run(pset, md, blobs, eps, dt, steps, on_state=None):
+    return sampled_run(pset, md, blobs, eps=eps, dt=dt, steps=steps,
+                       r0=0.3 / eps, on_state=on_state)
+
+
+def _resting(asym_setup, samples):
+    """A body at rest with no vorticity, sampled ``samples`` times."""
+    pset, md = asym_setup
+    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0)
+    row = sample_modulation(st)
+    return ModulationSeries.from_columns(
+        {key: [value] * samples for key, value in row.items()}, st)
 
 
 @pytest.fixture(scope="module")
@@ -285,21 +289,18 @@ def reference_run(asym_setup, random_blobs):
 
 
 def test_trivial_residual_is_zero(asym_setup):
-    pset, md = asym_setup
-    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0)
-    series = normal_form_residual([st] * 6, 0.01)
+    series = normal_form_residual(_resting(asym_setup, 6), 0.01)
     assert series.fitted_constant == 0.0
     assert np.all(series.implied == 0.0)
     assert series.dt_converged is True
 
 
 def test_residual_input_validation(asym_setup):
-    pset, md = asym_setup
-    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0)
     with pytest.raises(ValueError):
-        normal_form_residual([st, st], 0.01)
+        normal_form_residual(_resting(asym_setup, 2), 0.01)
     with pytest.raises(ValueError):
-        normal_form_residual([st] * 5, 0.01, body_rates=[np.zeros(3)] * 4)
+        normal_form_residual(_resting(asym_setup, 5), 0.01,
+                             body_rates=[np.zeros(3)] * 4)
 
 
 def test_residual_dt_stability_on_reference_run(reference_run):
@@ -312,12 +313,15 @@ def test_residual_dt_stability_on_reference_run(reference_run):
     assert series.t.shape == (47,)
 
 
-def test_residual_exact_rate_route_agrees(reference_run):
+def test_residual_exact_rate_route_agrees(asym_setup, random_blobs):
     # dual route: recorded accelerations instead of differencing the
     # fast momentum
-    series = normal_form_residual(reference_run, 1e-3)
-    rates = [accelerations(s).accel for s in reference_run]
-    exact = normal_form_residual(reference_run, 1e-3, body_rates=rates)
+    pset, md = asym_setup
+    rates = []
+    record = _short_run(pset, md, random_blobs, eps=0.1, dt=1e-3, steps=48,
+                        on_state=lambda s: rates.append(accelerations(s).accel))
+    series = normal_form_residual(record, 1e-3)
+    exact = normal_form_residual(record, 1e-3, body_rates=rates)
     assert exact.dt_converged is True
     dev = abs(exact.fitted_constant / series.fitted_constant - 1.0)
     assert dev < 0.05
@@ -326,8 +330,8 @@ def test_residual_exact_rate_route_agrees(reference_run):
 def test_residual_flags_coarse_cadence(asym_setup, random_blobs):
     # at eps = 0.05 a 5e-4 cadence under-resolves the gyro oscillation
     pset, md = asym_setup
-    states = _short_run(pset, md, random_blobs, eps=0.05, dt=5e-4, steps=24)
-    series = normal_form_residual(states, 5e-4)
+    record = _short_run(pset, md, random_blobs, eps=0.05, dt=5e-4, steps=24)
+    series = normal_form_residual(record, 5e-4)
     assert series.dt_converged is False
 
 
@@ -341,28 +345,28 @@ def test_rotated_mass_identity_rate(reference_run):
 
 
 def test_rotated_mass_identity_trivial(asym_setup):
-    pset, md = asym_setup
-    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0)
-    assert rotated_mass_identity_check([st] * 5, 0.01) == 0.0
+    assert rotated_mass_identity_check(_resting(asym_setup, 5), 0.01) == 0.0
 
 
-def weak_gyro_calibration(states, dt: float) -> float:
+def weak_gyro_calibration(series, dt: float) -> float:
     """Fitted constant of the weak-gyroscopic bound: the running integral
     of p . G against eps (1 + t + integral of |p|^2), maximized in time."""
-    eps = states[0].eps
-    mass = states[0].mass
-    mods = [modulation(s) for s in states]
-    p = np.array([m.p_modulated for m in mods])
-    dots = np.array([pk @ weakly_gyroscopic_G(mk, mass)
-                     for pk, mk in zip(p, mods)])
+    eps = series.eps
+    xi, eta = series.mass.xi, series.mass.eta
+    p = series.p_modulated
+    # G = (0, 0, xi . strain(xi) + a eta_1 - b eta_2), strain [[-a, b], [b, a]]
+    a, b = series.a, series.b
+    third = (-a * xi[0] ** 2 + 2 * b * xi[0] * xi[1] + a * xi[1] ** 2
+             + a * eta[0] - b * eta[1])
+    dots = p[:, 2] * third
     sizes2 = (p ** 2).sum(1)
     num = 0.0
     size_int = 0.0
     best = 0.0
-    for k in range(1, len(states)):
+    for k in range(1, len(series)):
         num += 0.5 * dt * (dots[k - 1] + dots[k])
         size_int += 0.5 * dt * (sizes2[k - 1] + sizes2[k])
-        elapsed = states[k].t - states[0].t
+        elapsed = series.t[k] - series.t[0]
         best = max(best, abs(num) / (eps * (1.0 + elapsed + size_int)))
     return best
 
