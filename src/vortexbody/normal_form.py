@@ -137,13 +137,14 @@ def cross_product(pa, pb) -> np.ndarray:
     """Cross product of (velocity, spin) triples:
     (l_a, w_a) x (l_b, w_b) = (w_a l_b^perp - w_b l_a^perp, l_a^perp . l_b).
 
-    This is the ordinary R^3 cross product written in 2d notation.
+    The ordinary R^3 cross product in 2d notation, along the last axis.
     """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    la, wa = pa[:2], pa[2]
-    lb, wb = pb[:2], pb[2]
-    return np.array([*(wa * perp(lb) - wb * perp(la)), perp(la) @ lb])
+    la, wa = pa[..., :2], pa[..., 2:]
+    lb, wb = pb[..., :2], pb[..., 2:]
+    dot = perp(la)[..., None, :] @ lb[..., None]  # rows get single-call bits
+    return np.concatenate([wa * perp(lb) - wb * perp(la), dot[..., 0]], -1)
 
 
 def gyro_axis(mass: MassData) -> np.ndarray:
@@ -152,11 +153,12 @@ def gyro_axis(mass: MassData) -> np.ndarray:
 
 
 def _lambda_quadratic(mass: MassData, which: str, p: np.ndarray) -> np.ndarray:
-    ell, r = p[:2], p[2]
+    ell, r = p[..., :2], p[..., 2:]
     if which == "g":
-        return np.array([*(mass.m1 * r * perp(ell)), 0.0])
-    Mb = mass.added_2x2
-    under = np.array([*(r * perp(Mb @ ell)), perp(ell) @ (Mb @ ell)])
+        return np.concatenate([mass.m1 * r * perp(ell), np.zeros_like(r)], -1)
+    Mell = (mass.added_2x2 @ ell[..., None])[..., 0]  # single-call bits
+    dot = perp(ell)[..., None, :] @ Mell[..., None]
+    under = np.concatenate([r * perp(Mell), dot[..., 0]], -1)
     if which == "under":
         return under
     if which == "a":
@@ -165,8 +167,8 @@ def _lambda_quadratic(mass: MassData, which: str, p: np.ndarray) -> np.ndarray:
 
 
 def apply_lambda(mass: MassData, which: str, p, q=None) -> np.ndarray:
-    """Evaluate one of the quadratic gyroscopic tensors.
-
+    """Evaluate one of the quadratic gyroscopic tensors on momenta along
+    the last axis: a (3,) p gives (3,), a (k, 3) stack gives (k, 3).
     With one argument: the quadratic form <Lambda, p, p>.  With two: the
     symmetric bilinear extension by polarization.  'g' is the genuine-mass
     tensor, 'under' the bare added-mass one, 'a' adds the spin coupling
@@ -333,6 +335,8 @@ def _residual_core(series: ModulationSeries, dt, body_rates):
     M = eps ** alpha * mass.genuine + eps ** 2 * mass.added_3x3
     axis = gyro_axis(mass)
     drift = series.drift + eps * _strain(series.a, series.b, mass.xi)
+    quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p)
+            + eps * apply_lambda(mass, "a", p))
     out = np.empty((len(series) - 2, 3))
     for k in range(1, len(series) - 1):
         if body_rates is None:
@@ -342,12 +346,10 @@ def _residual_core(series: ModulationSeries, dt, body_rates):
             rate = np.asarray(body_rates[k], dtype=float)
             dp = np.array([rate[0] - drift_dot[0], rate[1] - drift_dot[1],
                            eps * rate[2]])
-        quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p[k])
-                + eps * apply_lambda(mass, "a", p[k]))
         gyro = series.gamma[k] * cross_product(p[k], axis)
         weak = eps * series.gamma[k] * _weak_gyro(series.a[k], series.b[k],
                                                   mass)
-        out[k - 1] = (M @ dp + quad - gyro - weak) / eps ** min(alpha, 2.0)
+        out[k - 1] = (M @ dp + quad[k] - gyro - weak) / eps ** min(alpha, 2.0)
     sizes = np.linalg.norm(p[1:-1], axis=1)
     fitted = float((np.linalg.norm(out, axis=1)
                     / (1.0 + sizes + eps * sizes ** 2)).max())
@@ -408,12 +410,12 @@ def rotated_mass_identity_check(series: ModulationSeries, dt: float) -> float:
         (eps ** alpha * Mg @ Q(theta) + eps ** 2 * Q(theta) @ Ma) @ pk
         for theta, pk in zip(series.theta, p)])
 
+    quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p)
+            + eps * apply_lambda(mass, "a", p))
     worst = 0.0
     for k in range(1, len(series) - 1):
         dp = (p[k + 1] - p[k - 1]) / (2.0 * dt)
-        quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p[k])
-                + eps * apply_lambda(mass, "a", p[k]))
-        lhs = (Q(series.theta[k]) @ (M @ dp + quad))[:2]
+        lhs = (Q(series.theta[k]) @ (M @ dp + quad[k]))[:2]
         rhs = ((rotated[k + 1] - rotated[k - 1]) / (2.0 * dt))[:2]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst

@@ -73,3 +73,14 @@ def test_one_blob_node_pass_per_stage():
     assert tracer.calls[tracer_module.STEP] == 2
     passes, _ = tracer.metrics(1)[tracer_module.PASSES]
     assert 0.0 < passes <= 2.0
+
+
+def test_tensor_row_is_one_call_per_tensor():
+    # lab.check evaluates each zero-work tensor on all draws of a shape in
+    # one batched call, not once per draw
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        lab.check(panels=64, seed=0)
+    calls = tracer.calls["normal_form.apply_lambda"]
+    assert 0 < calls <= 2 * len(lab.CANONICAL_SHAPES)

@@ -27,6 +27,7 @@ from vortexbody.lab import (
     potential_facts,
     run,
 )
+from vortexbody.potential import build_mass_data
 
 BASE = """\
 [shape]
@@ -535,6 +536,23 @@ def test_check_report(tmp_path):
     assert code == 0
     saved = json.loads((tmp_path / "chk" / "identities.json").read_text())
     assert saved["all_passed"] is True
+
+
+def test_tensor_row_fails_on_nonfinite_mass(monkeypatch):
+    # a NaN in the mass data must fail the zero-work row, not drop out of
+    # the reduction over draws
+    def poisoned(pset):
+        md = build_mass_data(pset)
+        mass = md.mass.copy()
+        mass[0, 0] = np.nan
+        return replace(md, mass=mass)
+
+    monkeypatch.setattr(lab, "build_mass_data", poisoned)
+    report = check(panels=64)
+    tensor = [r for r in report.rows if r.group == "tensor"]
+    assert len(tensor) == len(CANONICAL_SHAPES)
+    assert not any(r.passed for r in tensor)
+    assert not report.all_passed
 
 
 def test_potential_facts_disk(tmp_path):

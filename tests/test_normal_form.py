@@ -147,8 +147,34 @@ def test_lambda_orthogonality(asym_setup):
     rng = np.random.default_rng(7)
     P = rng.normal(size=(10_000, 3))
     for which in ("g", "under", "a"):
-        worst = max(abs(apply_lambda(md, which, p) @ p) for p in P)
-        assert worst < 1e-12, which
+        work = (apply_lambda(md, which, P) * P).sum(1)
+        assert np.abs(work).max() < 1e-12, which
+
+
+def test_lambda_batched_matches_rows(asym_setup):
+    # a (k, 3) stack gives the per-row results stacked, in both forms
+    _, md = asym_setup
+    rng = np.random.default_rng(5)
+    P, Q = rng.normal(size=(2, 64, 3))
+    for which in ("g", "under", "a"):
+        for args in ((P,), (P, Q)):
+            rows = np.array([apply_lambda(md, which, *row)
+                             for row in zip(*args)])
+            batched = apply_lambda(md, which, *args)
+            assert batched.shape == P.shape
+            scale = np.linalg.norm(rows, axis=1).max()
+            np.testing.assert_allclose(batched, rows, rtol=0,
+                                       atol=1e-14 * scale)
+            single = apply_lambda(md, which, *(a[0] for a in args))
+            assert single.shape == (3,)
+    for qb in (Q, Q[0]):  # a stack, and one triple broadcast over the rows
+        rows = np.array([np.cross(pa, qa)
+                         for pa, qa in zip(P, np.broadcast_to(qb, P.shape))])
+        scale = np.linalg.norm(rows, axis=1).max()
+        np.testing.assert_allclose(cross_product(P, qb), rows, rtol=0,
+                                   atol=1e-14 * scale)
+    with pytest.raises(ValueError):
+        apply_lambda(md, "nope", P)
 
 
 def test_lambda_polarization(asym_setup):
