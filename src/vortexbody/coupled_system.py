@@ -301,38 +301,24 @@ def coupled_step(state: CoupledState, dt: float) -> CoupledState:
 # conserved energy
 
 
-def _boundary_correction(state: CoupledState, sources, strengths,
-                         points) -> np.ndarray:
-    """Harmonic correction, at ``points``, that cancels on the body
-    boundary the free log potential of charges ``strengths`` at
-    ``sources``: the exterior Dirichlet part of the Green's function.
-
-    One Dirichlet solve per call.  The log growth -sum(strengths)/2pi is
-    carried by a pole at an interior point so the solve decays.
-    """
-    mesh = state.scaled.base.mesh
-    eps = state.eps
-    total = float(np.sum(strengths))
-    pole = eps * mesh.interior_point
-    nodes = eps * mesh.x
-
-    def base(q):
-        d = np.asarray(q, float).reshape(-1, 2) - pole
-        return -(total / (2 * TWO_PI)) * np.log((d ** 2).sum(1))
-
-    data = -(log_potential_sum(nodes, sources, strengths) + base(nodes))
-    sigma, c = state.scaled.base.ops.dirichlet_density(data)
-    points = np.asarray(points, float).reshape(-1, 2)
-    return (base(points)
-            + log_potential_sum(points / eps, mesh.x, sigma * mesh.w) + c)
-
-
 def total_energy(state: CoupledState) -> float:
-    """Half of 2H = p^T M p - sum_jk G_jk G_H(x_j,x_k) - 2 gamma sum_j G_j Psi_H(x_j).
+    """Half of 2H = p^T M p - sum_jk G_j G_k G(x_j,x_k) - 2 gamma sum_j G_j psi_H(x_j).
 
-    The Green's function of the exterior domain splits into the free log,
-    its harmonic boundary correction, and the stream of the circulation
-    field; the blob self-interaction uses the regularized pair stream.
+    The exterior Green's function G splits into the regularized pair
+    stream, a bounded harmonic correction u that cancels the free log on
+    the boundary, and -beta psi_H, which carries the correction's log
+    growth; so the last sum's factor becomes beta + 2 gamma.
+
+    The blob sums of u and psi_H follow by Green's reciprocity from F,
+    the blobs' free log potential at the scaled nodes and at H's scaled
+    pole.  With (sigma, c) the Dirichlet density of -F on the nodes and
+    zero total density,
+
+        sum_j G_j u(x_j)     = (sigma w) . F + beta c,
+        sum_j G_j psi_H(x_j) = F(pole) + H.charges . F
+                               + beta (H.constant - ln(eps)/2pi),
+
+    so one blob x node pass and one Dirichlet solve serve both.
     """
     p = state.p
     quad = float(p @ state.inertia_matrix @ p)
@@ -348,9 +334,12 @@ def total_energy(state: CoupledState) -> float:
         g_b = g[i0:i0 + PAIR_ROWS]
         block = pair_stream_matrix(f, i0, i0 + PAIR_ROWS)
         psi += g_b @ (2.0 * (block @ g[i0:]) - block[:, :len(g_b)] @ g_b)
-    correction = _boundary_correction(state, f.x, f.gamma, f.x)
-    green = psi + float(f.gamma @ correction)
-
-    stream = state.scaled.h_stream(f.x)
-    return 0.5 * (quad - green
-                  - 2.0 * (f.beta + state.gamma) * float(f.gamma @ stream))
+    base = state.scaled.base
+    mesh, H, eps, beta = base.mesh, base.H, state.eps, f.beta
+    F = log_potential_sum(eps * np.vstack([mesh.x, H.pole]), f.x, f.gamma)
+    F_nodes, F_pole = F[:-1], F[-1]
+    sigma, c = base.ops.dirichlet_density(-F_nodes)
+    green = psi + float((sigma * mesh.w) @ F_nodes) + beta * c
+    s_h = (F_pole + float(H.charges @ F_nodes)
+           + beta * (H.constant - np.log(eps) / TWO_PI))
+    return 0.5 * (quad - green - (beta + 2.0 * state.gamma) * s_h)

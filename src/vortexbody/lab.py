@@ -23,7 +23,7 @@ import logging
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -75,13 +75,14 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One experiment: body, fluid data, scale sweep, time grid, output.
 
-    ``eps`` must be strictly decreasing.  ``patches`` describe the
-    initial vorticity as (inner, outer, density) annuli sharing one
-    lattice ``spacing`` and blob core ``delta``; the support must leave
-    room for the largest body.  ``rho`` bounds the admissible annulus
-    (support inside distances [1/rho, rho] from the carrier); leaving it
-    stops a run with an ``annulus-exit`` marker.  ``seed`` feeds only
-    randomized identity checks, never the dynamics.
+    ``eps`` must be finite and strictly decreasing.  ``patches``
+    describe the initial vorticity as (inner, outer, density) annuli
+    sharing one lattice ``spacing`` and blob core ``delta``; the support
+    must leave room for the largest body.  ``rho`` bounds the admissible
+    annulus (support inside distances [1/rho, rho] from the carrier);
+    leaving it stops a run with an ``annulus-exit`` marker.  ``seed``
+    (non-negative) feeds only randomized identity checks, never the
+    dynamics.  Every number, shape coefficients included, must be finite.
     """
 
     shape: ShapeSpec
@@ -105,14 +106,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.eps:
             raise ConfigError("eps list is empty")
-        if any(e <= 0 for e in self.eps):
-            raise ConfigError("eps values must be positive")
+        if not all(0.0 < e < np.inf for e in self.eps):
+            raise ConfigError("eps values must be positive and finite")
         if any(a <= b for a, b in zip(self.eps, self.eps[1:])):
             raise ConfigError("eps list must be strictly decreasing")
         scalars = (self.alpha, self.m1, self.J1, self.gamma, *self.ell0,
-                   self.r0, self.T, self.dt, self.spacing, self.rho)
+                   self.r0, self.T, self.dt, self.spacing, self.rho,
+                   *(v for p in self.patches
+                     for v in (p.inner, p.outer, p.vorticity)))
         if not all(np.isfinite(scalars)):
             raise ConfigError("all physical parameters must be finite")
+        if not np.isfinite(np.asarray(self.shape.coeffs, complex)).all():
+            raise ConfigError("shape coefficients must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.panels < 16 or self.panels % 2:
             raise ConfigError("panels must be an even integer >= 16")
         if self.m1 <= 0 or self.J1 <= 0:
@@ -251,7 +258,8 @@ def parse_config(path) -> ExperimentConfig:
             seed=int(run_sec.get("seed", 0)),
             rho=float(run_sec.get("rho", 4.0)),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, configparser.InterpolationError) as exc:
+        # an InterpolationError is a value holding a bare '%'
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad value in {path}: {exc}") from None
@@ -504,11 +512,6 @@ class ConvergenceReport:
     limit: dict
     metadata: dict
 
-    def to_json(self) -> str:
-        payload = {"rows": list(self.rows), "slopes": self.slopes,
-                   "limit": self.limit, "metadata": self.metadata}
-        return json.dumps(payload, indent=2, sort_keys=True)
-
     def table(self) -> str:
         head = (f"{'eps':>8} {'sup|h_e-h|':>12} {'transport':>12} "
                 f"{'energy drift':>13} {'peak |p|':>10} {'t_eps':>8} aborted")
@@ -614,7 +617,10 @@ def write_blobs(path: Path, rec: RunRecord) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity raises instead of writing a bare
+    ``NaN`` that JSON parsers reject."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _run_summary(rec: RunRecord) -> dict:
@@ -645,7 +651,7 @@ def write_artifacts(out_dir: Path, records: Sequence[RunRecord],
     _write_json(out_dir / "summary.json",
                 {"runs": [_run_summary(r) for r in records]})
     if report is not None:
-        (out_dir / "report.json").write_text(report.to_json() + "\n")
+        _write_json(out_dir / "report.json", asdict(report))
     (out_dir / "data-dictionary.md").write_text(DATA_DICTIONARY)
 
 
@@ -773,10 +779,14 @@ class CheckReport:
         return "\n".join(lines)
 
     def to_payload(self) -> dict:
+        """JSON-ready rows; a non-finite error is written as null (and its
+        row has failed)."""
         return {"all_passed": self.all_passed,
                 "rows": [{"group": r.group, "shape": r.shape, "name": r.name,
-                          "error": float(r.error), "tolerance": r.tolerance,
-                          "passed": r.passed} for r in self.rows]}
+                          "error": (float(r.error) if np.isfinite(r.error)
+                                    else None),
+                          "tolerance": r.tolerance, "passed": r.passed}
+                         for r in self.rows]}
 
 
 CANONICAL_SHAPES = (
@@ -811,9 +821,11 @@ def check(panels: int = 512, seed: int = 0,
         m = pset.mass
         rows.append(CheckRow("mass", label, "symmetry",
                              float(np.abs(m - m.T).max()), 1e-12))
-        eig_min = float(np.linalg.eigvalsh(m).min())
-        rows.append(CheckRow("mass", label, "positive semidefinite",
-                             max(0.0, -eig_min), 1e-10))
+        # on a matrix holding a NaN, eigvalsh returns finite values or raises
+        psd = (max(0.0, -float(np.linalg.eigvalsh(m).min()))
+               if np.isfinite(m).all() else np.nan)
+        rows.append(CheckRow("mass", label, "positive semidefinite", psd,
+                             1e-10))
 
         mass = build_mass_data(pset)
         P = rng.normal(size=(10_000, 3))

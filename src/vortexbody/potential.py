@@ -532,9 +532,6 @@ class ScaledPotentials:
         return ((self.eps if i >= 3 else 1.0)
                 * self.base.phi[i - 1].boundary_trace())
 
-    def h_stream(self, points) -> np.ndarray:
-        return self.base.H.stream(np.asarray(points, dtype=float) / self.eps)
-
     def h_boundary_trace(self) -> np.ndarray:
         return self.base.H.boundary_trace() / self.eps
 

@@ -84,3 +84,21 @@ def test_tensor_row_is_one_call_per_tensor():
         lab.check(panels=64, seed=0)
     calls = tracer.calls["normal_form.apply_lambda"]
     assert 0 < calls <= 2 * len(lab.CANONICAL_SHAPES)
+
+
+def test_energy_is_one_blob_node_pass():
+    # total_energy reads both boundary sums off the nodes: one free log
+    # sum over blobs x (nodes + pole) and one Dirichlet solve
+    tracer_module = load_tracer()
+    pset = potential.build_potential_set(
+        geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
+    state = coupled_system.init_coupled(
+        potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
+        alpha=2.0, gamma=1.0,
+        patch=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1))
+    assert state.field.n
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        coupled_system.total_energy(state)
+    assert tracer.calls["potential.log_potential_sum"] == 1
+    assert tracer.calls["potential.BoundaryOperators.dirichlet_density"] == 1

@@ -19,7 +19,6 @@ from vortexbody.biotsavart import (
 from vortexbody.coupled_system import (
     TimeStepError,
     VorticityPatch,
-    _boundary_correction,
     accelerations,
     coupled_step,
     force_B,
@@ -27,7 +26,8 @@ from vortexbody.coupled_system import (
     init_coupled,
     total_energy,
 )
-from vortexbody.geometry import build_mesh, disk, ellipse, perp, rotation
+from vortexbody.geometry import (TWO_PI, build_mesh, disk, ellipse, perp,
+                                 rotation)
 from vortexbody.potential import (
     ScaledPotentials,
     build_mass_data,
@@ -127,6 +127,33 @@ def test_coincident_blobs_energy_emits_no_warning(ellipse_setup):
         assert np.isfinite(total_energy(st))
 
 
+def boundary_correction(state, sources, strengths, points) -> np.ndarray:
+    """Harmonic correction, at ``points``, that cancels on the body
+    boundary the free log potential of charges ``strengths`` at
+    ``sources``: the exterior Dirichlet part of the Green's function,
+    evaluated point by point.
+
+    The log growth -sum(strengths)/2pi is carried by a pole at an
+    interior point so the solve decays.  This is the direct route that
+    total_energy replaces by a reciprocity sum on the nodes.
+    """
+    mesh = state.scaled.base.mesh
+    eps = state.eps
+    total = float(np.sum(strengths))
+    pole = eps * mesh.interior_point
+
+    def base(q):
+        d = np.asarray(q, float).reshape(-1, 2) - pole
+        return -(total / (2 * TWO_PI)) * np.log((d ** 2).sum(1))
+
+    nodes = eps * mesh.x
+    data = -(log_potential_sum(nodes, sources, strengths) + base(nodes))
+    sigma, c = state.scaled.base.ops.dirichlet_density(data)
+    points = np.asarray(points, float).reshape(-1, 2)
+    return (base(points)
+            + log_potential_sum(points / eps, mesh.x, sigma * mesh.w) + c)
+
+
 def dense_pair_stream(field):
     """Every pair's regularized stream, E1 evaluated on all of them."""
     d = field.x[:, None, :] - field.x[None, :, :]
@@ -152,8 +179,8 @@ def test_blocked_pair_sum_matches_dense(ellipse_setup, n):
     st = init_coupled(sp, md, alpha=ALPHA, gamma=1.0, ell0=(0.5, 0.0), field=f)
     psi = f.gamma @ dense_pair_stream(f) @ f.gamma
     p = st.p
-    correction = _boundary_correction(st, f.x, f.gamma, f.x)
-    stream = sp.h_stream(f.x)
+    correction = boundary_correction(st, f.x, f.gamma, f.x)
+    stream = sp.base.H.stream(f.x / EPS)
     dense = 0.5 * (p @ st.inertia_matrix @ p - psi - f.gamma @ correction
                    - 2.0 * (f.beta + st.gamma) * (f.gamma @ stream))
     # total_energy = dense + (psi - blocked psi)/2
@@ -186,7 +213,7 @@ def green_function(state, x, y) -> float:
     y = np.asarray(y, float).reshape(1, 2)
     unit = np.ones(1)
     free = log_potential_sum(x, y, unit)[0]
-    return float(free + _boundary_correction(state, y, unit, x)[0])
+    return float(free + boundary_correction(state, y, unit, x)[0])
 
 
 def test_green_function_matches_disk_images(disk_setup):
@@ -201,6 +228,34 @@ def test_green_function_matches_disk_images(disk_setup):
         want = (np.log(np.hypot(*(x - y)))
                 - np.log(np.hypot(*(x - ys)) * np.hypot(*y) / EPS)) / (2 * np.pi)
         assert abs(got - want) < 1e-10
+
+
+def test_energy_matches_disk_images(disk_setup):
+    # outside a disk of radius eps the Green's function is the image
+    # formula and psi_H(x) = ln(|x|/eps)/2pi, so the energy is closed form
+    sp, md = disk_setup
+    gamma, delta = 2.3, 0.05
+    x = np.array([[0.45, 0.15], [-0.3, 0.6]])
+    g = np.array([1.0, -0.7])
+    st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma, ell0=(0.4, -0.1),
+                      r0=0.6, field=BlobField(x=x, gamma=g, delta=delta))
+
+    def image(x, y):
+        ys = EPS**2 * y / (y @ y)
+        return -np.log(np.hypot(*(x - ys)) * np.hypot(*y) / EPS) / (2 * np.pi)
+
+    green = np.empty((2, 2))
+    for j in range(2):
+        for k in range(2):
+            r = np.hypot(*(x[j] - x[k]))
+            pair = (np.log(delta) - np.euler_gamma / 2 if j == k
+                    else np.log(r) + exp1(r**2 / delta**2) / 2) / (2 * np.pi)
+            green[j, k] = pair + image(x[j], x[k])
+    stream = np.log(np.hypot(x[:, 0], x[:, 1]) / EPS) / (2 * np.pi)
+    p = st.p
+    want = (0.5 * p @ st.inertia_matrix @ p - 0.5 * g @ green @ g
+            - (g.sum() + gamma) * (g @ stream))
+    assert abs(total_energy(st) - want) <= 1e-12 * abs(want)
 
 
 def test_forces_vanish_at_rest(disk_setup):

@@ -3,15 +3,18 @@ exit codes, and the aggregated identity report."""
 
 import csv
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortexbody import lab, normal_form
 from vortexbody.biotsavart import BodyCollisionError
 from vortexbody.coupled_system import VorticityPatch
-from vortexbody.geometry import disk
+from vortexbody.geometry import disk, ellipse
 from vortexbody.lab import (
     CANONICAL_SHAPES,
     ConfigError,
@@ -27,7 +30,7 @@ from vortexbody.lab import (
     potential_facts,
     run,
 )
-from vortexbody.potential import build_mass_data
+from vortexbody.potential import build_mass_data, build_potential_set
 
 BASE = """\
 [shape]
@@ -109,6 +112,15 @@ def test_parse_config_rejects_garbage(tmp_path):
         "[sweep]\neps = 0.1\n[vorticity]\ndelta = nan\n",
         "[sweep]\neps = 0.1\n[vorticity]\npatch = 1.0 1.4 1.0\n"
         "delta = -0.1\n",
+        "[sweep]\neps = nan 0.1\n",
+        "[sweep]\neps = inf\n",
+        "[sweep]\neps = 0.1\n[shape]\npreset = ellipse\na = nan\n",
+        "[sweep]\neps = 0.1\n[shape]\npreset = disk\nradius = inf\n",
+        "[sweep]\neps = 0.1\n[shape]\npreset = perturbed-disk\ncos_2 = nan\n",
+        "[sweep]\neps = 0.1\n[run]\nseed = -1\n",
+        "[sweep]\neps = 0.1\n[vorticity]\npatch = 1.0 1.4 nan\n",
+        "[sweep]\neps = 0.1\n[vorticity]\npatch = 1.0 inf 1.0\n",
+        "[sweep]\neps = 5%\n",
     ):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, text, name="bad.ini"))
@@ -123,10 +135,75 @@ def test_config_invariants(tmp_path):
                          ("rho", 1.0), ("panels", 8), ("panels", 65),
                          ("T", np.inf), ("dt", 0.0), ("delta", 0.0),
                          ("delta", -0.15), ("delta", np.nan),
-                         ("delta", np.inf)):
+                         ("delta", np.inf), ("eps", (np.nan, 0.1)),
+                         ("eps", (np.inf,)), ("seed", -1),
+                         ("shape", ellipse(2.0, np.nan)),
+                         ("patches", (VorticityPatch(1.0, 1.4, np.nan),))):
         from dataclasses import replace
         with pytest.raises(ConfigError):
             replace(good, **{field: value})
+
+
+# every key parse_config knows, with perturbed-disk modes up to 8, and a
+# valid value for each
+CONFIG_KEYS = {
+    "shape": {"preset": ("disk", "ellipse", "perturbed-disk"),
+              "panels": ("64",), "radius": ("1.0",), "a": ("2.0",),
+              "b": ("1.0",), "cos_0": ("0.1",), "cos_2": ("0.2",),
+              "sin_3": ("-0.1",), "cos_8": ("0.05",), "sin_8": ("0",)},
+    "body": {"alpha": ("2.0", "0"), "m1": ("1.0",), "j1": ("0.5",),
+             "gamma": ("6.28", "0", "-1"), "ell0": ("0.5 0.0",),
+             "r0": ("0", "0.3")},
+    "vorticity": {"spacing": ("0.35",), "delta": ("0.15",),
+                  "patch": ("1.0 1.4 1.0",), "patch2": ("1.5 1.8 -0.5",)},
+    "sweep": {"eps": ("0.2 0.1", "0.1")},
+    "time": {"t": ("0.02",), "dt": ("0.002",)},
+    "run": {"out": ("runs",), "seed": ("0", "3"), "rho": ("4.0",)},
+}
+TOKENS = st.one_of(
+    st.floats(-4.0, 4.0).map(repr),
+    st.integers(-8, 300).map(str),
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "banana", "5%", "",
+                     "disk", "ellipse", "perturbed-disk"]),
+)
+
+
+@st.composite
+def config_texts(draw):
+    # eps is always given, so that a good share of the texts parse
+    lines = []
+    for section, valid in CONFIG_KEYS.items():
+        keys = draw(st.lists(st.sampled_from(sorted(valid)), unique=True))
+        if section == "sweep":
+            keys = ["eps"]
+        if keys or draw(st.booleans()):
+            lines.append(f"[{section}]")
+        for key in keys:
+            junk = st.lists(TOKENS, min_size=1, max_size=3).map(" ".join)
+            value = draw(st.one_of(st.sampled_from(valid[key]), junk))
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_texts())
+def test_config_text_fails_closed(text):
+    # parse only: a text is a ConfigError or a config with finite data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), text)
+        try:
+            cfg = parse_config(path)
+        except ConfigError:
+            return
+    assert np.isfinite(cfg.eps).all() and min(cfg.eps) > 0
+    assert np.isfinite(np.asarray(cfg.shape.coeffs, complex)).all()
+    scalars = (cfg.alpha, cfg.m1, cfg.J1, cfg.gamma, *cfg.ell0, cfg.r0,
+               cfg.T, cfg.dt, cfg.spacing, cfg.rho,
+               *(v for p in cfg.patches for v in (p.inner, p.outer,
+                                                   p.vorticity)))
+    assert np.isfinite(scalars).all()
+    assert cfg.delta is None or np.isfinite(cfg.delta)
+    assert cfg.seed >= 0
 
 
 def test_support_separation_guard(tmp_path):
@@ -538,21 +615,54 @@ def test_check_report(tmp_path):
     assert saved["all_passed"] is True
 
 
+def _poisoned_mass_data(pset):
+    md = build_mass_data(pset)
+    mass = md.mass.copy()
+    mass[0, 0] = np.nan
+    return replace(md, mass=mass)
+
+
 def test_tensor_row_fails_on_nonfinite_mass(monkeypatch):
     # a NaN in the mass data must fail the zero-work row, not drop out of
     # the reduction over draws
-    def poisoned(pset):
-        md = build_mass_data(pset)
-        mass = md.mass.copy()
-        mass[0, 0] = np.nan
-        return replace(md, mass=mass)
-
-    monkeypatch.setattr(lab, "build_mass_data", poisoned)
+    monkeypatch.setattr(lab, "build_mass_data", _poisoned_mass_data)
     report = check(panels=64)
     tensor = [r for r in report.rows if r.group == "tensor"]
     assert len(tensor) == len(CANONICAL_SHAPES)
     assert not any(r.passed for r in tensor)
     assert not report.all_passed
+
+
+def test_psd_row_fails_on_nonfinite_mass(monkeypatch):
+    # eigvalsh returns finite eigenvalues for a matrix holding a NaN, so
+    # the row must test the matrix itself
+    def poisoned(mesh):
+        pset = build_potential_set(mesh)
+        mass = pset.mass.copy()
+        mass[0, 0] = np.nan
+        return replace(pset, mass=mass)
+
+    monkeypatch.setattr(lab, "build_potential_set", poisoned)
+    report = check(panels=64)
+    psd = [r for r in report.rows if r.name == "positive semidefinite"]
+    assert len(psd) == len(CANONICAL_SHAPES)
+    assert not any(r.passed for r in psd)
+
+
+def test_identities_json_is_strict(tmp_path, monkeypatch):
+    # a NaN row error is written as null with passed false, never as a
+    # bare NaN token
+    monkeypatch.setattr(lab, "build_mass_data", _poisoned_mass_data)
+    out = tmp_path / "chk"
+    code = main(["check-identities", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)])
+    assert code == 2
+    saved = json.loads((out / "identities.json").read_text(),
+                       parse_constant=_reject_constant)
+    assert saved["all_passed"] is False
+    tensor = [r for r in saved["rows"] if r["group"] == "tensor"]
+    assert tensor and all(r["error"] is None and r["passed"] is False
+                          for r in tensor)
 
 
 def test_potential_facts_disk(tmp_path):
