@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (TWO_PI, Placement, perp, polygon_contains, rotation,
-                       squared_distances)
+from .geometry import (TWO_PI, Placement, perp, polygon_contains, rk4_step,
+                       rotation, squared_distances)
 from .potential import MassData, ScaledPotentials, log_potential_sum
 from .biotsavart import (
     BlobField,
@@ -239,62 +239,40 @@ def accelerations(state: CoupledState,
 # time stepping
 
 
-def _stage_rhs(state: CoupledState, x, ell, r, theta):
-    """Time derivatives of (blob positions, ell, r, theta, h) at a stage,
-    and the stage's blob clearance to the body nodes."""
+def _stage_rhs(state: CoupledState, dt: float, x, ell, r, theta, h):
+    """Time derivatives of (blob positions, ell, r, theta, h) at a stage.
+
+    Guard: over dt at this stage's speed, no blob may cross a fifth of the
+    stage's clearance to the body; otherwise TimeStepError.  A non-finite
+    stage input raises FloatingPointError before any solve.
+    """
     if not (np.isfinite(x).all() and np.isfinite([*ell, r, theta]).all()):
         raise FloatingPointError(
             f"non-finite stage input in the step from t={state.t:.6g}")
     stage = replace(state, field=state.field.with_positions(x), ell=ell,
                     r=float(r))
     hydro = HydrodynamicField(stage.scaled, stage.field)
-    fb = accelerations(stage, hydro)
     x_dot = hydro.blob_velocity(stage.gamma, ell, r) - ell - r * perp(x)
-    h_dot = rotation(theta) @ ell
-    return (x_dot, fb.accel[:2], fb.accel[2], float(r), h_dot), hydro.clearance
+    if state.field.n:
+        vmax = float(np.hypot(x_dot[:, 0], x_dot[:, 1]).max())
+        if dt * vmax >= 0.2 * hydro.clearance:
+            raise TimeStepError(
+                f"dt {dt:.3e} x speed {vmax:.3f} exceeds a fifth of the "
+                f"clearance {hydro.clearance:.3f}")
+    accel = accelerations(stage, hydro).accel
+    return x_dot, accel[:2], accel[2], float(r), rotation(theta) @ ell
 
 
 def coupled_step(state: CoupledState, dt: float) -> CoupledState:
-    """One RK4 step of the joint blob + body system.
-
-    Guard: the step must not let any blob cross a fifth of the current
-    clearance to the body; a collision inside a stage aborts the run.  A
-    non-finite stage input raises FloatingPointError before any solve.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-
-    x0 = state.field.x
-    ell0, r0 = state.ell, state.r
-    th0, h0 = state.placement.theta, state.placement.h
-
-    k1, clearance = _stage_rhs(state, x0, ell0, r0, th0)
-    if state.field.n:
-        vmax = float(np.hypot(k1[0][:, 0], k1[0][:, 1]).max())
-        if dt * vmax >= 0.2 * clearance:
-            raise TimeStepError(
-                f"dt {dt:.3e} x speed {vmax:.3f} exceeds a fifth of the "
-                f"clearance {clearance:.3f}")
-
-    def at(c, k):
-        return (x0 + c * dt * k[0], ell0 + c * dt * k[1], r0 + c * dt * k[2],
-                th0 + c * dt * k[3])
-
-    k2, _ = _stage_rhs(state, *at(0.5, k1))
-    k3, _ = _stage_rhs(state, *at(0.5, k2))
-    k4, _ = _stage_rhs(state, *at(1.0, k3))
-
-    def mix(i):
-        return (dt / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-
-    return replace(
-        state,
-        field=state.field.with_positions(x0 + mix(0)),
-        ell=ell0 + mix(1),
-        r=r0 + mix(2),
-        placement=Placement(h=h0 + mix(4), theta=th0 + mix(3)),
-        t=state.t + dt,
-    )
+    """One RK4 step of the joint blob + body system; every stage is
+    guarded as in :func:`_stage_rhs`, and a collision inside a stage
+    aborts the run."""
+    pl = state.placement
+    x, ell, r, theta, h = rk4_step(
+        lambda *y: _stage_rhs(state, dt, *y),
+        (state.field.x, state.ell, state.r, pl.theta, pl.h), dt)
+    return replace(state, field=state.field.with_positions(x), ell=ell, r=r,
+                   placement=Placement(h=h, theta=theta), t=state.t + dt)
 
 
 # ---------------------------------------------------------------------------

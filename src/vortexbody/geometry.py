@@ -11,6 +11,9 @@ conventions are fixed here once and for all:
 
 With these choices the divergence theorem on the enclosed region S reads
 ``integral over the boundary of f.n ds = - integral over S of div f dx``.
+
+The module also holds :func:`rk4_step`, the classical RK4 step that every
+time integrator (coupled and vortex-wave) goes through.
 """
 
 from __future__ import annotations
@@ -49,6 +52,24 @@ def point_vortex(points, center, strength: float = 1.0) -> np.ndarray:
     d = np.asarray(points, dtype=float).reshape(-1, 2) - center
     r2 = (d ** 2).sum(axis=1)
     return strength * perp(d) / (TWO_PI * r2[:, None])
+
+
+def rk4_step(rhs, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of y' = rhs(*y) for a tuple y of arrays and
+    floats; ``rhs`` returns the rates in the same order.  Whatever rhs
+    raises at a stage ends the step."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+    def at(c, k):
+        return tuple(a + c * dt * rate for a, rate in zip(y, k))
+
+    k1 = rhs(*y)
+    k2 = rhs(*at(0.5, k1))
+    k3 = rhs(*at(0.5, k2))
+    k4 = rhs(*at(1.0, k3))
+    return tuple(a + (dt / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
+                 for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4))
 
 
 def rotation(theta: float) -> np.ndarray:

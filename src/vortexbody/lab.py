@@ -126,6 +126,8 @@ class ExperimentConfig:
             raise ConfigError("m1 and J1 must be positive")
         if self.T <= 0 or self.dt <= 0 or self.dt > self.T:
             raise ConfigError("need 0 < dt <= T")
+        if not np.isfinite(self.T / self.dt):
+            raise ConfigError("T / dt overflows the step count")
         if self.spacing <= 0:
             raise ConfigError("spacing must be positive")
         if self.delta is not None and not 0.0 < self.delta < np.inf:
@@ -800,8 +802,7 @@ GEOMETRY_TOL = 1e-8
 FIELD_TOL = 1e-6
 
 
-def check(panels: int = 512, seed: int = 0,
-          shapes=CANONICAL_SHAPES) -> CheckReport:
+def check(panels: int = 512, seed: int = 0) -> CheckReport:
     """Aggregate every module-level identity into one pass/fail report:
     boundary-moment identities (pure geometry), solved-field moment
     identities and Laurent constraints, mass-matrix structure, and the
@@ -809,7 +810,7 @@ def check(panels: int = 512, seed: int = 0,
     Failures become rows, not exceptions."""
     rows = []
     rng = np.random.default_rng(seed)
-    for label, shape in shapes:
+    for label, shape in CANONICAL_SHAPES:
         mesh = build_mesh(shape, panels)
         for r in identity_suite(mesh).rows:
             rows.append(CheckRow("geometry", label, r.name, r.error,
@@ -975,7 +976,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         log.error("%s", exc)
         return 1
 

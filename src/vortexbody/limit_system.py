@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import point_vortex
+from .geometry import point_vortex, rk4_step
 from .biotsavart import BlobField, velocity_free_space
 
 
@@ -59,18 +59,7 @@ def vw_rhs(h, field: BlobField, gamma: float):
 
 def vw_step(state: VortexWaveState, dt: float) -> VortexWaveState:
     """One RK4 step of the joint (vortex, blobs) system."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    h0, x0 = state.h, state.field.x
     f = state.field
-    g = state.gamma
-
-    kh1, kx1 = vw_rhs(h0, f, g)
-    kh2, kx2 = vw_rhs(h0 + 0.5 * dt * kh1, f.with_positions(x0 + 0.5 * dt * kx1), g)
-    kh3, kx3 = vw_rhs(h0 + 0.5 * dt * kh2, f.with_positions(x0 + 0.5 * dt * kx2), g)
-    kh4, kx4 = vw_rhs(h0 + dt * kh3, f.with_positions(x0 + dt * kx3), g)
-
-    h1 = h0 + (dt / 6.0) * (kh1 + 2 * kh2 + 2 * kh3 + kh4)
-    x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-    return replace(state, h=h1, field=f.with_positions(x1), t=state.t + dt)
-
+    h, x = rk4_step(lambda h, x: vw_rhs(h, f.with_positions(x), state.gamma),
+                    (state.h, f.x), dt)
+    return replace(state, h=h, field=f.with_positions(x), t=state.t + dt)

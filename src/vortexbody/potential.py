@@ -279,38 +279,33 @@ def harmonic_field(mesh: BoundaryMesh, *,
 # Laurent tails
 
 
-def laurent_coefficients(solution, k_max: int, radius: float | None = None,
-                         n_samples: int = 256) -> np.ndarray:
+def laurent_coefficients(solution, k_max: int,
+                         radius: float | None = None) -> np.ndarray:
     """Coefficients c_1..c_k_max of the decaying tail sum_k c_k / z^k.
 
     ``solution`` is a :class:`NeumannSolution` (tail of the hatted
-    gradient), a :class:`HarmonicField` (tail of the hatted velocity), or
-    a callable mapping an (m, 2) point array to complex samples.  The
-    extraction contour is |z| = radius (default three body circumradii),
-    integrated by the periodic trapezoid, spectral for fields holomorphic
-    outside the body.
+    gradient) or a :class:`HarmonicField` (tail of the hatted velocity).
+    The extraction contour is |z| = radius (default three body
+    circumradii), sampled at 256 points and integrated by the periodic
+    trapezoid, spectral for fields holomorphic outside the body.
     """
-    if callable(solution) and not hasattr(solution, "mesh"):
-        fhat = solution
-        if radius is None:
-            raise ValueError("a radius is required with a bare evaluator")
+    mesh = solution.mesh
+    if radius is None:
+        radius = 3.0 * mesh.circumradius
+    if radius <= mesh.circumradius:
+        raise ValueError("extraction circle intersects the body")
+    if isinstance(solution, HarmonicField):
+        fhat = lambda p: hat_field(solution.velocity(p))
     else:
-        mesh = solution.mesh
-        if radius is None:
-            radius = 3.0 * mesh.circumradius
-        if radius <= mesh.circumradius:
-            raise ValueError("extraction circle intersects the body")
-        if isinstance(solution, HarmonicField):
-            fhat = lambda p: hat_field(solution.velocity(p))
-        else:
-            fhat = lambda p: hat_field(solution.gradient(p))
-    theta = np.arange(n_samples) * (TWO_PI / n_samples)
+        fhat = lambda p: hat_field(solution.gradient(p))
+    n = 256
+    theta = np.arange(n) * (TWO_PI / n)
     pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
     vals = np.asarray(fhat(pts), dtype=complex)
     # c_k = (1/2pi) int fhat(R e^{i t}) R^k e^{i k t} dt
     ks = np.arange(1, k_max + 1)
     phases = np.exp(1j * np.outer(ks, theta))
-    return (radius ** ks) * (phases @ vals) / n_samples
+    return (radius ** ks) * (phases @ vals) / n
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +551,3 @@ class ScaledPotentials:
     @property
     def m_cross(self) -> float:
         return self.base.moments.m_cross * self.eps ** 4
-
-    @property
-    def m_polar(self) -> float:
-        return self.base.moments.m_polar * self.eps ** 4

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from vortexbody import coupled_system, geometry, lab, potential
+from vortexbody import coupled_system, geometry, lab, limit_system, potential
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -102,3 +102,30 @@ def test_energy_is_one_blob_node_pass():
         coupled_system.total_energy(state)
     assert tracer.calls["potential.log_potential_sum"] == 1
     assert tracer.calls["potential.BoundaryOperators.dirichlet_density"] == 1
+
+
+def test_steppers_share_rk4(monkeypatch):
+    # both systems step through geometry.rk4_step, once per step
+    pset = potential.build_potential_set(
+        geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
+    coupled = coupled_system.init_coupled(
+        potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
+        alpha=2.0, gamma=1.0,
+        patch=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1))
+    limit = limit_system.VortexWaveState(
+        h=(0.0, 0.0), gamma=1.0, field=coupled_system.VorticityPatch(
+            1.0, 1.3, spacing=0.1).discretize(frame="lab"))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return geometry.rk4_step(*args)
+
+    monkeypatch.setattr(coupled_system, "rk4_step", counted)
+    monkeypatch.setattr(limit_system, "rk4_step", counted)
+    for _ in range(2):
+        coupled = coupled_system.coupled_step(coupled, 1e-3)
+    assert len(calls) == 2
+    for _ in range(2):
+        limit = limit_system.vw_step(limit, 1e-3)
+    assert len(calls) == 4

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from vortexbody import coupled_system
 from vortexbody.biotsavart import (
     BlobField,
     HydrodynamicField,
@@ -436,3 +437,25 @@ def test_step_guard_rejects_reckless_dt(ellipse_setup):
         coupled_step(st, 5.0)
     with pytest.raises(ValueError):
         coupled_step(st, 0.0)
+
+
+def test_dt_guard_checks_every_stage(ellipse_setup, monkeypatch):
+    # a clearance that collapses at stage 2 stops the step, though the
+    # stage-1 speed and clearance pass the guard
+    sp, md = ellipse_setup
+    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
+                      r0=0.5, patch=VorticityPatch(1.0, 2.0, spacing=0.2))
+    coupled_step(st, 0.002)
+    builds = []
+
+    class ClosingField(HydrodynamicField):
+        def __init__(self, *args):
+            super().__init__(*args)
+            builds.append(self)
+            if len(builds) == 2:
+                self.clearance = 1e-9
+
+    monkeypatch.setattr(coupled_system, "HydrodynamicField", ClosingField)
+    with pytest.raises(TimeStepError):
+        coupled_step(st, 0.002)
+    assert len(builds) == 2

@@ -124,3 +124,19 @@ def test_perp_and_rotation():
     np.testing.assert_allclose(vb.perp(v), [-2.0, 1.0])
     np.testing.assert_allclose(vb.perp(vb.perp(v)), -v)
     np.testing.assert_allclose(vb.rotation(np.pi / 2) @ v, vb.perp(v), atol=1e-15)
+
+
+def test_rk4_step_is_fourth_order():
+    # v' = perp(v) rotates v; the clock t' = 1 has a constant rate, which
+    # RK4 integrates exactly, so only the roundoff of summing dt is left
+    v0 = np.array([1.0, 0.5])
+    errors = []
+    for n in (20, 40):
+        y = (v0, 0.0)
+        for _ in range(n):
+            y = vb.geometry.rk4_step(lambda v, t: (vb.perp(v), 1.0), y, 1.0 / n)
+        errors.append(np.abs(y[0] - vb.rotation(1.0) @ v0).max())
+        assert abs(y[1] - 1.0) < 1e-14
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
+    with pytest.raises(ValueError):
+        vb.geometry.rk4_step(lambda v, t: (vb.perp(v), 1.0), (v0, 0.0), 0.0)

@@ -204,6 +204,7 @@ def test_config_text_fails_closed(text):
     assert np.isfinite(scalars).all()
     assert cfg.delta is None or np.isfinite(cfg.delta)
     assert cfg.seed >= 0
+    assert cfg.steps >= 1
 
 
 def test_support_separation_guard(tmp_path):
@@ -590,6 +591,19 @@ def test_cli_exit_codes(tmp_path):
     for command in ("check-identities", "potentials", "simulate-limit"):
         with pytest.raises(SystemExit):
             main([command, "--threads", "2"])
+
+
+@pytest.mark.parametrize("t, dt", [("1e300", "1e-300"), ("1e12", "1e-6")],
+                         ids=["overflow", "no-memory"])
+def test_huge_step_count_fails_closed(tmp_path, capfd, caplog, t, dt):
+    # T / dt overflowing is a ConfigError; 1e18 steps fail to allocate
+    # their series: both are exit 1 with a logged message
+    path = write_config(tmp_path, **{"t = 0.02": f"t = {t}",
+                                     "dt = 0.002": f"dt = {dt}"})
+    assert main(["simulate-limit", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert any(r.levelname == "ERROR" for r in caplog.records)
+    assert "Traceback" not in capfd.readouterr().err + caplog.text
 
 
 # --------------------------------------------------------------------------

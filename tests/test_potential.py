@@ -209,7 +209,8 @@ def test_scaling_laws(bump_set):
     assert np.abs(eta_d - eps ** 2 * eta_1).max() < 1e-10
     assert abs(scaled.area - direct.moments.area) < 1e-12
     assert np.abs(scaled.centroid - direct.moments.centroid).max() < 1e-12
-    assert abs(scaled.m_polar - direct.moments.m_polar) < 1e-12
+    assert abs(scaled.m_diff - direct.moments.m_diff) < 1e-12
+    assert abs(scaled.m_cross - direct.moments.m_cross) < 1e-12
 
 
 def test_mass_data_bundle(disk_set, ellipse_set):
