@@ -1,8 +1,8 @@
 """Vorticity carried by regularized blobs, and every velocity assembly
 built on it: free-space sums, and the zero-flux zero-circulation exterior
 field around the body, which also serves the body-frame velocity at the
-blobs and the adjoint sum of the vorticity force from one blob x node
-geometry per blob snapshot.
+blobs, the adjoint sum of the vorticity force and the test that no blob
+is inside the body from one blob x node geometry per blob snapshot.
 
 The blob kernel is the Gaussian-core regularization
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import exp1
 
-from .geometry import TWO_PI, perp, point_vortex, polygon_contains, squared_distances
+from .geometry import TWO_PI, perp, point_vortex, squared_distances
 from .potential import ScaledPotentials
 
 # rows per block of every blob-blob pair sum: a (PAIR_ROWS, n) block stays
@@ -164,16 +164,16 @@ class HydrodynamicField:
     build of kx = d1/r^2, ky = d2/r^2 (d = x/eps - node) serves the
     free-space field at the nodes (the correction's data), the gradients
     of every layer at the blobs (one GEMM), the adjoint sum behind
-    force_B, and the blob clearance.  The Neumann kernel is
-    scale-invariant, so the correction is solved on the unit mesh.
+    force_B, the blob clearance, and the test that no blob sits inside
+    the body (a double-layer winding sum; BodyCollisionError otherwise).
+    The Neumann kernel is scale-invariant, so the correction is solved on
+    the unit mesh.
     """
 
     def __init__(self, scaled: ScaledPotentials, field: BlobField):
         base = scaled.base
         mesh = base.mesh
         eps = scaled.eps
-        if field.n and polygon_contains(eps * mesh.x, field.x).any():
-            raise BodyCollisionError("blob inside the body")
         self.scaled = scaled
         self.field = field
         # the blob-blob sum, in (PAIR_ROWS, blobs) blocks freed before the
@@ -191,6 +191,15 @@ class HydrodynamicField:
         kx /= r2
         ky /= r2
         self._kx, self._ky = kx, ky
+        # sum_k w_k n_k . d/r^2 is Gauss's double-layer integral (n into the
+        # solid): 2 pi for a blob inside the body, 0 outside, NaN on a node.
+        # Within about half a panel of the boundary the trapezoid sum can
+        # read either side; the dt-guard and the 2 delta collision rule of
+        # lab._coupled_abort_reason act well outside that band.
+        n_w = mesh.normal * mesh.w[:, None]
+        wind = kx @ n_w[:, 0] + ky @ n_w[:, 1]
+        if not (wind < np.pi).all():
+            raise BodyCollisionError("blob inside the body")
 
         # free-space blob velocity at the scaled nodes eps*y: the node
         # minus blob offset is -eps*d, so u = (G/2pi) @ (core (ky, -kx)) / eps

@@ -334,8 +334,8 @@ def polygon_contains(vertices: np.ndarray, points) -> np.ndarray:
     """Even-odd containment test of points against a closed polygon.
 
     ``vertices`` is an (n, 2) array traversed once (closure implied).
-    Used for blob/body separation checks, so boundary-grazing points may
-    land on either side; callers must keep a positive margin anyway.
+    Only ``init_coupled``'s input check calls it; boundary-grazing points
+    may land on either side, so callers must keep a positive margin anyway.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     v0 = vertices

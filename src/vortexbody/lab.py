@@ -724,6 +724,8 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
     pool, one run per worker; the limit run and report assembly stay
     single-threaded.  ``report`` is None when the limit leg is skipped.
     """
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     out_dir = Path(out_dir) if out_dir is not None else config.out
     pset = build_potential_set(build_mesh(config.shape, config.panels))
     mass = build_mass_data(pset, config.m1, config.J1)

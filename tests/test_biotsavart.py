@@ -18,7 +18,9 @@ from vortexbody.biotsavart import (
     velocity_gradient,
 )
 from vortexbody.coupled_system import VorticityPatch
-from vortexbody.geometry import build_mesh, disk, perp, rotation
+from vortexbody.geometry import (build_mesh, disk, perp, polygon_contains,
+                                 rotation, squared_distances)
+from vortexbody.lab import CANONICAL_SHAPES
 from vortexbody.limit_system import VortexWaveState, vw_step
 from vortexbody.potential import ScaledPotentials, build_potential_set, log_gradient_sum
 
@@ -239,6 +241,37 @@ def test_interior_blob_rejected(disk_scaled):
     inside = BlobField(x=[[0.1, 0.0]], gamma=[1.0], delta=1e-3)
     with pytest.raises(BodyCollisionError):
         HydrodynamicField(disk_scaled, inside)
+    # a blob exactly on a boundary node: its winding sum is 0/0
+    scaled = ScaledPotentials(build_potential_set(build_mesh(disk(), 64)), 0.5)
+    on_node = BlobField(x=0.5 * scaled.base.mesh.x[3:4], gamma=[1.0],
+                        delta=0.01)
+    with pytest.raises(BodyCollisionError), np.errstate(invalid="ignore"):
+        HydrodynamicField(scaled, on_node)
+
+
+@pytest.mark.parametrize("panels", [64, 256])
+@pytest.mark.parametrize("shape", [shape for _, shape in CANONICAL_SHAPES],
+                         ids=[label for label, _ in CANONICAL_SHAPES])
+def test_containment_beyond_one_panel(shape, panels):
+    # the winding-sum test agrees with the polygon ray cast at every point
+    # farther than one panel length from every node
+    mesh = build_mesh(shape, panels)
+    scaled = ScaledPotentials(build_potential_set(mesh), EPS)
+    lo, hi = mesh.x.min(axis=0), mesh.x.max(axis=0)
+    unit = np.random.default_rng(0).random((600, 2))
+    pts = lo + (1.6 * unit - 0.3) * (hi - lo)
+    far = squared_distances(pts, mesh.x).min(axis=1) > mesh.w.max() ** 2
+    inside = polygon_contains(mesh.x, pts)
+    outside_pts, inside_pts = pts[far & ~inside], pts[far & inside][:16]
+    assert len(outside_pts) > 100 and len(inside_pts) == 16
+
+    HydrodynamicField(scaled, BlobField(x=EPS * outside_pts,
+                                        gamma=np.ones(len(outside_pts)),
+                                        delta=1e-3))
+    for p in inside_pts:
+        with pytest.raises(BodyCollisionError):
+            HydrodynamicField(scaled, BlobField(x=[EPS * p], gamma=[1.0],
+                                                delta=1e-3))
 
 
 def test_body_frame_assembly(disk_scaled):

@@ -569,7 +569,7 @@ def test_annulus_exit_abort(tmp_path):
     assert "outside" in marker["detail"]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, caplog):
     bad = tmp_path / "bad.ini"
     bad.write_text("[shape]\npreset = rhombus\n")
     assert main(["converge", "--config", str(bad)]) == 1
@@ -586,6 +586,15 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate-limit", "--config", str(good),
                  "--out", str(tmp_path / "sl")]) == 0
     assert (tmp_path / "sl" / "limit-trajectory.csv").exists()
+
+    # a pool of fewer than one worker is a ConfigError before any work
+    for threads in ("0", "-1"):
+        caplog.clear()
+        out = tmp_path / f"threads{threads}"
+        assert main(["converge", "--config", str(good), "--out", str(out),
+                     "--threads", threads]) == 1
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert not out.exists()
 
     # the thread pool exists only where there is a scale sweep
     for command in ("check-identities", "potentials", "simulate-limit"):
