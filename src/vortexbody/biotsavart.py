@@ -79,26 +79,52 @@ class BlobField:
         return np.hypot(*(self.x - np.asarray(point, float)).T)
 
 
+def _kernel_in_place(rho: np.ndarray, delta: float) -> np.ndarray:
+    """G = (1 - exp(-rho/delta^2))/rho over squared pair distances rho,
+    written into rho; 0 where rho = 0, the core limit of a blob at its own
+    center.  From rho = 40 delta^2 on, 1 - exp(-rho/delta^2) rounds to
+    exactly 1, so G is the reciprocal there and expm1 runs on the nearer
+    pairs only."""
+    near = rho < 40.0 * delta ** 2
+    r = rho[near]
+    with np.errstate(divide="ignore"):
+        np.reciprocal(rho, out=rho)
+    g = np.divide(r, -delta ** 2)
+    np.expm1(g, out=g)
+    np.divide(g, r, out=g, where=r > 0.0)
+    rho[near] = np.negative(g, out=g)
+    return rho
+
+
 def velocity_free_space(field: BlobField, points) -> np.ndarray:
     """Regularized Biot-Savart sum at each point; rows align with points.
 
     With G = (1 - exp(-rho/delta^2))/rho over the squared pair distances
-    rho (0 where rho = 0, the core limit of a blob at its own center),
+    rho (exactly 1/rho from rho = 40 delta^2 on; 0 where rho = 0),
     u = perp(p (G Gamma) - G (Gamma y))/2pi: G times the columns
     [Gamma, Gamma y1, Gamma y2], built and multiplied PAIR_ROWS points
-    at a time.
+    at a time.  When the points are the blobs (by value), G is symmetric
+    and each pair is built once: row block i0:i1 against columns i0:,
+    whose transpose adds the block's pull on the rows below.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     columns = field.gamma[:, None] * np.column_stack([np.ones(field.n), field.x])
-    moments = np.empty((len(pts), 3))
-    for i0 in range(0, len(pts), PAIR_ROWS):
-        rows = slice(i0, i0 + PAIR_ROWS)
-        rho = squared_distances(pts[rows], field.x)
-        minus_g = np.divide(rho, -field.delta ** 2)
-        np.expm1(minus_g, out=minus_g)
-        np.divide(minus_g, rho, out=minus_g, where=rho > 0.0)
-        np.matmul(minus_g, columns, out=moments[rows])
-    return perp(moments[:, 1:] - pts * moments[:, :1]) / TWO_PI
+    if np.array_equal(pts, field.x):
+        moments = np.zeros((field.n, 3))
+        for i0 in range(0, field.n, PAIR_ROWS):
+            i1 = min(i0 + PAIR_ROWS, field.n)
+            g = _kernel_in_place(squared_distances(pts[i0:i1], pts[i0:]),
+                                 field.delta)
+            moments[i0:i1] += g @ columns[i0:]
+            moments[i1:] += g[:, i1 - i0:].T @ columns[i0:i1]
+    else:
+        moments = np.empty((len(pts), 3))
+        for i0 in range(0, len(pts), PAIR_ROWS):
+            rows = slice(i0, i0 + PAIR_ROWS)
+            g = _kernel_in_place(squared_distances(pts[rows], field.x),
+                                 field.delta)
+            np.matmul(g, columns, out=moments[rows])
+    return perp(pts * moments[:, :1] - moments[:, 1:]) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -111,10 +137,6 @@ class GradientSample:
     a: float
     b: float
     clean: bool = True
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[-self.a, self.b], [self.b, self.a]])
 
 
 def velocity_gradient(field: BlobField, point) -> GradientSample:
@@ -176,8 +198,8 @@ class HydrodynamicField:
         eps = scaled.eps
         self.scaled = scaled
         self.field = field
-        # the blob-blob sum, in (PAIR_ROWS, blobs) blocks freed before the
-        # node geometry exists
+        # the blob-blob sum, each pair once, in (PAIR_ROWS, columns) blocks
+        # freed before the node geometry exists
         self._free = velocity_free_space(field, field.x)
 
         # the (blobs, nodes) geometry, updated in place so that the build

@@ -217,10 +217,6 @@ class ForceBreakdown:
     coriolis: np.ndarray
     accel: np.ndarray        # (ell', r')
 
-    @property
-    def total_force(self) -> np.ndarray:
-        return -(self.B + self.C_a + self.C_b + self.C_c + self.coriolis)
-
 
 def accelerations(state: CoupledState,
                   hydro: HydrodynamicField | None = None) -> ForceBreakdown:

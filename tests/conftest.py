@@ -25,6 +25,17 @@ from vortexbody.potential import ScaledPotentials, build_mass_data, build_potent
 
 SWEEP_EPS = (0.2, 0.1, 0.05, 0.025)
 
+
+def gradient_matrix(sample) -> np.ndarray:
+    """The traceless symmetric matrix [[-a, b], [b, a]] of a GradientSample."""
+    return np.array([[-sample.a, sample.b], [sample.b, sample.a]])
+
+
+def total_force(breakdown) -> np.ndarray:
+    """The right-hand side -(B + C + Coriolis) of a ForceBreakdown."""
+    return -(breakdown.B + breakdown.C_a + breakdown.C_b + breakdown.C_c
+             + breakdown.coriolis)
+
 # Frozen flow state for the expansion-order sweep.  The shape must be
 # genuinely asymmetric: central symmetry kills the odd shape moments
 # (conformal center, third-potential dipole) that carry the leading

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import exp1
 
+from conftest import gradient_matrix
+from vortexbody import biotsavart
 from vortexbody.biotsavart import (
+    PAIR_ROWS,
     BlobField,
     BodyCollisionError,
     HydrodynamicField,
@@ -71,8 +74,8 @@ def test_gradient_matches_finite_differences():
         dp[k] = h
         J[:, k] = (velocity_free_space(fld, [p0 + dp])[0]
                    - velocity_free_space(fld, [p0 - dp])[0]) / (2 * h)
-    assert np.abs(gs.matrix - 0.5 * (J + J.T)).max() < 1e-9
-    assert np.trace(gs.matrix) == 0.0
+    assert np.abs(gradient_matrix(gs) - 0.5 * (J + J.T)).max() < 1e-9
+    assert np.trace(gradient_matrix(gs)) == 0.0
 
 
 def test_gradient_matches_point_vortex_integrals():
@@ -138,6 +141,17 @@ def test_blob_blob_kernels_hold_few_pair_arrays(kernel):
     assert peak <= 4 * f.n ** 2 * 8, peak / (f.n ** 2 * 8)
 
 
+def one_product(f, pts):
+    """The blob sum at pts from one unblocked product of the full G."""
+    d = pts[:, None, :] - f.x[None, :, :]
+    rho = (d ** 2).sum(axis=-1)
+    g = np.zeros_like(rho)
+    apart = rho > 0
+    g[apart] = -np.expm1(-rho[apart] / f.delta ** 2) / rho[apart]
+    moments = g @ (f.gamma[:, None] * np.column_stack([np.ones(f.n), f.x]))
+    return perp(pts * moments[:, :1] - moments[:, 1:]) / (2 * np.pi)
+
+
 @pytest.mark.parametrize("m", [1, 64, 65, 200])
 def test_velocity_free_space_blocks_match_one_product(m):
     # the row-blocked sum against one unblocked product of the full G
@@ -145,15 +159,46 @@ def test_velocity_free_space_blocks_match_one_product(m):
     f = BlobField(x=rng.uniform(-1, 1, (150, 2)),
                   gamma=rng.normal(size=150), delta=0.1)
     pts = np.vstack([f.x[:min(m, 20)], rng.uniform(-1.5, 1.5, (m, 2))])[:m]
-    d = pts[:, None, :] - f.x[None, :, :]
-    rho = (d ** 2).sum(axis=-1)
-    g = np.zeros_like(rho)
-    apart = rho > 0
-    g[apart] = -np.expm1(-rho[apart] / f.delta ** 2) / rho[apart]
-    moments = g @ (f.gamma[:, None] * np.column_stack([np.ones(f.n), f.x]))
-    want = perp(pts * moments[:, :1] - moments[:, 1:]) / (2 * np.pi)
+    want = one_product(f, pts)
     got = velocity_free_space(f, pts)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_blob_blob_form_matches_one_product(n):
+    # the upper-triangle blob-blob sum against one unblocked product of
+    # the full G, with coincident first and last blobs and a pair on each
+    # side of the 40 delta^2 reciprocal cut
+    rng = np.random.default_rng(n)
+    delta = 0.1
+    x = rng.uniform(-1, 1, (n, 2))
+    if n > 1:
+        x[-1] = x[0]
+    if n > 4:
+        x[1] = x[2] + [np.sqrt(40 * delta ** 2 * (1 + 1e-9)), 0.0]
+        x[-2] = x[3] + [0.0, np.sqrt(40 * delta ** 2 * (1 - 1e-9))]
+    f = BlobField(x=x, gamma=rng.normal(size=n), delta=delta)
+    want = one_product(f, f.x)
+    got = velocity_free_space(f, f.x)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the form is chosen by value, not by identity
+    assert np.array_equal(velocity_free_space(f, f.x.copy()), got)
+
+
+def test_blob_blob_form_builds_each_pair_once(monkeypatch):
+    built = []
+
+    def counting(points, sources):
+        rho = squared_distances(points, sources)
+        built.append(rho.size)
+        return rho
+
+    monkeypatch.setattr(biotsavart, "squared_distances", counting)
+    n = 200
+    f = BlobField(x=np.random.default_rng(1).uniform(-1, 1, (n, 2)),
+                  gamma=np.ones(n), delta=0.1)
+    velocity_free_space(f, f.x)
+    assert 0 < sum(built) <= n * (n + PAIR_ROWS) // 2
 
 
 @pytest.mark.parametrize("delta", [0.07, 0.3])
