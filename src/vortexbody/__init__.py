@@ -24,7 +24,6 @@ from .geometry import (  # noqa: F401
 from .contour import (  # noqa: F401
     IdentityReport,
     IdentityRow,
-    blasius_pair,
     contour_integral,
     identity_suite,
 )

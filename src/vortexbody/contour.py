@@ -7,8 +7,7 @@ both div- and curl-free).  The pointwise identity
     fhat dz = (f.tau) ds - i (f.n) ds
 
 (with n into the solid, tau = -perp(n)) converts between complex contour
-integrals and real flux/circulation quadratures, and the Blasius pairing
-turns quadratic boundary pressures into residue-countable integrals.
+integrals and real flux/circulation quadratures.
 """
 
 from __future__ import annotations
@@ -60,35 +59,6 @@ def contour_integral(mesh: BoundaryMesh, field=None, weight: str = "1") -> compl
         fhat = hat_field(field) if field.ndim == 2 else field.astype(complex)
     dz = (mesh.tau[:, 0] + 1j * mesh.tau[:, 1]) * mesh.w
     return complex(np.sum(_weight_values(mesh, weight) * fhat * dz))
-
-
-def blasius_pair(mesh: BoundaryMesh, f, g, tangency_tol: float = 1e-8):
-    """Force and torque quadratic pairing of two tangent boundary fields.
-
-    Returns (force, torque) with force = integral of (f.g) n ds as a
-    2-vector and torque = integral of (f.g) perp(x).n ds, both evaluated
-    through the complex route
-
-        force1 + i force2 = i * conj( integral of fhat ghat dz )
-        torque            = Re  integral of z fhat ghat dz.
-
-    Both fields must be tangent to the boundary; a normal component above
-    ``tangency_tol`` (relative to the field magnitude) is an error, since
-    the pairing identities assume tangency.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    for name, v in (("f", f), ("g", g)):
-        scale = max(float(np.abs(v).max()), 1e-300)
-        worst = float(np.abs((v * mesh.normal).sum(axis=1)).max())
-        if worst > tangency_tol * scale:
-            raise ValueError(
-                f"field {name} is not tangent: max |{name}.n| = {worst:.3e} "
-                f"exceeds {tangency_tol:.1e} * max|{name}| = {tangency_tol * scale:.3e}")
-    fg = hat_field(f) * hat_field(g)
-    force_c = 1j * np.conj(contour_integral(mesh, fg, "1"))
-    torque = contour_integral(mesh, fg, "z").real
-    return np.array([force_c.real, force_c.imag]), float(torque)
 
 
 @dataclass(frozen=True)

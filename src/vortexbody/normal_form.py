@@ -33,7 +33,6 @@ __all__ = [
     "cross_product",
     "gyro_axis",
     "apply_lambda",
-    "weakly_gyroscopic_G",
     "expansion_B",
     "expansion_C",
     "boundary_approximation_defect",
@@ -183,12 +182,8 @@ def apply_lambda(mass: MassData, which: str, p, q=None) -> np.ndarray:
                   - _lambda_quadratic(mass, which, q))
 
 
-def weakly_gyroscopic_G(mod: ModulationData, mass: MassData) -> np.ndarray:
-    """Weakly gyroscopic vector (0, 0, xi . strain(xi) + a eta_1 - b eta_2)."""
-    return _weak_gyro(mod.a, mod.b, mass)
-
-
 def _weak_gyro(a: float, b: float, mass: MassData) -> np.ndarray:
+    """Weakly gyroscopic vector (0, 0, xi . strain(xi) + a eta_1 - b eta_2)."""
     xi, eta = mass.xi, mass.eta
     third = xi @ _strain(a, b, xi) + a * eta[0] - b * eta[1]
     return np.array([0.0, 0.0, third])

@@ -12,9 +12,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import special
 
-from vortexbody import coupled_system, geometry, lab, limit_system, potential
+from vortexbody import (biotsavart, coupled_system, geometry, lab, limit_system,
+                        potential)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -104,6 +107,27 @@ def test_energy_is_one_blob_node_pass():
         coupled_system.total_energy(state)
     assert tracer.calls["potential.log_potential_sum"] == 1
     assert tracer.calls["potential.BoundaryOperators.dirichlet_density"] == 1
+
+
+def test_energy_takes_e1_from_the_table(monkeypatch):
+    # scipy's exp1 serves only pairs nearer than 0.71 core radii; the
+    # lattice's nearest pairs sit at one core radius
+    passed = []
+
+    def counted(u):
+        passed.append(np.size(u))
+        return special.exp1(u)
+
+    monkeypatch.setattr(biotsavart, "exp1", counted)
+    pset = potential.build_potential_set(
+        geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
+    state = coupled_system.init_coupled(
+        potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
+        alpha=2.0, gamma=1.0,
+        patch=coupled_system.VorticityPatch(1.0, 1.8, spacing=0.15))
+    assert state.field.n == 308
+    coupled_system.total_energy(state)
+    assert sum(passed) == 0
 
 
 def test_steppers_share_rk4(monkeypatch):

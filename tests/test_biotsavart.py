@@ -4,6 +4,7 @@ and corotating pairs."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -214,6 +215,43 @@ def test_pair_stream_cutoff_is_below_roundoff(delta, side):
     got = pair_stream_matrix(f)
     assert got[0, 1] == got[1, 0]
     assert abs(got[0, 1] - want) <= 1e-15 * abs(want)
+
+
+def test_e1_table_matches_mpmath():
+    # the Taylor table against 40-digit E1 on [0.5, 40): a uniform grid,
+    # both ends, and each side of every midpoint between nodes, where the
+    # expansion reaches furthest
+    nodes = biotsavart._E1_NODES
+    mid = nodes[:-1] + 0.5 * np.diff(nodes)
+    u = np.unique(np.concatenate([np.linspace(0.5, 40.0, 4000, endpoint=False),
+                                  mid - 1e-12, mid + 1e-12,
+                                  [0.5, np.nextafter(40.0, 0.0)]]))
+    assert u[0] == 0.5 and u[-1] < 40.0
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.e1(x)) for x in u])
+    assert np.abs(biotsavart._e1(u) / want - 1.0).max() <= 2e-15
+
+
+@pytest.mark.parametrize("delta", [0.07, 0.3])
+@pytest.mark.parametrize("side", [-1e-12, 1e-12])
+def test_pair_stream_is_continuous_across_the_e1_table_start(delta, side):
+    # scipy's exp1 below u = 0.5, the table above: on each side the value
+    # is the scipy-evaluated stream (the switch at u = 40 is the cutoff
+    # test's)
+    u = 0.5 + side
+    f = BlobField(x=[[0.0, 0.0], [np.sqrt(u) * delta, 0.0]], gamma=[1.0, 1.0],
+                  delta=delta)
+    r2 = f.x[1, 0] ** 2
+    assert (r2 / delta ** 2 < 0.5) == (side < 0)
+    want = (np.log(r2) + exp1(r2 / delta ** 2)) / (4 * np.pi)
+    got = pair_stream_matrix(f)[0, 1]
+    assert abs(got - want) <= 4.4e-16 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
+def test_blob_field_rejects_bad_core_radius(delta):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        BlobField(x=[[0.0, 0.0]], gamma=[1.0], delta=delta)
 
 
 def exterior_velocity(hy, points):

@@ -29,10 +29,15 @@ from vortexbody.normal_form import (
     modulation_rate_monitor,
     normal_form_residual,
     rotated_mass_identity_check,
+    _weak_gyro,
     sample_modulation,
-    weakly_gyroscopic_G,
 )
 from vortexbody.potential import ScaledPotentials, build_mass_data, build_potential_set
+
+
+def weakly_gyroscopic_G(mod, mass) -> np.ndarray:
+    """Weakly gyroscopic vector (0, 0, xi . strain(xi) + a eta_1 - b eta_2)."""
+    return _weak_gyro(mod.a, mod.b, mass)
 
 
 @pytest.fixture(scope="module")
