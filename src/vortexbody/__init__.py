@@ -22,7 +22,6 @@ from .geometry import (  # noqa: F401
     rotation,
 )
 from .contour import (  # noqa: F401
-    IdentityReport,
     IdentityRow,
     contour_integral,
     identity_suite,

@@ -113,10 +113,6 @@ class BlobField:
     def with_positions(self, x: np.ndarray) -> "BlobField":
         return replace(self, x=np.asarray(x, dtype=float))
 
-    def shifted(self, offset, frame: str | None = None) -> "BlobField":
-        return replace(self, x=self.x + np.asarray(offset, float),
-                       frame=frame or self.frame)
-
     def distances_to(self, point) -> np.ndarray:
         return np.hypot(*(self.x - np.asarray(point, float)).T)
 

@@ -72,25 +72,7 @@ class IdentityRow:
         return abs(self.value - self.reference)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    rows: tuple
-
-    @property
-    def max_error(self) -> float:
-        return max(r.error for r in self.rows)
-
-    def table(self) -> str:
-        lines = [f"{'identity':<24}{'value':>28}{'reference':>28}{'abs err':>12}"]
-        for r in self.rows:
-            val = f"{r.value.real:+.6e}{r.value.imag:+.6e}j"
-            ref = f"{r.reference.real:+.6e}{r.reference.imag:+.6e}j"
-            lines.append(f"{r.name:<24}{val:>28}{ref:>28}{r.error:>12.3e}")
-        lines.append(f"{'max abs error':<24}{'':>28}{'':>28}{self.max_error:>12.3e}")
-        return "\n".join(lines)
-
-
-def identity_suite(mesh: BoundaryMesh) -> IdentityReport:
+def identity_suite(mesh: BoundaryMesh) -> tuple[IdentityRow, ...]:
     """Check the full table of rigid-motion boundary-moment identities.
 
     Every row is a pure-geometry statement: a quadrature of a polynomial
@@ -155,4 +137,4 @@ def identity_suite(mesh: BoundaryMesh) -> IdentityReport:
         IdentityRow("stokes z|z|^2 dz", contour_integral(mesh, None, "zabs2"),
                     -2 * m_cross + 2j * m_diff),
     ]
-    return IdentityReport(rows=tuple(rows))
+    return tuple(rows)

@@ -53,8 +53,10 @@ class VorticityPatch:
     def __post_init__(self):
         if not 0.0 <= self.inner < self.outer:
             raise ValueError("need 0 <= inner < outer")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0.0 < self.spacing < np.inf:
+            raise ValueError("spacing must be positive and finite")
+        if not np.isfinite(self.vorticity):
+            raise ValueError("vorticity must be finite")
         if self.delta is not None and not 0.0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
 
@@ -75,7 +77,6 @@ class VorticityPatch:
 
 @dataclass(frozen=True)
 class CoupledState:
-    eps: float
     alpha: float
     placement: Placement
     ell: np.ndarray
@@ -90,8 +91,10 @@ class CoupledState:
         object.__setattr__(self, "ell", np.asarray(self.ell, dtype=float).reshape(2))
         if self.field.frame != "body":
             raise ValueError("coupled blobs live in the body frame")
-        if self.scaled.eps != self.eps:
-            raise ValueError("potential scale disagrees with eps")
+
+    @property
+    def eps(self) -> float:
+        return self.scaled.eps
 
     @property
     def body_mass(self) -> float:
@@ -121,21 +124,14 @@ class CoupledState:
 
 def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
                  gamma: float, ell0=(0.0, 0.0), r0: float = 0.0,
-                 patch: VorticityPatch | None = None,
                  field: BlobField | None = None) -> CoupledState:
-    """Assemble an initial state: body at rest pose (h=0, theta=0), blobs
-    from a lattice-filled patch (or given directly), body velocity
-    (ell0, r0).
+    """Assemble an initial state: body at rest pose (h=0, theta=0), the
+    given body-frame blobs (none by default), body velocity (ell0, r0).
 
-    The body must sit well inside the vorticity support: we require the
-    body circumradius below half the closest blob distance.
+    The body circumradius must lie below half the closest blob distance,
+    and the inertia matrix must be finite and positive definite.
     """
-    if patch is not None and field is not None:
-        raise ValueError("give a patch or a prebuilt field, not both")
-    if patch is not None:
-        field = patch.discretize()
-    if field is None:
-        field = BlobField.empty()
+    field = field or BlobField.empty()
     if gamma == 0.0:
         log.warning("gamma = 0: runs are fine, zero-size limit claims are not")
 
@@ -149,10 +145,16 @@ def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
         if polygon_contains(scaled.eps * scaled.base.mesh.x, field.x).any():
             raise BodyCollisionError("initial vorticity overlaps the body")
 
-    return CoupledState(eps=scaled.eps, alpha=float(alpha),
-                        placement=Placement(h=np.zeros(2), theta=0.0),
-                        ell=ell0, r=float(r0), field=field,
-                        gamma=float(gamma), scaled=scaled, mass=mass)
+    state = CoupledState(alpha=float(alpha),
+                         placement=Placement(h=np.zeros(2), theta=0.0),
+                         ell=ell0, r=float(r0), field=field,
+                         gamma=float(gamma), scaled=scaled, mass=mass)
+    try:    # a zero pivot raises; a NaN or an infinity comes through
+        if np.isfinite(np.linalg.cholesky(state.inertia_matrix)).all():
+            return state
+    except (np.linalg.LinAlgError, OverflowError):  # eps ** alpha overflows
+        pass
+    raise ValueError("inertia matrix is not finite and positive definite")
 
 
 # ---------------------------------------------------------------------------

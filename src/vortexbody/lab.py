@@ -82,7 +82,8 @@ class ExperimentConfig:
     annulus (support inside distances [1/rho, rho] from the carrier);
     leaving it stops a run with an ``annulus-exit`` marker.  ``seed``
     (non-negative) feeds only randomized identity checks, never the
-    dynamics.  Every number, shape coefficients included, must be finite.
+    dynamics.  Every number, shape coefficients included, must be finite;
+    ``T`` is a whole number of ``dt`` steps; the shape meshes at ``panels``.
     """
 
     shape: ShapeSpec
@@ -122,12 +123,17 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         if self.panels < 16 or self.panels % 2:
             raise ConfigError("panels must be an even integer >= 16")
+        try:
+            build_mesh(self.shape, self.panels)
+        except ValueError as exc:
+            raise ConfigError(f"shape at {self.panels} panels: {exc}") from None
         if self.m1 <= 0 or self.J1 <= 0:
             raise ConfigError("m1 and J1 must be positive")
         if self.T <= 0 or self.dt <= 0 or self.dt > self.T:
             raise ConfigError("need 0 < dt <= T")
-        if not np.isfinite(self.T / self.dt):
-            raise ConfigError("T / dt overflows the step count")
+        ratio = self.T / self.dt
+        if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+            raise ConfigError(f"T / dt = {ratio:g} is not a whole step count")
         if self.spacing <= 0:
             raise ConfigError("spacing must be positive")
         if self.delta is not None and not 0.0 < self.delta < np.inf:
@@ -144,7 +150,7 @@ class ExperimentConfig:
 
     @property
     def steps(self) -> int:
-        return max(1, int(round(self.T / self.dt)))
+        return round(self.T / self.dt)
 
 
 _SECTIONS = {
@@ -331,7 +337,7 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, step,
     become ``modulated``.  An exception in ``stops`` raised by ``step``
     ends the run with the abort reason ``reason(state, exc)``, state
     being the last one reached.  A sample holding a non-finite value ends
-    it as ``non-finite`` and is not kept.
+    it as ``non-finite`` and is not kept; the initial one is a ConfigError.
     """
     started = time.perf_counter()
     steps = config.steps
@@ -343,8 +349,13 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, step,
             if key not in series:
                 series[key] = np.zeros((steps + 1, *np.shape(value)))
             series[key][k] = value
+        # support is (inf, 0) for an empty field; the positions it is
+        # read from are checked in blob_lab
+        return [key for key, value in row.items()
+                if key != "support" and not np.isfinite(value).all()]
 
-    record(0, state)
+    if bad := record(0, state):
+        raise ConfigError(f"non-finite initial {', '.join(bad)}")
     n = state.field.n
     aborted, detail = None, ""
     done = 0
@@ -354,12 +365,7 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, step,
         except stops as exc:
             aborted, detail = reason(state, exc), str(exc)
             break
-        record(k, state)
-        # support is (inf, 0) for an empty field; the positions it is
-        # read from are checked in blob_lab
-        bad = [key for key, values in series.items() if key != "support"
-               and not np.isfinite(values[k]).all()]
-        if bad:
+        if bad := record(k, state):
             aborted = "non-finite"
             detail = (f"non-finite {', '.join(bad)} "
                       f"at t={series['t'][k]:.6g}")
@@ -619,8 +625,10 @@ def write_blobs(path: Path, rec: RunRecord) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    """Strict JSON: a NaN or infinity raises instead of writing a bare
-    ``NaN`` that JSON parsers reject."""
+    """Strict JSON: a NaN or an infinity (a relative energy drift over a
+    zero initial energy can overflow) is written as null, never as a bare
+    ``NaN`` that JSON parsers reject.  Floats round-trip exactly."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                allow_nan=False) + "\n")
 
@@ -783,12 +791,11 @@ class CheckReport:
         return "\n".join(lines)
 
     def to_payload(self) -> dict:
-        """JSON-ready rows; a non-finite error is written as null (and its
-        row has failed)."""
+        """The rows as plain values; a non-finite error fails its row, and
+        ``identities.json`` holds it as null."""
         return {"all_passed": self.all_passed,
                 "rows": [{"group": r.group, "shape": r.shape, "name": r.name,
-                          "error": (float(r.error) if np.isfinite(r.error)
-                                    else None),
+                          "error": float(r.error),
                           "tolerance": r.tolerance, "passed": r.passed}
                          for r in self.rows]}
 
@@ -814,7 +821,7 @@ def check(panels: int = 512, seed: int = 0) -> CheckReport:
     rng = np.random.default_rng(seed)
     for label, shape in CANONICAL_SHAPES:
         mesh = build_mesh(shape, panels)
-        for r in identity_suite(mesh).rows:
+        for r in identity_suite(mesh):
             rows.append(CheckRow("geometry", label, r.name, r.error,
                                  GEOMETRY_TOL))
         pset = build_potential_set(mesh)
@@ -844,7 +851,6 @@ def potential_facts(shape: ShapeSpec, panels: int = 256) -> dict:
     moments, the circulation-field Laurent head, and the residual of the
     field identity rows."""
     pset = build_potential_set(build_mesh(shape, panels))
-    mass = build_mass_data(pset)
     c1 = laurent_coefficients(pset.H, 1)[0]
     return {
         "shape": shape.name,
@@ -852,8 +858,8 @@ def potential_facts(shape: ShapeSpec, panels: int = 256) -> dict:
         "area": float(pset.moments.area),
         "centroid": [float(v) for v in pset.moments.centroid],
         "mass_matrix": [[float(v) for v in row] for row in pset.mass],
-        "xi": [float(v) for v in mass.xi],
-        "eta": [float(v) for v in mass.eta],
+        "xi": [float(v) for v in pset.xi],
+        "eta": [float(v) for v in pset.eta],
         "circulation_laurent_head": {"re": float(c1.real),
                                      "im": float(c1.imag)},
         "field_identity_max_error": float(

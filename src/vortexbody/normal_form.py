@@ -16,7 +16,6 @@ identity checks evaluated on series sampled along a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -324,23 +323,16 @@ class ResidualSeries:
         return np.linalg.norm(self.implied, axis=1)
 
 
-def _residual_core(series: ModulationSeries, dt, body_rates):
+def _residual_core(series: ModulationSeries, dt):
     eps, alpha, mass = series.eps, series.alpha, series.mass
     p = series.p_modulated
     M = eps ** alpha * mass.genuine + eps ** 2 * mass.added_3x3
     axis = gyro_axis(mass)
-    drift = series.drift + eps * _strain(series.a, series.b, mass.xi)
     quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p)
             + eps * apply_lambda(mass, "a", p))
     out = np.empty((len(series) - 2, 3))
     for k in range(1, len(series) - 1):
-        if body_rates is None:
-            dp = (p[k + 1] - p[k - 1]) / (2.0 * dt)
-        else:
-            drift_dot = (drift[k + 1] - drift[k - 1]) / (2.0 * dt)
-            rate = np.asarray(body_rates[k], dtype=float)
-            dp = np.array([rate[0] - drift_dot[0], rate[1] - drift_dot[1],
-                           eps * rate[2]])
+        dp = (p[k + 1] - p[k - 1]) / (2.0 * dt)
         gyro = series.gamma[k] * cross_product(p[k], axis)
         weak = eps * series.gamma[k] * _weak_gyro(series.a[k], series.b[k],
                                                   mass)
@@ -351,31 +343,21 @@ def _residual_core(series: ModulationSeries, dt, body_rates):
     return out, fitted
 
 
-def normal_form_residual(series: ModulationSeries, dt: float,
-                         body_rates: Sequence[np.ndarray] | None = None,
-                         ) -> ResidualSeries:
+def normal_form_residual(series: ModulationSeries, dt: float) -> ResidualSeries:
     """Everything in the modulated equation except the remainder force,
     moved to one side: what is left over, divided by its expected size.
 
     The momentum derivative uses centered differences at the sampled
     cadence, no smoothing; dt_converged compares against the double
     cadence and flags runs sampled too coarsely for the difference to
-    mean anything.  The finite difference of the fast momentum is the
-    dominant error source when the gyroscopic oscillation is poorly
-    resolved, so exact body rates (ell', r') recorded along the run may
-    be passed in to replace it; the slow drift term is still differenced.
-    """
+    mean anything."""
     if len(series) < 3:
         raise ValueError("need at least three uniformly spaced samples")
-    if body_rates is not None and len(body_rates) != len(series):
-        raise ValueError("need one rate triple per sample")
-    out, fitted = _residual_core(series, dt, body_rates)
+    out, fitted = _residual_core(series, dt)
 
     converged = None
     if len(series) >= 5:
-        _, coarse = _residual_core(
-            series[::2], 2.0 * dt,
-            None if body_rates is None else body_rates[::2])
+        _, coarse = _residual_core(series[::2], 2.0 * dt)
         scale = max(fitted, np.finfo(float).tiny)
         converged = bool(abs(coarse - fitted) <= 0.1 * scale)
 

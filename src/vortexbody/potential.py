@@ -211,11 +211,10 @@ class NeumannSolution:
 
 
 def solve_exterior_neumann(mesh: BoundaryMesh, data, *,
-                           ops: BoundaryOperators | None = None,
-                           compat_tol: float = 1e-10) -> NeumannSolution:
+                           ops: BoundaryOperators | None = None) -> NeumannSolution:
     ops = ops or BoundaryOperators(mesh)
     g = np.asarray(data, dtype=float)
-    sigma = ops.neumann_density(g, compat_tol)
+    sigma = ops.neumann_density(g)
     return NeumannSolution(mesh=mesh, data=g, density=sigma,
                            boundary_values=ops.layer_values(sigma), _ops=ops)
 
@@ -318,8 +317,8 @@ class PotentialSet:
 
     ``mass`` is the 5x5 Gram matrix of the Kirchhoff potentials (indices
     1..5 mapped to 0..4), computed from the Green-identity boundary form;
-    ``conformal_center`` and ``h_second_moment`` are the first two complex
-    moments of the harmonic field over the body contour.
+    ``xi`` (the conformal center) and ``eta`` are the first two complex
+    contour moments of the harmonic field as real 2-vectors (re, im).
     """
 
     mesh: BoundaryMesh
@@ -328,8 +327,8 @@ class PotentialSet:
     H: HarmonicField
     mass: np.ndarray                # (5, 5)
     mass_defect: float              # max |m_ij - m_ji| before symmetrization
-    conformal_center: complex
-    h_second_moment: complex
+    xi: np.ndarray                  # (2,)
+    eta: np.ndarray                 # (2,)
     moments: MomentSet
 
 
@@ -349,25 +348,25 @@ def build_potential_set(mesh: BoundaryMesh) -> PotentialSet:
     mass = 0.5 * (raw + raw.T)
 
     h_hat = hat_field(H.boundary_trace())
-    xi = contour_integral(mesh, h_hat, "z")
-    eta = contour_integral(mesh, h_hat, "z2")
+    h_mom = np.array([contour_integral(mesh, h_hat, w) for w in ("z", "z2")])
+    xi, eta = np.stack([h_mom.real, h_mom.imag], axis=-1)
 
     return PotentialSet(mesh=mesh, ops=ops, phi=phi, H=H, mass=mass,
-                        mass_defect=mass_defect, conformal_center=xi,
-                        h_second_moment=eta, moments=geometric_moments(mesh))
+                        mass_defect=mass_defect, xi=xi, eta=eta,
+                        moments=geometric_moments(mesh))
 
 
 # ---------------------------------------------------------------------------
 # complex moment quadratures and their closed forms
 
 
-def moment_integrals(solution, mesh: BoundaryMesh | None = None) -> dict:
+def moment_integrals(solution) -> dict:
     """Contour quadratures of z, zbar, |z|^2 and z^2 against the solution's
     hatted boundary field (gradient trace, or velocity trace for the
     harmonic field)."""
-    mesh = mesh or solution.mesh
     fhat = hat_field(solution.boundary_trace())
-    return {w: contour_integral(mesh, fhat, w) for w in ("z", "zbar", "abs2", "z2")}
+    return {w: contour_integral(solution.mesh, fhat, w)
+            for w in ("z", "zbar", "abs2", "z2")}
 
 
 def moment_closed_forms(pset: PotentialSet, i: int) -> dict:
@@ -445,15 +444,6 @@ def field_identity_rows(pset: PotentialSet) -> list:
 # the inertia bundle
 
 
-def conformal_center_eta(pset: PotentialSet):
-    """(xi, eta) as real 2-vectors: the first two complex contour moments
-    of the harmonic field, components (real part, imaginary part)."""
-    xi_c = pset.conformal_center
-    eta_c = pset.h_second_moment
-    return (np.array([xi_c.real, xi_c.imag]),
-            np.array([eta_c.real, eta_c.imag]))
-
-
 @dataclass(frozen=True)
 class MassData:
     """Inertia bundle for one shape: boundary-derived mass coefficients,
@@ -470,7 +460,6 @@ class MassData:
     J1: float
     xi: np.ndarray              # (2,)
     eta: np.ndarray             # (2,)
-    moments: MomentSet
 
     @property
     def added_3x3(self) -> np.ndarray:
@@ -502,9 +491,8 @@ class MassData:
 
 def build_mass_data(pset: PotentialSet, m1: float = 1.0,
                     J1: float = 1.0) -> MassData:
-    xi, eta = conformal_center_eta(pset)
     return MassData(mass=pset.mass, m1=float(m1), J1=float(J1),
-                    xi=xi, eta=eta, moments=pset.moments)
+                    xi=pset.xi, eta=pset.eta)
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,9 @@ def frozen_sweep(asym_setup, random_blobs):
     return {"errors": errs, "slopes": slopes, "cc_max": cc_max}
 
 
-def sampled_run(pset, md, blobs, *, eps, dt, steps, r0, on_state=None):
+def sampled_run(pset, md, blobs, *, eps, dt, steps, r0):
     """Step a coupled run from ell0 = (1, 0) and return its sampled
-    ModulationSeries, one row per state; ``on_state`` sees every state."""
+    ModulationSeries, one row per state."""
     st = init_coupled(ScaledPotentials(pset, eps), md, alpha=2.0,
                       gamma=FROZEN_GAMMA, ell0=(1.0, 0.0), r0=r0, field=blobs)
     rows = []
@@ -115,8 +115,6 @@ def sampled_run(pset, md, blobs, *, eps, dt, steps, r0, on_state=None):
         if k:
             st = coupled_step(st, dt)
         rows.append(sample_modulation(st))
-        if on_state is not None:
-            on_state(st)
     return ModulationSeries.from_columns(
         {key: [row[key] for row in rows] for key in rows[0]}, st)
 

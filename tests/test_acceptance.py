@@ -92,7 +92,7 @@ def conservation():
     def drift(dt):
         st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0,
                           gamma=TWO_PI, ell0=(0.1, 0.0), r0=0.0,
-                          patch=ANNULUS)
+                          field=ANNULUS.discretize())
         e0 = total_energy(st)
         strengths = st.field.gamma.copy()
         worst_e, worst_g, worst_b = 0.0, 0.0, 0.0
@@ -110,7 +110,7 @@ def conservation():
     pdisk = build_potential_set(build_mesh(disk(), 256))
     st = init_coupled(ScaledPotentials(pdisk, 0.1), build_mass_data(pdisk),
                       alpha=2.0, gamma=TWO_PI, ell0=(0.1, 0.0), r0=0.5,
-                      patch=ANNULUS)
+                      field=ANNULUS.discretize())
     spin = 0.0
     for _ in range(250):
         st = coupled_step(st, 0.004)

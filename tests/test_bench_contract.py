@@ -68,7 +68,8 @@ def test_one_blob_node_pass_per_stage():
     state = coupled_system.init_coupled(
         potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
         alpha=2.0, gamma=1.0,
-        patch=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1))
+        field=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1)
+        .discretize())
     assert state.field.n != pset.mesh.n
     tracer = tracer_module.Tracer()
     with tracer.installed():
@@ -100,7 +101,8 @@ def test_energy_is_one_blob_node_pass():
     state = coupled_system.init_coupled(
         potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
         alpha=2.0, gamma=1.0,
-        patch=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1))
+        field=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1)
+        .discretize())
     assert state.field.n
     tracer = tracer_module.Tracer()
     with tracer.installed():
@@ -124,7 +126,8 @@ def test_energy_takes_e1_from_the_table(monkeypatch):
     state = coupled_system.init_coupled(
         potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
         alpha=2.0, gamma=1.0,
-        patch=coupled_system.VorticityPatch(1.0, 1.8, spacing=0.15))
+        field=coupled_system.VorticityPatch(1.0, 1.8, spacing=0.15)
+        .discretize())
     assert state.field.n == 308
     coupled_system.total_energy(state)
     assert sum(passed) == 0
@@ -137,7 +140,8 @@ def test_steppers_share_rk4(monkeypatch):
     coupled = coupled_system.init_coupled(
         potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
         alpha=2.0, gamma=1.0,
-        patch=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1))
+        field=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1)
+        .discretize())
     limit = limit_system.VortexWaveState(
         h=(0.0, 0.0), gamma=1.0, field=coupled_system.VorticityPatch(
             1.0, 1.3, spacing=0.1).discretize(frame="lab"))

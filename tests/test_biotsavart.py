@@ -116,7 +116,7 @@ def test_kernel_equivariance(cx, cy, angle):
     u = velocity_free_space(f, p)
 
     shift = np.array([cx, cy])
-    u_shift = velocity_free_space(f.shifted(shift), p + shift)
+    u_shift = velocity_free_space(f.with_positions(f.x + shift), p + shift)
     assert np.allclose(u_shift, u, atol=1e-12)
 
     R = rotation(angle)

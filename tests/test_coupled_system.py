@@ -68,12 +68,17 @@ def test_patch_lattice_total_strength():
         VorticityPatch(1.0, 2.0, spacing=0.0)
 
 
+@pytest.mark.parametrize("spacing, vorticity, message", [
+    (np.nan, 1.0, "spacing"), (np.inf, 1.0, "spacing"),
+    (-np.inf, 1.0, "spacing"), (0.05, np.nan, "vorticity"),
+    (0.05, np.inf, "vorticity")])
+def test_patch_rejects_nonfinite_values(spacing, vorticity, message):
+    with pytest.raises(ValueError, match=message):
+        VorticityPatch(1.0, 2.0, vorticity, spacing=spacing)
+
+
 def test_init_preconditions(disk_setup):
     sp, md = disk_setup
-    with pytest.raises(ValueError):
-        init_coupled(sp, md, alpha=ALPHA, gamma=1.0,
-                     patch=VorticityPatch(1.0, 2.0),
-                     field=BlobField.empty())
     # support must start beyond twice the body circumradius
     with pytest.raises(ValueError):
         init_coupled(sp, md, alpha=ALPHA, gamma=1.0,
@@ -355,7 +360,8 @@ def test_disk_orbit_matches_reduced_ode(disk_setup):
 def test_disk_spin_is_frozen_even_with_vorticity(disk_setup):
     sp, md = disk_setup
     st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(0.5, 0.2),
-                      r0=0.3, patch=VorticityPatch(1.0, 2.0, spacing=0.2))
+                      r0=0.3,
+                      field=VorticityPatch(1.0, 2.0, spacing=0.2).discretize())
     for _ in range(25):
         st = coupled_step(st, 0.002)
     assert abs(st.r - 0.3) < 1e-10
@@ -364,7 +370,8 @@ def test_disk_spin_is_frozen_even_with_vorticity(disk_setup):
 def test_energy_conservation_improves_with_dt(ellipse_setup):
     sp, md = ellipse_setup
     st0 = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                       r0=0.5, patch=VorticityPatch(1.0, 2.0, spacing=0.15))
+                       r0=0.5,
+                       field=VorticityPatch(1.0, 2.0, spacing=0.15).discretize())
     E0 = total_energy(st0)
     T, n = 0.1, 50
 
@@ -399,7 +406,8 @@ def test_frame_change_identities(ellipse_setup):
     # attitude, and the origin gradient matches a finite-difference probe
     sp, md = ellipse_setup
     st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.5, patch=VorticityPatch(1.0, 2.0, spacing=0.2))
+                      r0=0.5,
+                      field=VorticityPatch(1.0, 2.0, spacing=0.2).discretize())
     for _ in range(5):
         st = coupled_step(st, 0.002)
     assert abs(st.placement.theta) > 0.0
@@ -433,7 +441,8 @@ def test_frame_change_identities(ellipse_setup):
 def test_step_guard_rejects_reckless_dt(ellipse_setup):
     sp, md = ellipse_setup
     st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.5, patch=VorticityPatch(1.0, 2.0, spacing=0.2))
+                      r0=0.5,
+                      field=VorticityPatch(1.0, 2.0, spacing=0.2).discretize())
     with pytest.raises(TimeStepError):
         coupled_step(st, 5.0)
     with pytest.raises(ValueError):
@@ -445,7 +454,8 @@ def test_dt_guard_checks_every_stage(ellipse_setup, monkeypatch):
     # stage-1 speed and clearance pass the guard
     sp, md = ellipse_setup
     st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.5, patch=VorticityPatch(1.0, 2.0, spacing=0.2))
+                      r0=0.5,
+                      field=VorticityPatch(1.0, 2.0, spacing=0.2).discretize())
     coupled_step(st, 0.002)
     builds = []
 

@@ -137,11 +137,24 @@ def test_config_invariants(tmp_path):
                          ("delta", -0.15), ("delta", np.nan),
                          ("delta", np.inf), ("eps", (np.nan, 0.1)),
                          ("eps", (np.inf,)), ("seed", -1),
-                         ("shape", ellipse(2.0, np.nan)),
-                         ("patches", (VorticityPatch(1.0, 1.4, np.nan),))):
-        from dataclasses import replace
+                         ("shape", ellipse(2.0, np.nan))):
         with pytest.raises(ConfigError):
             replace(good, **{field: value})
+    # a non-finite patch never reaches the config
+    with pytest.raises(ValueError, match="vorticity must be finite"):
+        VorticityPatch(1.0, 1.4, np.nan)
+
+
+def test_time_must_be_whole_steps(tmp_path):
+    # 0.01 / 0.003 would round to 3 steps and stop at t = 0.009
+    path = write_config(tmp_path, **{"t = 0.02": "t = 0.01",
+                                     "dt = 0.002": "dt = 0.003"})
+    with pytest.raises(ConfigError, match="whole step count"):
+        parse_config(path)
+    # 0.009 / 0.003 is 3 up to roundoff
+    path = write_config(tmp_path, **{"t = 0.02": "t = 0.009",
+                                     "dt = 0.002": "dt = 0.003"})
+    assert parse_config(path).steps == 3
 
 
 # every key parse_config knows, with perturbed-disk modes up to 8, and a
@@ -164,7 +177,7 @@ TOKENS = st.one_of(
     st.floats(-4.0, 4.0).map(repr),
     st.integers(-8, 300).map(str),
     st.sampled_from(["0", "-1", "nan", "inf", "-inf", "banana", "5%", "",
-                     "disk", "ellipse", "perturbed-disk"]),
+                     "disk", "ellipse", "perturbed-disk", "1e-100", "1e300"]),
 )
 
 
@@ -205,6 +218,32 @@ def test_config_text_fails_closed(text):
     assert cfg.delta is None or np.isfinite(cfg.delta)
     assert cfg.seed >= 0
     assert cfg.steps >= 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(config_texts())
+def test_accepted_config_runs_or_fails_closed(text):
+    # two steps of every config that parses: a ConfigError, or records
+    # that are aborted exactly when their .aborted marker exists
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            cfg = parse_config(write_config(tmp, text))
+        except ConfigError:
+            return
+        # skip big lattices before discretizing: pi outer^2 / spacing^2
+        # bounds a patch's blob count
+        s2 = cfg.spacing * cfg.spacing
+        if sum(np.pi * p.outer * p.outer for p in cfg.patches) > 500 * s2:
+            return
+        try:
+            records, _ = run(replace(cfg, T=2 * cfg.dt), tmp / "out",
+                             threads=1)
+        except ConfigError:
+            return
+        for rec in records:
+            marker = tmp / "out" / f"{rec.label}.aborted"
+            assert (rec.aborted is not None) == marker.exists(), rec.label
 
 
 def test_support_separation_guard(tmp_path):
@@ -600,6 +639,31 @@ def test_cli_exit_codes(tmp_path, caplog):
     for command in ("check-identities", "potentials", "simulate-limit"):
         with pytest.raises(SystemExit):
             main([command, "--threads", "2"])
+
+
+def test_unmeshable_shape_fails_closed(tmp_path, capfd, caplog):
+    # cos_8 = 1.02 recentres on 72 panels, but self-intersects at 16
+    path = write_config(tmp_path, "[shape]\npreset = perturbed-disk\n"
+                        "cos_8 = 1.02\npanels = 16\n[sweep]\neps = 0.1\n")
+    assert main(["potentials", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "self-intersects" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # eps^4 underflows to 0: the inertia matrix is singular
+    ("eps = 0.2 0.1", "eps = 1e-100", "positive definite"),
+    # |ell0|^2 overflows: the initial energy is infinite
+    ("ell0 = 0.5 0.0", "ell0 = 1e300 0.0", "non-finite initial energy")],
+    ids=["underflowing-inertia", "infinite-energy"])
+def test_unrunnable_state_fails_closed(tmp_path, capfd, caplog, old, new,
+                                       message):
+    path = write_config(tmp_path, **{old: new})
+    assert main(["simulate-coupled", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert message in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("t, dt", [("1e300", "1e-300"), ("1e12", "1e-6")],

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, sampled_run
 from vortexbody.biotsavart import BlobField, velocity_free_space
 from vortexbody.coupled_system import (
-    accelerations,
     force_B,
     force_C,
     init_coupled,
@@ -299,9 +298,9 @@ def test_empty_field_expansions(asym_setup):
 # trajectory diagnostics
 
 
-def _short_run(pset, md, blobs, eps, dt, steps, on_state=None):
+def _short_run(pset, md, blobs, eps, dt, steps):
     return sampled_run(pset, md, blobs, eps=eps, dt=dt, steps=steps,
-                       r0=0.3 / eps, on_state=on_state)
+                       r0=0.3 / eps)
 
 
 def _resting(asym_setup, samples):
@@ -329,9 +328,6 @@ def test_trivial_residual_is_zero(asym_setup):
 def test_residual_input_validation(asym_setup):
     with pytest.raises(ValueError):
         normal_form_residual(_resting(asym_setup, 2), 0.01)
-    with pytest.raises(ValueError):
-        normal_form_residual(_resting(asym_setup, 5), 0.01,
-                             body_rates=[np.zeros(3)] * 4)
 
 
 def test_residual_dt_stability_on_reference_run(reference_run):
@@ -342,20 +338,6 @@ def test_residual_dt_stability_on_reference_run(reference_run):
     assert dev < 0.10
     assert series.implied.shape == (47, 3)
     assert series.t.shape == (47,)
-
-
-def test_residual_exact_rate_route_agrees(asym_setup, random_blobs):
-    # dual route: recorded accelerations instead of differencing the
-    # fast momentum
-    pset, md = asym_setup
-    rates = []
-    record = _short_run(pset, md, random_blobs, eps=0.1, dt=1e-3, steps=48,
-                        on_state=lambda s: rates.append(accelerations(s).accel))
-    series = normal_form_residual(record, 1e-3)
-    exact = normal_form_residual(record, 1e-3, body_rates=rates)
-    assert exact.dt_converged is True
-    dev = abs(exact.fitted_constant / series.fitted_constant - 1.0)
-    assert dev < 0.05
 
 
 def test_residual_flags_coarse_cadence(asym_setup, random_blobs):

@@ -33,7 +33,6 @@ from vortexbody.potential import (
     ScaledPotentials,
     build_mass_data,
     build_potential_set,
-    conformal_center_eta,
     field_identity_rows,
     laurent_coefficients,
     moment_closed_forms,
@@ -104,7 +103,7 @@ def test_disk_harmonic_field(disk_set):
 
 
 def test_disk_conformal_center(disk_set):
-    xi, eta = conformal_center_eta(disk_set)
+    xi, eta = disk_set.xi, disk_set.eta
     assert np.abs(xi).max() < 1e-9
     assert np.abs(eta).max() < 1e-9
 
@@ -115,7 +114,7 @@ def test_ellipse_closed_forms(ellipse_set):
     assert abs(m[0, 0] - np.pi * b ** 2) < 1e-8
     assert abs(m[1, 1] - np.pi * a ** 2) < 1e-8
     assert abs(m[2, 2] - np.pi * (a * a - b * b) ** 2 / 8) < 1e-8
-    xi, eta = conformal_center_eta(ellipse_set)
+    xi, eta = ellipse_set.xi, ellipse_set.eta
     assert np.abs(xi).max() < 1e-9
     assert abs(eta[0] - (a * a - b * b) / 2) < 1e-8
     assert abs(eta[1]) < 1e-9
@@ -133,8 +132,8 @@ def test_neumann_self_convergence():
 
 def test_conformal_center_self_convergence():
     shape = perturbed_disk(cos_amps={3: 0.2})
-    xi_c, _ = conformal_center_eta(build_potential_set(build_mesh(shape, 256)))
-    xi_f, _ = conformal_center_eta(build_potential_set(build_mesh(shape, 512)))
+    xi_c = build_potential_set(build_mesh(shape, 256)).xi
+    xi_f = build_potential_set(build_mesh(shape, 512)).xi
     assert np.abs(xi_c - xi_f).max() < 1e-7
 
 
@@ -203,10 +202,8 @@ def test_scaling_laws(bump_set):
                   - direct.H.stream(pts)).max() < 1e-10
     assert np.abs(scaled.h_boundary_trace()
                   - direct.H.boundary_trace()).max() < 1e-10
-    xi_d, eta_d = conformal_center_eta(direct)
-    xi_1, eta_1 = conformal_center_eta(bump_set)
-    assert np.abs(xi_d - eps * xi_1).max() < 1e-10
-    assert np.abs(eta_d - eps ** 2 * eta_1).max() < 1e-10
+    assert np.abs(direct.xi - eps * bump_set.xi).max() < 1e-10
+    assert np.abs(direct.eta - eps ** 2 * bump_set.eta).max() < 1e-10
     assert abs(scaled.area - direct.moments.area) < 1e-12
     assert np.abs(scaled.centroid - direct.moments.centroid).max() < 1e-12
     assert abs(scaled.m_diff - direct.moments.m_diff) < 1e-12
