@@ -129,7 +129,8 @@ def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
     given body-frame blobs (none by default), body velocity (ell0, r0).
 
     The body circumradius must lie below half the closest blob distance,
-    and the inertia matrix must be finite and positive definite.
+    the inertia matrix must be finite and positive definite, and so must
+    eps ** (alpha - 1), the scale of the normal form's gyroscopic term.
     """
     field = field or BlobField.empty()
     if gamma == 0.0:
@@ -150,11 +151,17 @@ def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
                          ell=ell0, r=float(r0), field=field,
                          gamma=float(gamma), scaled=scaled, mass=mass)
     try:    # a zero pivot raises; a NaN or an infinity comes through
-        if np.isfinite(np.linalg.cholesky(state.inertia_matrix)).all():
-            return state
+        definite = np.isfinite(np.linalg.cholesky(state.inertia_matrix)).all()
     except (np.linalg.LinAlgError, OverflowError):  # eps ** alpha overflows
-        pass
-    raise ValueError("inertia matrix is not finite and positive definite")
+        definite = False
+    if not definite:
+        raise ValueError("inertia matrix is not finite and positive definite")
+    try:    # a power of Python floats raises on overflow
+        float(scaled.eps) ** (float(alpha) - 1.0)
+    except OverflowError:
+        raise ValueError("eps ** (alpha - 1), the normal form's gyroscopic "
+                         "scale, overflows") from None
+    return state
 
 
 # ---------------------------------------------------------------------------

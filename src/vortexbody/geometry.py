@@ -233,16 +233,44 @@ class BoundaryMesh:
 
 
 def _segments_cross(pts: np.ndarray) -> bool:
-    """Proper-crossing test over all non-adjacent closed-polyline segments."""
+    """Proper-crossing test over the non-adjacent closed-polyline segments.
+
+    Only pairs whose padded extents overlap are tested (sort and sweep on
+    the x-extents, then a y-extent filter).  A pair the test flags has
+    |rxv| > 1e-14 and cross products that carry at most 4u|a||b| of
+    rounding (u = 2**-53), so the two crossing points it computes, one on
+    each segment, lie within 0.1 L^2 (D + 2L) of each other (L the longest
+    segment, D the points' extent, L < 1).  The pad L^2 (D + 2L) keeps
+    every such pair; from L = 1 on it spans the curve and every pair is
+    tested.
+    """
     n = len(pts)
     b = np.roll(pts, -1, axis=0)
-    i_idx, j_idx = np.triu_indices(n, k=2)
-    keep = ~((i_idx == 0) & (j_idx == n - 1))
+    seg = b - pts
+    length = np.sqrt((seg ** 2).sum(axis=1).max())
+    pad = length ** 2 * (np.hypot(*np.ptp(pts, axis=0)) + 2.0 * length)
+    if not pad < np.inf:    # non-finite points: every pair is a candidate
+        pad = np.inf
+    lo = np.minimum(pts, b) - pad
+    hi = np.maximum(pts, b) + pad
+    order = np.argsort(lo[:, 0], kind="stable")
+    x_lo = lo[order, 0]
+    stop = np.searchsorted(x_lo, hi[order, 0], side="right")
+    # negative only past a segment with an infinite end, which never crosses
+    counts = np.maximum(stop - np.arange(1, n + 1), 0)
+    first = np.repeat(np.arange(n), counts)
+    second = (first + 1 + np.arange(counts.sum())
+              - np.repeat(np.cumsum(counts) - counts, counts))
+    i_idx, j_idx = order[first], order[second]
+    y_overlap = (lo[i_idx, 1] <= hi[j_idx, 1]) & (lo[j_idx, 1] <= hi[i_idx, 1])
+    i_idx, j_idx = i_idx[y_overlap], j_idx[y_overlap]
+    i_idx, j_idx = np.minimum(i_idx, j_idx), np.maximum(i_idx, j_idx)
+    keep = (j_idx - i_idx >= 2) & ~((i_idx == 0) & (j_idx == n - 1))
     i_idx, j_idx = i_idx[keep], j_idx[keep]
     p = pts[i_idx]
-    r = b[i_idx] - pts[i_idx]
+    r = seg[i_idx]
     q = pts[j_idx]
-    v = b[j_idx] - pts[j_idx]
+    v = seg[j_idx]
     rxv = r[:, 0] * v[:, 1] - r[:, 1] * v[:, 0]
     d = q - p
     dxv = d[:, 0] * v[:, 1] - d[:, 1] * v[:, 0]

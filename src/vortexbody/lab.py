@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import logging
 import re
@@ -546,9 +545,9 @@ def assemble_report(config: ExperimentConfig, coupled: Sequence[RunRecord],
         row = {"eps": eps, "aborted": rec.aborted, "t_eps": rec.t_eps,
                "steps": len(rec.t) - 1}
         row.update(compare(rec, limit))
-        e0 = rec.energy[0]
-        row["energy_drift"] = float(np.abs(rec.energy - e0).max()
-                                    / max(abs(e0), np.finfo(float).tiny))
+        # relative to the initial energy; absolute when that is exactly 0
+        e0 = abs(rec.energy[0])
+        row["energy_drift"] = float(_drift(rec.energy) / (e0 if e0 else 1.0))
         row["gamma_drift"] = _drift(rec.gamma)
         row["beta_drift"] = _drift(rec.beta)
         row["peak_momentum"] = float(
@@ -586,16 +585,12 @@ def assemble_report(config: ExperimentConfig, coupled: Sequence[RunRecord],
 # artifacts
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """One line per row tuple, every number as %.17g (round-trips)."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_trajectory(path: Path, rec: RunRecord) -> None:
@@ -625,9 +620,8 @@ def write_blobs(path: Path, rec: RunRecord) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    """Strict JSON: a NaN or an infinity (a relative energy drift over a
-    zero initial energy can overflow) is written as null, never as a bare
-    ``NaN`` that JSON parsers reject.  Floats round-trip exactly."""
+    """Strict JSON: a NaN or an infinity is written as null, never as a
+    bare ``NaN`` that JSON parsers reject.  Floats round-trip exactly."""
     payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                allow_nan=False) + "\n")
@@ -712,6 +706,7 @@ Convergence report: per-scale sup distance between body center and
 vortex, matched-blob transport distance, invariant drifts, peak
 momentum size, annulus exit times, normal-form diagnostics, and the
 log-log slopes of the two distance columns with standard errors.
+energy_drift is max |E - E0| / |E0|, or max |E - E0| when E0 = 0.
 
 ## *.aborted
 

@@ -30,7 +30,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .contour import contour_integral, hat_field
 from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments, perp,
@@ -51,9 +51,7 @@ def log_quadrature_matrix(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
     nz = k != 0
     lam[nz] = -TWO_PI / np.abs(k[nz])
-    col = np.fft.ifft(lam).real
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return col[idx]
+    return circulant(np.fft.ifft(lam).real)
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
@@ -102,33 +100,52 @@ class BoundaryOperators:
         x, nv, speed, w = mesh.x, mesh.normal, mesh.speed, mesh.w
         h = TWO_PI / n
 
-        d1 = x[:, None, 0] - x[None, :, 0]
-        d2 = x[:, None, 1] - x[None, :, 1]
-        r2 = d1 ** 2 + d2 ** 2
+        # the (n, n) arrays are built in place to spare temporaries; tests
+        # compare them bit for bit with the whole-array formulas, so the
+        # order of operations must stay that of the formulas
+        r2 = squared_distances(x, x)
+        d1 = np.subtract.outer(x[:, 0], x[:, 0])
+        d2 = np.subtract.outer(x[:, 1], x[:, 1])
 
         # fluid-side normal derivative: A = -I/2 + K', curvature diagonal
+        d1 *= nv[:, None, 0]
+        d2 *= nv[:, None, 1]
+        d1 += d2
+        del d2
         with np.errstate(divide="ignore", invalid="ignore"):
-            kern = (nv[:, None, 0] * d1 + nv[:, None, 1] * d2) / r2
+            d1 /= r2
         diag = -(nv * mesh.xpp).sum(axis=1) / (2.0 * speed ** 2)
-        np.fill_diagonal(kern, diag)
-        self.A = -0.5 * np.eye(n) + (h / TWO_PI) * kern * speed[None, :]
+        np.fill_diagonal(d1, diag)
+        d1 *= h / TWO_PI
+        d1 *= speed[None, :]
+        d1.flat[::n + 1] -= 0.5
+        self.A = d1
         self._lu_neumann = lu_factor(self.A)
 
         # on-curve single-layer values: spectral log split
-        ds = mesh.s[:, None] - mesh.s[None, :]
-        sin2 = 4.0 * np.sin(0.5 * ds) ** 2
+        sin2 = np.subtract.outer(mesh.s, mesh.s)
+        sin2 *= 0.5
+        np.sin(sin2, out=sin2)
+        sin2 *= sin2
+        sin2 *= 4.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            smooth = np.log(r2 / sin2)
+            r2 /= sin2
+            smooth = np.log(r2, out=r2)
+        del sin2
         np.fill_diagonal(smooth, 2.0 * np.log(speed))
-        self.V = ((log_quadrature_matrix(n) + h * smooth) / (2.0 * TWO_PI)
-                  * speed[None, :])
+        smooth *= h
+        smooth += log_quadrature_matrix(n)
+        smooth /= 2.0 * TWO_PI
+        smooth *= speed[None, :]
+        self.V = smooth
 
-        # bordered first-kind Dirichlet system enforcing zero total density
-        B = np.zeros((n + 1, n + 1))
+        # bordered first-kind Dirichlet system enforcing zero total density,
+        # in Fortran order so that the LU factorisation overwrites it
+        B = np.zeros((n + 1, n + 1), order="F")
         B[:n, :n] = self.V
         B[:n, n] = 1.0
         B[n, :n] = w
-        self._lu_dirichlet = lu_factor(B)
+        self._lu_dirichlet = lu_factor(B, overwrite_a=True)
         # scipy.linalg.lu_solve corrupts the heap when threads solve
         # against one shared factor; the threaded sweep shares this object
         self._solve_lock = threading.Lock()

@@ -4,9 +4,105 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vortexbody as vb
+from vortexbody.geometry import _segments_cross
+from vortexbody.lab import CANONICAL_SHAPES
 
 # Oracle: perimeter of the (2,1) ellipse, 4*a*E(1 - b^2/a^2) via scipy.special.ellipe
 ELLIPSE_21_PERIMETER = 9.688448220547675
+
+
+def segments_cross_all_pairs(pts: np.ndarray) -> bool:
+    """Reference for ``_segments_cross``: the same proper-crossing test on
+    every non-adjacent pair of closed-polyline segments."""
+    n = len(pts)
+    b = np.roll(pts, -1, axis=0)
+    i_idx, j_idx = np.triu_indices(n, k=2)
+    keep = ~((i_idx == 0) & (j_idx == n - 1))
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    p = pts[i_idx]
+    r = b[i_idx] - pts[i_idx]
+    q = pts[j_idx]
+    v = b[j_idx] - pts[j_idx]
+    rxv = r[:, 0] * v[:, 1] - r[:, 1] * v[:, 0]
+    d = q - p
+    dxv = d[:, 0] * v[:, 1] - d[:, 1] * v[:, 0]
+    dxr = d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = dxv / rxv
+        u = dxr / rxv
+    ok = np.abs(rxv) > 1e-14
+    eps = 1e-12
+    hit = ok & (t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps)
+    return bool(np.any(hit))
+
+
+def random_polyline(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "generic":
+        return rng.random((n, 2))
+    if kind == "star":     # simple unless the one jittered angle crosses
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        theta[rng.integers(n)] += rng.normal(0.0, 0.3)
+        radius = 1.0 + rng.uniform(-0.9, 0.9) * rng.random(n)
+        return np.column_stack([radius * np.cos(theta),
+                                radius * np.sin(theta)])
+    if kind == "lattice":  # collinear, touching and repeated points
+        return np.round(rng.random((n, 2)) * 4.0) / 4.0
+    if kind == "non-finite":  # an overflowing shape meshes to such points
+        pts = rng.random((n, 2))
+        start, run = rng.integers(n), rng.integers(1, 4)
+        pts[start:start + run, rng.integers(2)] = rng.choice(
+            [np.inf, -np.inf, np.nan])
+        return pts
+    # two long, nearly collinear segments end to end, on a closed loop
+    angle, tilt = rng.uniform(0.0, np.pi), 10.0 ** rng.uniform(-14, -13.5)
+    along = np.array([np.cos(angle), np.sin(angle)])
+    p0 = rng.random(2)
+    p1 = p0 + rng.uniform(0.3, 1.0) * along
+    gap = 10.0 ** rng.uniform(-8, -2)
+    # the lines meet between 1 and 1.5 gaps before q0, on segment 0
+    q0 = (p1 + gap * along
+          + rng.uniform(1.0, 1.5) * gap * tilt * vb.perp(along))
+    q1 = q0 + rng.uniform(0.3, 1.0) * np.array([np.cos(angle + tilt),
+                                                 np.sin(angle + tilt)])
+    return np.array([p0, p1, q0, q1, q1 + 3.0 * vb.perp(along),
+                     p0 + 3.0 * vb.perp(along)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["generic", "star", "lattice", "near-collinear",
+                             "non-finite"]),
+       n=st.integers(4, 80), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_crossing_test_matches_all_pairs(kind, n, seed):
+    pts = random_polyline(kind, n, np.random.default_rng(seed))
+    with np.errstate(invalid="ignore"):   # inf - inf on non-finite points
+        assert _segments_cross(pts) == segments_cross_all_pairs(pts)
+
+
+def test_flagged_pair_with_disjoint_extents_is_kept():
+    # segments 0 and 2 are collinear to 1e-14; rounding puts their computed
+    # crossing inside both, though their extents lie 8.6e-4 apart, far
+    # beyond any pad proportional to the curve's size alone
+    pts = np.array([[0.3623664729670736, 0.9263583613581154],
+                    [0.11859958913079735, 1.861490968120949],
+                    [0.11837614935804122, 1.8623481223572573],
+                    [-0.12861505138081655, 2.8098497754101426],
+                    [-3.03160387373754, 2.0531094650843866],
+                    [-2.54062234938965, 0.1696180510323595]])
+    lo0, hi0 = np.minimum(pts[0], pts[1]), np.maximum(pts[0], pts[1])
+    lo2, hi2 = np.minimum(pts[2], pts[3]), np.maximum(pts[2], pts[3])
+    assert np.maximum(lo2 - hi0, lo0 - hi2).max() > 8e-4
+    assert segments_cross_all_pairs(pts)
+    assert _segments_cross(pts)
+
+
+@pytest.mark.parametrize("panels", [8, 16, 64, 512, 2048])
+@pytest.mark.parametrize("shape", [shape for _, shape in CANONICAL_SHAPES],
+                         ids=[label for label, _ in CANONICAL_SHAPES])
+def test_canonical_shapes_do_not_self_intersect(shape, panels):
+    mesh = vb.build_mesh(shape, panels)
+    assert not _segments_cross(mesh.x)
+    if panels <= 512:
+        assert not segments_cross_all_pairs(mesh.x)
 
 
 def test_disk_mesh_nodes_and_frames():

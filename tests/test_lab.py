@@ -417,6 +417,33 @@ def test_determinism_byte_identical(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_csv_lines_match_csv_writer(tmp_path):
+    header = ["index", "a", "b", "c", "d", "e"]
+    rows = [(0, 1.5, -0.0, np.inf, -np.inf, np.nan),
+            (7, np.float64(1.0) / 3.0, 1e-300, 5e-324, -1e300, 2)]
+    lab._write_csv(tmp_path / "fast.csv", header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{float(v):.17g}" for v in row])
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+def test_energy_drift_from_zero_energy_is_absolute(tmp_path):
+    # a blob-free body at rest starts at E0 = 0 and drifts by roundoff
+    path = write_config(tmp_path, **{"alpha = 2.0": "alpha = 22",
+                                     "eps = 0.2 0.1": "eps = 0.2",
+                                     "patch = 1.0 1.4 1.0\n": "",
+                                     "ell0 = 0.5 0.0": "ell0 = 0.0 0.0"})
+    records, report = run(parse_config(path), out_dir=tmp_path / "out")
+    assert records[0].energy[0] == 0.0
+    drift = report.rows[0]["energy_drift"]
+    assert np.isfinite(drift) and drift < 1e-12
+    assert drift == np.abs(records[0].energy).max()
+
+
 def test_trivial_config_reports_zero(tmp_path):
     # no vorticity, no circulation, body at rest: nothing may move
     text = BASE.replace("gamma = 6.283185307179586", "gamma = 0.0")
@@ -663,6 +690,20 @@ def test_unrunnable_state_fails_closed(tmp_path, capfd, caplog, old, new,
     assert main(["simulate-coupled", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 1
     assert message in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_overflowing_gyroscopic_scale_fails_closed(tmp_path, capfd, caplog):
+    # eps ** alpha is finite, eps ** (alpha - 1) of the normal form is not
+    path = write_config(tmp_path, "[shape]\npreset = ellipse\na = 2.0\n"
+                        "b = 1.0\npanels = 64\n[body]\nalpha = -8\n"
+                        "gamma = 1\nell0 = 0.5 0\n[sweep]\n"
+                        "eps = 1.1754943508222875e-38\n[time]\nt = 0.01\n"
+                        "dt = 0.001\n")
+    assert main(["converge", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "overflows" in errors[0].getMessage()
     assert "Traceback" not in capfd.readouterr().err
 
 

@@ -310,6 +310,46 @@ def test_boundary_operator_shared(disk_set):
     assert np.abs(sol.boundary_values - 0.5 * np.cos(2 * th)).max() < 1e-10
 
 
+def reference_operators(mesh):
+    """A and V of ``BoundaryOperators`` as plain whole-array expressions,
+    with the log rule gathered by a modular index."""
+    n, x, nv, speed = mesh.n, mesh.x, mesh.normal, mesh.speed
+    h = 2 * np.pi / n
+    d1 = x[:, None, 0] - x[None, :, 0]
+    d2 = x[:, None, 1] - x[None, :, 1]
+    r2 = d1 ** 2 + d2 ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = (nv[:, None, 0] * d1 + nv[:, None, 1] * d2) / r2
+    np.fill_diagonal(kern, -(nv * mesh.xpp).sum(axis=1) / (2.0 * speed ** 2))
+    A = -0.5 * np.eye(n) + (h / (2 * np.pi)) * kern * speed[None, :]
+
+    lam = np.zeros(n)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    lam[k != 0] = -2 * np.pi / np.abs(k[k != 0])
+    col = np.fft.ifft(lam).real
+    log_rule = col[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    ds = mesh.s[:, None] - mesh.s[None, :]
+    sin2 = 4.0 * np.sin(0.5 * ds) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smooth = np.log(r2 / sin2)
+    np.fill_diagonal(smooth, 2.0 * np.log(speed))
+    V = (log_rule + h * smooth) / (2.0 * (2 * np.pi)) * speed[None, :]
+    return A, V
+
+
+@pytest.mark.parametrize("panels", [64, 512])
+@pytest.mark.parametrize("shape", [disk(), ellipse(2.0, 1.0),
+                                   perturbed_disk({2: 0.20, 3: 0.18},
+                                                  {2: 0.12, 3: 0.07})],
+                         ids=["disk", "ellipse", "perturbed-disk"])
+def test_operators_built_in_place_match_reference(shape, panels):
+    mesh = build_mesh(shape, panels)
+    ops = BoundaryOperators(mesh)
+    A, V = reference_operators(mesh)
+    assert np.array_equal(ops.A, A)
+    assert np.array_equal(ops.V, V)
+
+
 def test_shared_solves_are_thread_safe():
     # the threaded sweep solves against one BoundaryOperators from every
     # worker; an unguarded shared LU factor corrupted the heap and aborted
