@@ -46,7 +46,6 @@ from .biotsavart import (  # noqa: F401
 from .limit_system import (  # noqa: F401
     VortexCollisionError,
     VortexWaveState,
-    support_annulus,
     vw_step,
 )
 from .coupled_system import (  # noqa: F401

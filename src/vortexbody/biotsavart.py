@@ -113,8 +113,13 @@ class BlobField:
     def with_positions(self, x: np.ndarray) -> "BlobField":
         return replace(self, x=np.asarray(x, dtype=float))
 
-    def distances_to(self, point) -> np.ndarray:
-        return np.hypot(*(self.x - np.asarray(point, float)).T)
+    def support_annulus(self, center) -> tuple[float, float]:
+        """Closest and farthest blob distance from ``center``; (inf, 0)
+        when there are no blobs."""
+        if self.n == 0:
+            return (np.inf, 0.0)
+        d = np.hypot(*(self.x - np.asarray(center, float)).T)
+        return (float(d.min()), float(d.max()))
 
 
 def _kernel_in_place(rho: np.ndarray, delta: float) -> np.ndarray:

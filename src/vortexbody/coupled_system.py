@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (TWO_PI, Placement, perp, polygon_contains, rk4_step,
-                       rotation, squared_distances)
+from .geometry import (TWO_PI, Placement, perp, rk4_step, rotation,
+                       squared_distances)
 from .potential import MassData, ScaledPotentials, log_potential_sum
 from .biotsavart import (
     BlobField,
-    BodyCollisionError,
     HydrodynamicField,
     PAIR_ROWS,
     pair_stream_matrix,
@@ -39,40 +38,31 @@ class TimeStepError(RuntimeError):
 class VorticityPatch:
     """Annular patch of uniform vorticity, discretized on a fixed
     cell-centered lattice (deterministic: no randomness in the fill).
-
-    Each cell inside the annulus becomes one blob of strength
-    spacing^2 * vorticity at the cell center.
+    The lattice spacing and the blob core belong to the experiment, which
+    puts every patch on one lattice.
     """
 
     inner: float
     outer: float
     vorticity: float = 1.0
-    spacing: float = 0.05
-    delta: float | None = None    # default: one lattice cell
 
     def __post_init__(self):
         if not 0.0 <= self.inner < self.outer:
             raise ValueError("need 0 <= inner < outer")
-        if not 0.0 < self.spacing < np.inf:
-            raise ValueError("spacing must be positive and finite")
         if not np.isfinite(self.vorticity):
             raise ValueError("vorticity must be finite")
-        if self.delta is not None and not 0.0 < self.delta < np.inf:
-            raise ValueError("delta must be positive and finite")
 
-    def discretize(self, frame: str = "body") -> BlobField:
-        s = self.spacing
-        k = int(np.ceil(self.outer / s)) + 1
+    def discretize(self, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+        """Blob positions (n, 2) and strengths (n,): each lattice cell
+        whose center lies in the annulus becomes one blob of strength
+        spacing^2 * vorticity at that center."""
+        k = int(np.ceil(self.outer / spacing)) + 1
         idx = np.arange(-k, k) + 0.5
-        X, Y = np.meshgrid(idx * s, idx * s)
+        X, Y = np.meshgrid(idx * spacing, idx * spacing)
         pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
         rad = np.hypot(pts[:, 0], pts[:, 1])
-        keep = (self.inner <= rad) & (rad <= self.outer)
-        pts = pts[keep]
-        gam = np.full(len(pts), s * s * self.vorticity)
-        return BlobField(x=pts, gamma=gam,
-                         delta=s if self.delta is None else self.delta,
-                         frame=frame)
+        pts = pts[(self.inner <= rad) & (rad <= self.outer)]
+        return pts, np.full(len(pts), spacing * spacing * self.vorticity)
 
 
 @dataclass(frozen=True)
@@ -115,36 +105,26 @@ class CoupledState:
         rho = squared_distances(self.field.x, self.eps * self.scaled.base.mesh.x)
         return float(np.sqrt(rho.min()))
 
-    def support_radii(self) -> tuple[float, float]:
-        if self.field.n == 0:
-            return (np.inf, 0.0)
-        rad = np.hypot(self.field.x[:, 0], self.field.x[:, 1])
-        return (float(rad.min()), float(rad.max()))
-
 
 def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
                  gamma: float, ell0=(0.0, 0.0), r0: float = 0.0,
-                 field: BlobField | None = None) -> CoupledState:
+                 field: BlobField) -> CoupledState:
     """Assemble an initial state: body at rest pose (h=0, theta=0), the
-    given body-frame blobs (none by default), body velocity (ell0, r0).
+    given body-frame blobs, body velocity (ell0, r0).
 
     The body circumradius must lie below half the closest blob distance,
     the inertia matrix must be finite and positive definite, and so must
     eps ** (alpha - 1), the scale of the normal form's gyroscopic term.
     """
-    field = field or BlobField.empty()
     if gamma == 0.0:
         log.warning("gamma = 0: runs are fine, zero-size limit claims are not")
 
     body_radius = scaled.eps * np.hypot(*scaled.base.mesh.x.T).max()
-    if field.n:
-        closest = field.distances_to([0.0, 0.0]).min()
-        if 2.0 * body_radius > closest:
-            raise ValueError(
-                f"body circumradius {body_radius:.3f} too large for vorticity "
-                f"support starting at {closest:.3f}")
-        if polygon_contains(scaled.eps * scaled.base.mesh.x, field.x).any():
-            raise BodyCollisionError("initial vorticity overlaps the body")
+    closest, _ = field.support_annulus((0.0, 0.0))
+    if 2.0 * body_radius > closest:
+        raise ValueError(
+            f"body circumradius {body_radius:.3f} too large for vorticity "
+            f"support starting at {closest:.3f}")
 
     state = CoupledState(alpha=float(alpha),
                          placement=Placement(h=np.zeros(2), theta=0.0),
@@ -168,23 +148,16 @@ def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
 # forces
 
 
-def _hydro(state: CoupledState,
-           hydro: HydrodynamicField | None) -> HydrodynamicField:
-    return HydrodynamicField(state.scaled, state.field) if hydro is None else hydro
-
-
-def force_B(state: CoupledState,
-            hydro: HydrodynamicField | None = None) -> np.ndarray:
+def force_B(state: CoupledState, hydro: HydrodynamicField) -> np.ndarray:
     """Vorticity force: blob sum of [v - ell - r x^perp]^perp . grad Phi_i.
 
     Evaluated adjointly: the potentials are single layers on shared
     nodes, so the blob sum collapses onto the transposed product with
-    the stage's blob x node geometry (``hydro``, built from the state
-    when not given) followed by a dot product with each charge vector.
+    the state's blob x node geometry ``hydro`` followed by a dot product
+    with each charge vector.
     """
     if state.field.n == 0:
         return np.zeros(3)
-    hydro = _hydro(state, hydro)
     v = hydro.blob_velocity(state.gamma, state.ell, state.r)
     u_perp = perp(v - state.ell - state.r * perp(state.field.x))
     lobe = hydro.gradient_adjoint(state.field.gamma[:, None] * u_perp)
@@ -194,7 +167,7 @@ def force_B(state: CoupledState,
                      state.eps * (phi[2].charges @ lobe)])
 
 
-def force_C(state: CoupledState, hydro: HydrodynamicField | None = None):
+def force_C(state: CoupledState, hydro: HydrodynamicField):
     """Boundary force terms (C_a, C_b, C_c), each a 3-vector.
 
     C_c vanishes identically (an exact property of the harmonic field);
@@ -206,7 +179,7 @@ def force_C(state: CoupledState, hydro: HydrodynamicField | None = None):
     K = np.stack([mesh.neumann_data(1), mesh.neumann_data(2),
                   state.eps * mesh.neumann_data(3)])
 
-    vt = _hydro(state, hydro).tilde_boundary_trace(state.ell, state.r)
+    vt = hydro.tilde_boundary_trace(state.ell, state.r)
     rigid = state.ell + state.r * perp(state.eps * mesh.x)
     H = state.scaled.h_boundary_trace()
 
@@ -228,9 +201,8 @@ class ForceBreakdown:
 
 
 def accelerations(state: CoupledState,
-                  hydro: HydrodynamicField | None = None) -> ForceBreakdown:
+                  hydro: HydrodynamicField) -> ForceBreakdown:
     """Solve M (ell', r') = -B - C - (m r ell^perp, 0)."""
-    hydro = _hydro(state, hydro)
     B = force_B(state, hydro)
     C_a, C_b, C_c = force_C(state, hydro)
     cor = np.array([*(state.body_mass * state.r * perp(state.ell)), 0.0])
@@ -304,7 +276,9 @@ def total_energy(state: CoupledState) -> float:
     so one blob x node pass and one Dirichlet solve serve both.
     """
     p = state.p
-    quad = float(p @ state.inertia_matrix @ p)
+    # an overflow gives an infinite energy, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(p @ state.inertia_matrix @ p)
     f = state.field
     if f.n == 0:
         return 0.5 * quad

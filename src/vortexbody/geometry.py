@@ -18,7 +18,7 @@ time integrator (coupled and vortex-wave) goes through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -313,11 +313,7 @@ def build_mesh(shape: ShapeSpec, n_panels: int) -> BoundaryMesh:
                         normal=normal, w=w, speed=speed,
                         xpp=np.column_stack([zpp.real, zpp.imag]),
                         interior_point=np.zeros(2))
-    centroid = geometric_moments(mesh).centroid
-    return BoundaryMesh(shape=shape, n=n_panels, s=s, x=x, tau=tau,
-                        normal=normal, w=w, speed=speed,
-                        xpp=np.column_stack([zpp.real, zpp.imag]),
-                        interior_point=centroid)
+    return replace(mesh, interior_point=geometric_moments(mesh).centroid)
 
 
 @dataclass(frozen=True)
@@ -362,8 +358,10 @@ def polygon_contains(vertices: np.ndarray, points) -> np.ndarray:
     """Even-odd containment test of points against a closed polygon.
 
     ``vertices`` is an (n, 2) array traversed once (closure implied).
-    Only ``init_coupled``'s input check calls it; boundary-grazing points
-    may land on either side, so callers must keep a positive margin anyway.
+    The library itself tests containment by a double-layer sum (see
+    ``HydrodynamicField``); this ray cast is the independent oracle the
+    tests compare against.  Boundary-grazing points may land on either
+    side, so callers must keep a positive margin anyway.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     v0 = vertices

@@ -38,12 +38,7 @@ from .coupled_system import (
     total_energy,
 )
 from .geometry import ShapeSpec, build_mesh, disk, ellipse, perturbed_disk
-from .limit_system import (
-    VortexCollisionError,
-    VortexWaveState,
-    support_annulus,
-    vw_step,
-)
+from .limit_system import VortexCollisionError, VortexWaveState, vw_step
 from .normal_form import (
     ModulationSeries,
     apply_lambda,
@@ -183,8 +178,11 @@ def _shape_from(sec) -> ShapeSpec:
             if m:
                 dest = cos_amps if m.group(1) == "cos" else sin_amps
                 dest[int(m.group(2))] = float(val)
-        return perturbed_disk(cos_amps, sin_amps,
-                              base=float(sec.get("radius", 1.0)))
+        # huge amplitudes overflow the recentring; ExperimentConfig
+        # rejects the non-finite coefficients that result
+        with np.errstate(all="ignore"):
+            return perturbed_disk(cos_amps, sin_amps,
+                                  base=float(sec.get("radius", 1.0)))
     raise ConfigError(f"unknown shape preset {preset!r} "
                       "(disk | ellipse | perturbed-disk)")
 
@@ -241,8 +239,7 @@ def parse_config(path) -> ExperimentConfig:
                 if len(vals) != 3:
                     raise ConfigError(
                         f"{key}: expected 'inner outer density', got {vort[key]!r}")
-                patches.append(VorticityPatch(vals[0], vals[1], vals[2],
-                                              spacing=spacing, delta=delta))
+                patches.append(VorticityPatch(*vals))
         ell0 = _floats(body.get("ell0", "0 0"), "ell0")
         if len(ell0) != 2:
             raise ConfigError("ell0 needs exactly two numbers")
@@ -272,21 +269,21 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"bad value in {path}: {exc}") from None
 
 
-def initial_field(config: ExperimentConfig, frame: str) -> BlobField | None:
-    """Discretize the configured patches into one blob field (or None).
+def initial_field(config: ExperimentConfig, frame: str) -> BlobField:
+    """The configured patches on the one lattice of ``config.spacing``, as
+    one blob field of core radius ``config.delta`` (one lattice cell when
+    unset); without patches, the empty field.
 
     The same call with frame='body' and frame='lab' yields identical
     arrays (the body starts at the lab origin with zero attitude), which
     is what makes index matching across the two systems exact.
     """
-    if not config.patches:
-        return None
-    parts = [p.discretize(frame) for p in config.patches]
-    if len(parts) == 1:
-        return parts[0]
-    return BlobField(x=np.vstack([f.x for f in parts]),
-                     gamma=np.concatenate([f.gamma for f in parts]),
-                     delta=parts[0].delta, frame=frame)
+    parts = [p.discretize(config.spacing) for p in config.patches]
+    return BlobField(
+        x=np.vstack([np.zeros((0, 2)), *(x for x, _ in parts)]),
+        gamma=np.concatenate([np.zeros(0), *(g for _, g in parts)]),
+        delta=config.spacing if config.delta is None else config.delta,
+        frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +416,7 @@ def run_coupled(config: ExperimentConfig, pset, mass, eps: float) -> RunRecord:
 
     def sample(s):
         return {"h": s.placement.h, "ell": s.ell, "energy": total_energy(s),
-                "support": s.support_radii(),
+                "support": s.field.support_annulus((0.0, 0.0)),
                 "blob_lab": s.placement.to_lab(s.field.x),
                 **sample_modulation(s)}
 
@@ -430,15 +427,15 @@ def run_coupled(config: ExperimentConfig, pset, mass, eps: float) -> RunRecord:
 
 def run_limit(config: ExperimentConfig) -> RunRecord:
     """Integrate the vortex-wave system once, same lattice and grid."""
-    field = initial_field(config, "lab") or BlobField.empty(frame="lab")
-    state = VortexWaveState(h=np.zeros(2), field=field, gamma=config.gamma)
+    state = VortexWaveState(h=np.zeros(2), field=initial_field(config, "lab"),
+                            gamma=config.gamma)
 
     def sample(s):
         impulse = s.gamma * s.h
         if s.field.n:
             impulse = impulse + s.field.gamma @ s.field.x
-        return {"h": s.h, "support": support_annulus(s), "impulse": impulse,
-                "blob_lab": s.field.x}
+        return {"h": s.h, "support": s.field.support_annulus(s.h),
+                "impulse": impulse, "blob_lab": s.field.x}
 
     return _integrate(config, None, state, vw_step, sample,
                       VortexCollisionError, lambda s, exc: "collision")

@@ -33,22 +33,13 @@ class VortexWaveState:
             raise ValueError("vortex-wave blobs live in the lab frame")
 
 
-def support_annulus(state: VortexWaveState) -> tuple[float, float]:
-    """Closest and farthest blob distance from the vortex; (inf, 0) when
-    there are no blobs."""
-    if state.field.n == 0:
-        return (np.inf, 0.0)
-    d = state.field.distances_to(state.h)
-    return (float(d.min()), float(d.max()))
-
-
 def vw_rhs(h, field: BlobField, gamma: float):
     """Velocities of the vortex at h and of every blob.
 
     The vortex sees only the blobs (no self term); the blobs see each
     other and the exact point-vortex kernel.
     """
-    rho_min = field.distances_to(h).min() if field.n else np.inf
+    rho_min, _ = field.support_annulus(h)
     if rho_min < 5.0 * field.delta:
         raise VortexCollisionError(
             f"blob within 5 core radii of the vortex (d={rho_min:.3e})")

@@ -192,7 +192,7 @@ def _weak_gyro(a: float, b: float, mass: MassData) -> np.ndarray:
 # closed-form force approximations (order-of-accuracy studies only)
 
 
-def expansion_B(state: CoupledState, mod: ModulationData | None = None) -> np.ndarray:
+def expansion_B(state: CoupledState, mod: ModulationData) -> np.ndarray:
     """Leading behavior of the vorticity force at small body size.
 
     Every coefficient carries its size scaling already (mass entries,
@@ -200,8 +200,6 @@ def expansion_B(state: CoupledState, mod: ModulationData | None = None) -> np.nd
     components 1, 2 are accurate to O(eps^2) and component 3 to
     O(eps^3).
     """
-    if mod is None:
-        mod = modulation(state)
     sc = state.scaled
     m = sc.mass
     S = sc.area
@@ -229,11 +227,9 @@ def expansion_B(state: CoupledState, mod: ModulationData | None = None) -> np.nd
 
 
 def expansion_C(state: CoupledState,
-                mod: ModulationData | None = None) -> tuple[np.ndarray, np.ndarray]:
+                mod: ModulationData) -> tuple[np.ndarray, np.ndarray]:
     """Leading behavior of the two boundary forces (quadratic part,
     circulation part); same accuracy pattern as expansion_B."""
-    if mod is None:
-        mod = modulation(state)
     sc = state.scaled
     m = sc.mass
     S = sc.area
@@ -278,7 +274,7 @@ def expansion_C(state: CoupledState,
 
 
 def boundary_approximation_defect(state: CoupledState,
-                                  mod: ModulationData | None = None) -> float:
+                                  mod: ModulationData) -> float:
     """Boundary L2 gap between the drift-strain-potential surrogate of
     the circulation-free trace and the exact one.
 
@@ -286,8 +282,6 @@ def boundary_approximation_defect(state: CoupledState,
     strain) and carries the induced potentials; the spin potential is
     shared by both sides.  Decays like eps^(5/2).
     """
-    if mod is None:
-        mod = modulation(state)
     sc = state.scaled
     mesh = sc.base.mesh
     nodes = state.eps * mesh.x

@@ -9,8 +9,9 @@ objects instead of re-running the experiments.
 import numpy as np
 import pytest
 
-from vortexbody.biotsavart import BlobField
-from vortexbody.coupled_system import coupled_step, force_B, force_C, init_coupled
+from vortexbody.biotsavart import BlobField, HydrodynamicField
+from vortexbody.coupled_system import (VorticityPatch, coupled_step, force_B,
+                                       force_C, init_coupled)
 from vortexbody.geometry import build_mesh, perturbed_disk
 from vortexbody.normal_form import (
     ModulationSeries,
@@ -29,6 +30,12 @@ SWEEP_EPS = (0.2, 0.1, 0.05, 0.025)
 def gradient_matrix(sample) -> np.ndarray:
     """The traceless symmetric matrix [[-a, b], [b, a]] of a GradientSample."""
     return np.array([[-sample.a, sample.b], [sample.b, sample.a]])
+
+
+def patch_field(inner, outer, spacing, vorticity=1.0) -> BlobField:
+    """One annular patch on a lattice of ``spacing``, blob core one cell."""
+    x, gamma = VorticityPatch(inner, outer, vorticity).discretize(spacing)
+    return BlobField(x=x, gamma=gamma, delta=spacing)
 
 
 def total_force(breakdown) -> np.ndarray:
@@ -87,8 +94,9 @@ def frozen_sweep(asym_setup, random_blobs):
         st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
                           ell0=FROZEN_ELL, r0=FROZEN_R, field=random_blobs)
         mod = modulation(st)
-        B = force_B(st)
-        C_a, C_b, C_c = force_C(st)
+        hydro = HydrodynamicField(sp, st.field)
+        B = force_B(st, hydro)
+        C_a, C_b, C_c = force_C(st, hydro)
         eB = expansion_B(st, mod)
         eCa, eCb = expansion_C(st, mod)
         errs["B12"].append(float(np.hypot(*(B - eB)[:2])))

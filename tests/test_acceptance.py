@@ -20,13 +20,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import sampled_run
-from vortexbody.coupled_system import (
-    VorticityPatch,
-    coupled_step,
-    init_coupled,
-    total_energy,
-)
+from conftest import patch_field, sampled_run
+from vortexbody.coupled_system import coupled_step, init_coupled, total_energy
 from vortexbody.geometry import build_mesh, disk, ellipse
 from vortexbody.lab import check, parse_config, run
 from vortexbody.normal_form import apply_lambda, rotated_mass_identity_check
@@ -38,7 +33,7 @@ from vortexbody.potential import (
 )
 
 TWO_PI = 2.0 * np.pi
-ANNULUS = VorticityPatch(1.0, 1.8, 1.0, spacing=0.15)
+ANNULUS = patch_field(1.0, 1.8, 0.15)
 
 
 # -- criterion 1 ------------------------------------------------------------
@@ -92,7 +87,7 @@ def conservation():
     def drift(dt):
         st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0,
                           gamma=TWO_PI, ell0=(0.1, 0.0), r0=0.0,
-                          field=ANNULUS.discretize())
+                          field=ANNULUS)
         e0 = total_energy(st)
         strengths = st.field.gamma.copy()
         worst_e, worst_g, worst_b = 0.0, 0.0, 0.0
@@ -110,7 +105,7 @@ def conservation():
     pdisk = build_potential_set(build_mesh(disk(), 256))
     st = init_coupled(ScaledPotentials(pdisk, 0.1), build_mass_data(pdisk),
                       alpha=2.0, gamma=TWO_PI, ell0=(0.1, 0.0), r0=0.5,
-                      field=ANNULUS.discretize())
+                      field=ANNULUS)
     spin = 0.0
     for _ in range(250):
         st = coupled_step(st, 0.004)

@@ -68,8 +68,8 @@ def test_one_blob_node_pass_per_stage():
     state = coupled_system.init_coupled(
         potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
         alpha=2.0, gamma=1.0,
-        field=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1)
-        .discretize())
+        field=biotsavart.BlobField(
+            *coupled_system.VorticityPatch(0.5, 0.8).discretize(0.1), 0.1))
     assert state.field.n != pset.mesh.n
     tracer = tracer_module.Tracer()
     with tracer.installed():
@@ -101,8 +101,8 @@ def test_energy_is_one_blob_node_pass():
     state = coupled_system.init_coupled(
         potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
         alpha=2.0, gamma=1.0,
-        field=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1)
-        .discretize())
+        field=biotsavart.BlobField(
+            *coupled_system.VorticityPatch(0.5, 0.8).discretize(0.1), 0.1))
     assert state.field.n
     tracer = tracer_module.Tracer()
     with tracer.installed():
@@ -126,8 +126,8 @@ def test_energy_takes_e1_from_the_table(monkeypatch):
     state = coupled_system.init_coupled(
         potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
         alpha=2.0, gamma=1.0,
-        field=coupled_system.VorticityPatch(1.0, 1.8, spacing=0.15)
-        .discretize())
+        field=biotsavart.BlobField(
+            *coupled_system.VorticityPatch(1.0, 1.8).discretize(0.15), 0.15))
     assert state.field.n == 308
     coupled_system.total_energy(state)
     assert sum(passed) == 0
@@ -140,11 +140,12 @@ def test_steppers_share_rk4(monkeypatch):
     coupled = coupled_system.init_coupled(
         potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
         alpha=2.0, gamma=1.0,
-        field=coupled_system.VorticityPatch(0.5, 0.8, spacing=0.1)
-        .discretize())
+        field=biotsavart.BlobField(
+            *coupled_system.VorticityPatch(0.5, 0.8).discretize(0.1), 0.1))
     limit = limit_system.VortexWaveState(
-        h=(0.0, 0.0), gamma=1.0, field=coupled_system.VorticityPatch(
-            1.0, 1.3, spacing=0.1).discretize(frame="lab"))
+        h=(0.0, 0.0), gamma=1.0, field=biotsavart.BlobField(
+            *coupled_system.VorticityPatch(1.0, 1.3).discretize(0.1), 0.1,
+            frame="lab"))
     calls = []
 
     def counted(*args):

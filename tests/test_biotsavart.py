@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import exp1
 
-from conftest import gradient_matrix
+from conftest import gradient_matrix, patch_field
 from vortexbody import biotsavart
 from vortexbody.biotsavart import (
     PAIR_ROWS,
@@ -21,7 +21,6 @@ from vortexbody.biotsavart import (
     velocity_free_space,
     velocity_gradient,
 )
-from vortexbody.coupled_system import VorticityPatch
 from vortexbody.geometry import (build_mesh, disk, perp, polygon_contains,
                                  rotation, squared_distances)
 from vortexbody.lab import CANONICAL_SHAPES
@@ -131,7 +130,7 @@ def test_kernel_equivariance(cx, cy, angle):
 def test_blob_blob_kernels_hold_few_pair_arrays(kernel):
     # the blob-blob kernels build their (n, n) arrays in place, so the
     # peak stays within four such arrays (1092 blobs: 9.5 MB each)
-    f = VorticityPatch(1.0, 1.8, spacing=0.08).discretize()
+    f = patch_field(1.0, 1.8, 0.08)
     kernel(f)   # warm up lazily imported code paths
     tracemalloc.start()
     try:

@@ -4,6 +4,7 @@ exit codes, and the aggregated identity report."""
 import csv
 import json
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,8 +84,8 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.alpha == 2.0 and cfg.m1 == 1.0 and cfg.J1 == 1.0
     assert cfg.gamma == pytest.approx(2 * np.pi)
     assert cfg.ell0 == (0.5, 0.0) and cfg.r0 == 0.0
-    assert cfg.patches == (VorticityPatch(1.0, 1.4, 1.0, spacing=0.35,
-                                          delta=0.15),)
+    assert cfg.patches == (VorticityPatch(1.0, 1.4, 1.0),)
+    assert cfg.spacing == 0.35 and cfg.delta == 0.15
     assert cfg.T == 0.02 and cfg.dt == 0.002 and cfg.steps == 10
     assert cfg.seed == 3 and cfg.rho == 4.0
 
@@ -133,7 +134,9 @@ def test_config_invariants(tmp_path):
     for field, value in (("eps", ()), ("eps", (0.1, 0.2)), ("eps", (0.1, 0.1)),
                          ("eps", (-0.1,)), ("m1", 0.0), ("J1", -1.0),
                          ("rho", 1.0), ("panels", 8), ("panels", 65),
-                         ("T", np.inf), ("dt", 0.0), ("delta", 0.0),
+                         ("T", np.inf), ("dt", 0.0), ("spacing", 0.0),
+                         ("spacing", -0.1), ("spacing", np.nan),
+                         ("spacing", np.inf), ("delta", 0.0),
                          ("delta", -0.15), ("delta", np.nan),
                          ("delta", np.inf), ("eps", (np.nan, 0.1)),
                          ("eps", (np.inf,)), ("seed", -1),
@@ -264,6 +267,32 @@ def test_initial_field_frames_agree(tmp_path):
     assert np.array_equal(body.x, lab.x)
     assert np.array_equal(body.gamma, lab.gamma)
     assert (body.gamma < 0).any() and (body.gamma > 0).any()
+
+
+def test_config_owns_the_lattice(tmp_path):
+    # spacing and delta live on the config alone, so a replaced value
+    # reaches the blob field
+    cfg = parse_config(write_config(tmp_path))
+    finer = parse_config(write_config(
+        tmp_path, **{"spacing = 0.35": "spacing = 0.1"}))
+    n = initial_field(replace(cfg, spacing=0.1), "lab").n
+    assert n == initial_field(finer, "lab").n > initial_field(cfg, "lab").n
+    assert initial_field(replace(cfg, delta=0.3), "body").delta == 0.3
+    assert initial_field(replace(cfg, delta=None), "body").delta == 0.35
+
+
+def test_patchless_config_converges(tmp_path):
+    # the empty field runs both systems; only the body and vortex move
+    path = write_config(tmp_path, **{"patch = 1.0 1.4 1.0\n": ""})
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["metadata"]["blobs"] == 0
+    assert report["limit"]["aborted"] is None
+    for row in report["rows"]:
+        assert row["aborted"] is None and row["sup_transport"] == 0.0
+        assert row["sup_h_distance"] > 0.0
+    assert (out / "limit-blobs.csv").read_text().count("\n") == 1
 
 
 # --------------------------------------------------------------------------
@@ -691,6 +720,20 @@ def test_unrunnable_state_fails_closed(tmp_path, capfd, caplog, old, new,
                  "--out", str(tmp_path / "out")]) == 1
     assert message in caplog.text
     assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    BASE.replace("ell0 = 0.5 0.0", "ell0 = 1e300 0"),
+    "[shape]\npreset = perturbed-disk\ncos_2 = 1e308\ncos_3 = 1e308\n"
+    "sin_2 = 1e308\n[sweep]\neps = 0.1\n"],
+    ids=["infinite-energy", "overflowing-shape"])
+def test_fail_closed_run_prints_no_warning(tmp_path, text):
+    # the one logged error is all a rejected run prints
+    path = write_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["converge", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
 
 
 def test_overflowing_gyroscopic_scale_fails_closed(tmp_path, capfd, caplog):

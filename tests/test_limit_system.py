@@ -8,7 +8,6 @@ from vortexbody.biotsavart import BlobField, velocity_free_space
 from vortexbody.limit_system import (
     VortexCollisionError,
     VortexWaveState,
-    support_annulus,
     vw_rhs,
     vw_step,
 )
@@ -80,7 +79,7 @@ def test_pair_surrogate_period():
     annuli = []
     for _ in range(n):
         st = vw_step(st, period / n)
-        annuli.append(support_annulus(st))
+        annuli.append(st.field.support_annulus(st.h))
     assert np.abs(st.h - st0.h).max() < 1e-3 * d
     assert np.abs(st.field.x - st0.field.x).max() < 1e-3 * d
     annuli = np.array(annuli)
@@ -88,20 +87,17 @@ def test_pair_surrogate_period():
 
 
 def test_support_annulus_cases():
-    st = VortexWaveState(h=[0.0, 0.0], field=lab_blobs([[1.0, 0.0]], [1.0]),
-                         gamma=1.0)
-    assert support_annulus(st) == (1.0, 1.0)
+    one = lab_blobs([[1.0, 0.0]], [1.0])
+    assert one.support_annulus((0.0, 0.0)) == (1.0, 1.0)
 
     th = np.linspace(0, 2 * np.pi, 8, endpoint=False)
     ring = lab_blobs(np.stack([2 * np.cos(th), 2 * np.sin(th)], -1),
                      np.ones(8))
-    st = VortexWaveState(h=[0.0, 0.0], field=ring, gamma=1.0)
-    lo, hi = support_annulus(st)
+    lo, hi = ring.support_annulus((0.0, 0.0))
     assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
 
-    empty = VortexWaveState(h=[0.0, 0.0], field=BlobField.empty(frame="lab"),
-                            gamma=1.0)
-    assert support_annulus(empty) == (np.inf, 0.0)
+    empty = BlobField.empty(frame="lab")
+    assert empty.support_annulus((0.0, 0.0)) == (np.inf, 0.0)
 
 
 def test_circulations_and_centroid_conserved():

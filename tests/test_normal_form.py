@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, sampled_run
-from vortexbody.biotsavart import BlobField, velocity_free_space
+from vortexbody.biotsavart import (BlobField, HydrodynamicField,
+                                   velocity_free_space)
 from vortexbody.coupled_system import (
     force_B,
     force_C,
@@ -61,7 +62,7 @@ def test_trivial_modulation(asym_setup):
     pset, md = asym_setup
     sp = ScaledPotentials(pset, 0.1)
     st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
-                      ell0=(0.3, -0.2), r0=0.7)
+                      ell0=(0.3, -0.2), r0=0.7, field=BlobField.empty())
     mod = modulation(st)
     assert mod.clean
     assert mod.a == 0.0 and mod.b == 0.0
@@ -212,7 +213,7 @@ def test_disk_degeneracies(disk_setup):
 def test_weakly_gyroscopic_G_disk_vanishes(disk_setup):
     sp, md = disk_setup
     st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA, ell0=(0.5, 0.1),
-                      r0=0.4)
+                      r0=0.4, field=BlobField.empty())
     G = weakly_gyroscopic_G(modulation(st), md)
     assert np.abs(G).max() < 1e-15
 
@@ -278,18 +279,20 @@ def test_empty_field_expansions(asym_setup):
 
     # no vorticity: the source integral and its expansion both vanish
     st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
-                      ell0=FROZEN_ELL, r0=FROZEN_R)
+                      ell0=FROZEN_ELL, r0=FROZEN_R, field=BlobField.empty())
     mod = modulation(st)
-    assert np.abs(force_B(st)).max() == 0.0
+    hydro = HydrodynamicField(sp, st.field)
+    assert np.abs(force_B(st, hydro)).max() == 0.0
     assert np.abs(expansion_B(st, mod)).max() == 0.0
 
     # circulation term: for potential flow the retained terms are exact
-    _, C_b, _ = force_C(st)
+    _, C_b, _ = force_C(st, hydro)
     _, eCb = expansion_C(st, mod)
     assert np.abs(C_b - eCb).max() < 1e-12
 
     # and with the body at rest every term carries a zero factor
-    rest = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA)
+    rest = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
+                        field=BlobField.empty())
     _, eCb0 = expansion_C(rest, modulation(rest))
     assert np.abs(eCb0).max() == 0.0
 
@@ -306,7 +309,8 @@ def _short_run(pset, md, blobs, eps, dt, steps):
 def _resting(asym_setup, samples):
     """A body at rest with no vorticity, sampled ``samples`` times."""
     pset, md = asym_setup
-    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0)
+    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0,
+                      field=BlobField.empty())
     row = sample_modulation(st)
     return ModulationSeries.from_columns(
         {key: [value] * samples for key, value in row.items()}, st)
@@ -402,7 +406,5 @@ def test_modulation_rate_monitor_bounded(reference_run):
 
 
 def test_defect_is_an_l2_norm(asym_state):
-    value = boundary_approximation_defect(asym_state)
-    assert value > 0
-    assert value == boundary_approximation_defect(asym_state,
-                                                  modulation(asym_state))
+    assert boundary_approximation_defect(asym_state,
+                                         modulation(asym_state)) > 0
