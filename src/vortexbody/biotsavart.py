@@ -97,10 +97,6 @@ class BlobField:
         if not 0.0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
 
-    @classmethod
-    def empty(cls, delta: float = 0.1, frame: str = "body") -> "BlobField":
-        return cls(x=np.zeros((0, 2)), gamma=np.zeros(0), delta=delta, frame=frame)
-
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -152,21 +148,26 @@ def velocity_free_space(field: BlobField, points) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     columns = field.gamma[:, None] * np.column_stack([np.ones(field.n), field.x])
+    # every block is a contiguous view of one buffer allocated per call
+    buf = np.empty(min(PAIR_ROWS, len(pts)) * field.n)
+
+    def block(rows, sources):
+        g = buf[:len(rows) * len(sources)].reshape(len(rows), len(sources))
+        return _kernel_in_place(squared_distances(rows, sources, g),
+                                field.delta)
+
     if np.array_equal(pts, field.x):
         moments = np.zeros((field.n, 3))
         for i0 in range(0, field.n, PAIR_ROWS):
             i1 = min(i0 + PAIR_ROWS, field.n)
-            g = _kernel_in_place(squared_distances(pts[i0:i1], pts[i0:]),
-                                 field.delta)
+            g = block(pts[i0:i1], pts[i0:])
             moments[i0:i1] += g @ columns[i0:]
             moments[i1:] += g[:, i1 - i0:].T @ columns[i0:i1]
     else:
         moments = np.empty((len(pts), 3))
         for i0 in range(0, len(pts), PAIR_ROWS):
             rows = slice(i0, i0 + PAIR_ROWS)
-            g = _kernel_in_place(squared_distances(pts[rows], field.x),
-                                 field.delta)
-            np.matmul(g, columns, out=moments[rows])
+            np.matmul(block(pts[rows], field.x), columns, out=moments[rows])
     return perp(pts * moments[:, :1] - moments[:, 1:]) / TWO_PI
 
 
@@ -214,6 +215,24 @@ def velocity_gradient(field: BlobField, point) -> GradientSample:
 # exterior hydrodynamic field and the body-frame velocity at the blobs
 
 
+class StageScratch:
+    """The four (blobs, nodes) float arrays a HydrodynamicField build
+    writes: the offsets kx and ky, r^2 (then the core factor) and one
+    product temporary.  A coupled run owns one, so its RK stages reuse
+    the same memory instead of mapping it afresh; the arrays of one build
+    are valid until the next build on the same scratch.  The buffers grow
+    to the largest build seen, and a smaller one takes their leading
+    elements."""
+
+    def __init__(self):
+        self._buffers = tuple(np.empty(0) for _ in range(4))
+
+    def arrays(self, m: int, n: int) -> list[np.ndarray]:
+        if self._buffers[0].size < m * n:
+            self._buffers = tuple(np.empty(m * n) for _ in range(4))
+        return [b[:m * n].reshape(m, n) for b in self._buffers]
+
+
 class HydrodynamicField:
     """The zero-flux, zero-circulation velocity induced by a blob field
     outside the body, and everything a coupled stage reads from the same
@@ -233,9 +252,14 @@ class HydrodynamicField:
     the body (a double-layer winding sum; BodyCollisionError otherwise).
     The Neumann kernel is scale-invariant, so the correction is solved on
     the unit mesh.
+
+    The build writes its (blobs, nodes) arrays into ``scratch`` (a new
+    StageScratch when None), which must not be built on again while this
+    field is in use.
     """
 
-    def __init__(self, scaled: ScaledPotentials, field: BlobField):
+    def __init__(self, scaled: ScaledPotentials, field: BlobField,
+                 scratch: StageScratch | None = None):
         base = scaled.base
         mesh = base.mesh
         eps = scaled.eps
@@ -245,13 +269,15 @@ class HydrodynamicField:
         # freed before the node geometry exists
         self._free = velocity_free_space(field, field.x)
 
-        # the (blobs, nodes) geometry, updated in place so that the build
-        # never holds more than four such arrays at a time
+        # the (blobs, nodes) geometry: four arrays owned by the run's
+        # scratch, valid until the next stage, written in place
+        scratch = StageScratch() if scratch is None else scratch
+        kx, ky, r2, tmp = scratch.arrays(field.n, mesh.n)
         unit = field.x / eps
-        kx = np.subtract.outer(unit[:, 0], mesh.x[:, 0])
-        ky = np.subtract.outer(unit[:, 1], mesh.x[:, 1])
-        r2 = kx * kx
-        r2 += ky * ky
+        np.subtract.outer(unit[:, 0], mesh.x[:, 0], out=kx)
+        np.subtract.outer(unit[:, 1], mesh.x[:, 1], out=ky)
+        np.multiply(kx, kx, out=r2)
+        r2 += np.multiply(ky, ky, out=tmp)
         self.clearance = eps * float(np.sqrt(r2.min())) if field.n else np.inf
         kx /= r2
         ky /= r2
@@ -268,11 +294,17 @@ class HydrodynamicField:
 
         # free-space blob velocity at the scaled nodes eps*y: the node
         # minus blob offset is -eps*d, so u = (G/2pi) @ (core (ky, -kx)) / eps
+        # with core = 1 - exp(-u), u = r^2 (eps/delta)^2.  From u = 40 on,
+        # -expm1(-u) rounds to exactly 1, so expm1 runs on the near pairs
+        # only
         core = np.multiply(r2, -(eps / field.delta) ** 2, out=r2)
-        np.expm1(core, out=core)
-        np.negative(core, out=core)
+        near = core > -40.0
+        tail = np.expm1(core[near])
+        core.fill(1.0)
+        core[near] = np.negative(tail, out=tail)
         g = field.gamma / TWO_PI
-        u_free = np.column_stack([g @ (core * ky), -(g @ (core * kx))]) / eps
+        u_free = np.column_stack([g @ np.multiply(core, ky, out=tmp),
+                                  -(g @ np.multiply(core, kx, out=tmp))]) / eps
 
         g_n = -(u_free * mesh.normal).sum(axis=1)
         # project out the tiny incompatible part (blob-core tails inside

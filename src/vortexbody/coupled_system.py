@@ -12,6 +12,7 @@ term from the rotating frame.  The pressure itself is never formed.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,7 @@ from .biotsavart import (
     BlobField,
     HydrodynamicField,
     PAIR_ROWS,
+    StageScratch,
     pair_stream_matrix,
 )
 
@@ -76,6 +78,11 @@ class CoupledState:
     scaled: ScaledPotentials
     mass: MassData
     t: float = 0.0
+    # the stage arrays of the run this state belongs to; replace() carries
+    # it along, so every RK stage of the run builds into the same memory,
+    # and two states of one run must not be stepped concurrently
+    scratch: StageScratch = dataclasses.field(default_factory=StageScratch,
+                                              compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ell", np.asarray(self.ell, dtype=float).reshape(2))
@@ -119,7 +126,7 @@ def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
     if gamma == 0.0:
         log.warning("gamma = 0: runs are fine, zero-size limit claims are not")
 
-    body_radius = scaled.eps * np.hypot(*scaled.base.mesh.x.T).max()
+    body_radius = scaled.eps * scaled.base.mesh.circumradius
     closest, _ = field.support_annulus((0.0, 0.0))
     if 2.0 * body_radius > closest:
         raise ValueError(
@@ -175,9 +182,7 @@ def force_C(state: CoupledState, hydro: HydrodynamicField):
     """
     mesh = state.scaled.base.mesh
     w = state.eps * mesh.w
-    # normal data of the three rigid motions on the scaled body
-    K = np.stack([mesh.neumann_data(1), mesh.neumann_data(2),
-                  state.eps * mesh.neumann_data(3)])
+    K = state.scaled.rigid_normal_data
 
     vt = hydro.tilde_boundary_trace(state.ell, state.r)
     rigid = state.ell + state.r * perp(state.eps * mesh.x)
@@ -228,7 +233,7 @@ def _stage_rhs(state: CoupledState, dt: float, x, ell, r, theta, h):
             f"non-finite stage input in the step from t={state.t:.6g}")
     stage = replace(state, field=state.field.with_positions(x), ell=ell,
                     r=float(r))
-    hydro = HydrodynamicField(stage.scaled, stage.field)
+    hydro = HydrodynamicField(stage.scaled, stage.field, stage.scratch)
     x_dot = hydro.blob_velocity(stage.gamma, ell, r) - ell - r * perp(x)
     if state.field.n:
         vmax = float(np.hypot(x_dot[:, 0], x_dot[:, 1]).max())

@@ -24,6 +24,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# float64 entries per row chunk of squared_distances' second difference:
+# just under 128 KiB, below the allocator's default mmap threshold
+_CHUNK_FLOATS = (128 * 1024) // 8 - 1
+
 
 def perp(v):
     """Rotate by +90 degrees along the last axis: perp((v1, v2)) = (-v2, v1)."""
@@ -34,16 +38,25 @@ def perp(v):
     return out
 
 
-def squared_distances(points, sources) -> np.ndarray:
-    """|p_i - y_j|^2 for every point p_i and source y_j, shape (m, n), summed
-    in place from the two coordinate differences: never an (m, n, 2) stack."""
+def squared_distances(points, sources, out=None) -> np.ndarray:
+    """|p_i - y_j|^2 for every point p_i and source y_j, shape (m, n).
+
+    Written into ``out`` when given (a C-contiguous float (m, n) array,
+    e.g. a view of a caller's reused buffer), else into a new array.  The
+    first coordinate difference is squared in place; the second is built
+    in row chunks under 128 KiB and added, so a build holds one (m, n)
+    array, never two or an (m, n, 2) stack.  Every operation is
+    elementwise, so the chunking does not change a bit.
+    """
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     y = np.asarray(sources, dtype=float).reshape(-1, 2)
-    rho = np.subtract.outer(p[:, 0], y[:, 0])
+    rho = np.subtract.outer(p[:, 0], y[:, 0], out=out)
     rho *= rho
-    d2 = np.subtract.outer(p[:, 1], y[:, 1])
-    d2 *= d2
-    rho += d2
+    step = max(1, _CHUNK_FLOATS // max(len(y), 1))
+    for i0 in range(0, len(p), step):
+        d2 = np.subtract.outer(p[i0:i0 + step, 1], y[:, 1])
+        d2 *= d2
+        rho[i0:i0 + step] += d2
     return rho
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import circulant, lu_factor, lu_solve
@@ -516,6 +517,11 @@ def build_mass_data(pset: PotentialSet, m1: float = 1.0,
 # scaling laws
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ScaledPotentials:
     """Exact eps-scalings of a unit-shape potential set.
@@ -523,17 +529,37 @@ class ScaledPotentials:
     grad phi_i at scale eps is eps^0 (i = 1, 2) or eps^1 (i = 3, 4, 5)
     times the unit gradient at x/eps; H scales like 1/eps, its stream
     like eps^0; mass entries pick up eps^(2 + [i>=3] + [j>=3]).
+
+    The boundary data every coupled stage reads (the traces and the rigid
+    normal data) are computed once per scale and returned read-only.
     """
 
     base: PotentialSet
     eps: float
 
     def phi_boundary_trace(self, i: int) -> np.ndarray:
-        return ((self.eps if i >= 3 else 1.0)
-                * self.base.phi[i - 1].boundary_trace())
+        return self._phi_traces[i - 1]
 
     def h_boundary_trace(self) -> np.ndarray:
-        return self.base.H.boundary_trace() / self.eps
+        return self._h_trace
+
+    @cached_property
+    def rigid_normal_data(self) -> np.ndarray:
+        """K: the normal data (3, n) of the three rigid motions on the
+        scaled body, nodes aligned with the unit mesh."""
+        mesh = self.base.mesh
+        return _read_only(np.stack([mesh.neumann_data(1), mesh.neumann_data(2),
+                                    self.eps * mesh.neumann_data(3)]))
+
+    @cached_property
+    def _phi_traces(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only((self.eps if i >= 3 else 1.0)
+                                * phi.boundary_trace())
+                     for i, phi in enumerate(self.base.phi, start=1))
+
+    @cached_property
+    def _h_trace(self) -> np.ndarray:
+        return _read_only(self.base.H.boundary_trace() / self.eps)
 
     @property
     def mass(self) -> np.ndarray:

@@ -38,6 +38,12 @@ def patch_field(inner, outer, spacing, vorticity=1.0) -> BlobField:
     return BlobField(x=x, gamma=gamma, delta=spacing)
 
 
+def empty_field(frame="body") -> BlobField:
+    """A field with no blobs; its core radius is never read."""
+    return BlobField(x=np.zeros((0, 2)), gamma=np.zeros(0), delta=0.1,
+                     frame=frame)
+
+
 def total_force(breakdown) -> np.ndarray:
     """The right-hand side -(B + C + Coriolis) of a ForceBreakdown."""
     return -(breakdown.B + breakdown.C_a + breakdown.C_b + breakdown.C_c

@@ -17,12 +17,13 @@ from vortexbody.biotsavart import (
     BlobField,
     BodyCollisionError,
     HydrodynamicField,
+    StageScratch,
     pair_stream_matrix,
     velocity_free_space,
     velocity_gradient,
 )
-from vortexbody.geometry import (build_mesh, disk, perp, polygon_contains,
-                                 rotation, squared_distances)
+from vortexbody.geometry import (TWO_PI, build_mesh, disk, ellipse, perp,
+                                 polygon_contains, rotation, squared_distances)
 from vortexbody.lab import CANONICAL_SHAPES
 from vortexbody.limit_system import VortexWaveState, vw_step
 from vortexbody.potential import ScaledPotentials, build_potential_set, log_gradient_sum
@@ -188,8 +189,8 @@ def test_blob_blob_form_matches_one_product(n):
 def test_blob_blob_form_builds_each_pair_once(monkeypatch):
     built = []
 
-    def counting(points, sources):
-        rho = squared_distances(points, sources)
+    def counting(points, sources, *args):
+        rho = squared_distances(points, sources, *args)
         built.append(rho.size)
         return rho
 
@@ -354,6 +355,78 @@ def test_containment_beyond_one_panel(shape, panels):
         with pytest.raises(BodyCollisionError):
             HydrodynamicField(scaled, BlobField(x=[EPS * p], gamma=[1.0],
                                                 delta=1e-3))
+
+
+def ring(n, radius, delta, seed):
+    rng = np.random.default_rng(seed)
+    ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return BlobField(x=radius * np.column_stack([np.cos(ang), np.sin(ang)]),
+                     gamma=rng.normal(size=n), delta=delta)
+
+
+def test_stage_scratch_reuse_is_exact(disk_scaled):
+    # a build on a scratch last used by a larger field on another mesh
+    # reads only the leading elements, and gives the fresh build's bits
+    scratch = StageScratch()
+    HydrodynamicField(disk_scaled, ring(40, 1.2, 0.05, 0), scratch)
+    scaled = ScaledPotentials(build_potential_set(build_mesh(ellipse(2.0, 1.0),
+                                                             128)), 0.2)
+    field = ring(14, 0.9, 0.04, 1)
+    reused = HydrodynamicField(scaled, field, scratch)
+    fresh = HydrodynamicField(scaled, field)
+    assert np.shares_memory(reused._kx, scratch.arrays(1, 1)[0])
+    w = np.random.default_rng(2).normal(size=(field.n, 2))
+    ell = np.array([0.3, -0.2])
+    assert np.array_equal(reused.blob_velocity(1.5, ell, 0.7),
+                          fresh.blob_velocity(1.5, ell, 0.7))
+    assert np.array_equal(reused.gradient_adjoint(w), fresh.gradient_adjoint(w))
+    assert reused.clearance == fresh.clearance
+    assert reused.flux_defect == fresh.flux_defect
+    assert np.array_equal(reused.charges, fresh.charges)
+
+
+def test_core_factor_is_one_from_forty():
+    u = np.linspace(40.0, 1e3, 100_001)
+    assert (-np.expm1(-u) == 1.0).all()
+
+
+def test_node_velocity_matches_all_pairs_core(disk_scaled):
+    # blobs off the boundary where u = r^2 (eps/delta)^2 at their nearest
+    # node is 40 -+ 1e-9, or well inside or outside the cut: the near-pair
+    # core gives the bits of expm1 on every pair, seen through the flux
+    # defect, the correction's charges and the boundary tangent trace
+    base = disk_scaled.base
+    mesh, eps, delta = base.mesh, disk_scaled.eps, 0.02 * disk_scaled.eps
+    k = np.arange(0, mesh.n, 16)
+    u_near = np.resize([40.0 - 1e-9, 40.0 + 1e-9, 4.0, 30.0, 39.9, 41.0],
+                       len(k))
+    off = np.sqrt(u_near) * delta / eps
+    field = BlobField(x=eps * (mesh.x[k] - off[:, None] * mesh.normal[k]),
+                      gamma=np.linspace(-1.0, 2.0, len(k)), delta=delta)
+    hydro = HydrodynamicField(disk_scaled, field)
+
+    unit = field.x / eps
+    kx = np.subtract.outer(unit[:, 0], mesh.x[:, 0])
+    ky = np.subtract.outer(unit[:, 1], mesh.x[:, 1])
+    r2 = kx * kx + ky * ky
+    kx /= r2
+    ky /= r2
+    u = r2.min(axis=1) * (eps / delta) ** 2
+    assert ((40.0 - 2e-9 < u) & (u < 40.0)).sum() == 3
+    assert ((40.0 <= u) & (u < 40.0 + 2e-9)).sum() == 3
+    core = -np.expm1(r2 * -(eps / delta) ** 2)
+    g = field.gamma / TWO_PI
+    u_free = np.column_stack([g @ (core * ky), -(g @ (core * kx))]) / eps
+    g_n = -(u_free * mesh.normal).sum(axis=1)
+    w_eps = eps * mesh.w
+    flux_defect = float(np.sum(g_n * w_eps) / np.sum(w_eps))
+    sigma = base.ops.neumann_density(g_n - flux_defect, compat_tol=np.inf)
+    tangent = ((u_free * mesh.tau).sum(axis=1)
+               + base.ops.arc_derivative(base.ops.layer_values(sigma)))
+    assert hydro.flux_defect == flux_defect
+    assert np.array_equal(hydro.charges, sigma * mesh.w)
+    assert np.array_equal(hydro.tilde_boundary_trace([0.0, 0.0], 0.0),
+                          tangent[:, None] * mesh.tau)
 
 
 def test_body_frame_assembly(disk_scaled):

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from conftest import gradient_matrix, patch_field, total_force
+from conftest import empty_field, gradient_matrix, patch_field, total_force
 from vortexbody import coupled_system
 from vortexbody.biotsavart import (
     BlobField,
     HydrodynamicField,
+    StageScratch,
     velocity_free_space,
     velocity_gradient,
 )
@@ -83,14 +84,14 @@ def test_init_preconditions(disk_setup):
 def test_gamma_zero_warns(disk_setup, caplog):
     sp, md = disk_setup
     with caplog.at_level("WARNING", logger="vortexbody.coupled_system"):
-        init_coupled(sp, md, alpha=ALPHA, gamma=0.0, field=BlobField.empty())
+        init_coupled(sp, md, alpha=ALPHA, gamma=0.0, field=empty_field())
     assert any("gamma" in rec.message for rec in caplog.records)
 
 
 def test_empty_field_energy_is_quadratic(disk_setup):
     sp, md = disk_setup
     st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.4, field=BlobField.empty())
+                      r0=0.4, field=empty_field())
     p = st.p
     assert abs(total_energy(st) - 0.5 * p @ st.inertia_matrix @ p) < 1e-14
 
@@ -262,7 +263,7 @@ def test_energy_matches_disk_images(disk_setup):
 
 def test_forces_vanish_at_rest(disk_setup):
     sp, md = disk_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=3.0, field=BlobField.empty())
+    st = init_coupled(sp, md, alpha=ALPHA, gamma=3.0, field=empty_field())
     hydro = HydrodynamicField(sp, st.field)
     assert np.array_equal(force_B(st, hydro), np.zeros(3))
     C_a, C_b, C_c = force_C(st, hydro)
@@ -276,7 +277,7 @@ def test_disk_lift_is_minus_gamma_ell_perp(disk_setup):
     sp, md = disk_setup
     gamma, ell = 3.0, np.array([0.4, -0.2])
     st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma, ell0=ell,
-                      field=BlobField.empty())
+                      field=empty_field())
     C_a, C_b, C_c = force_C(st, HydrodynamicField(sp, st.field))
     assert np.abs(C_a).max() < 1e-12
     assert np.abs(C_b[:2] - gamma * perp(-ell)).max() < 1e-12
@@ -288,7 +289,7 @@ def test_ellipse_spin_couple_is_zero_without_flow(ellipse_setup):
     # C_c vanishes identically whatever the shape or motion
     sp, md = ellipse_setup
     st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(0.3, 0.7),
-                      r0=0.9, field=BlobField.empty())
+                      r0=0.9, field=empty_field())
     _, _, C_c = force_C(st, HydrodynamicField(sp, st.field))
     assert np.abs(C_c).max() < 1e-8
 
@@ -334,7 +335,7 @@ def test_disk_orbit_matches_reduced_ode(disk_setup):
     gamma = 2 * np.pi
     M = EPS**ALPHA * md.m1 + EPS**2 * np.pi
     st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma, ell0=(1.0, 0.0),
-                      field=BlobField.empty())
+                      field=empty_field())
 
     fb = accelerations(st, HydrodynamicField(sp, st.field))
     assert np.abs(fb.accel - [0.0, gamma / M, 0.0]).max() < 1e-11
@@ -444,6 +445,32 @@ def test_step_guard_rejects_reckless_dt(ellipse_setup):
         coupled_step(st, 5.0)
     with pytest.raises(ValueError):
         coupled_step(st, 0.0)
+
+
+def test_step_stages_share_the_run_scratch(ellipse_setup, monkeypatch):
+    # the four RK stages of a step build their (blobs, nodes) arrays into
+    # the one scratch the run's states carry, and the step's bits do not
+    # depend on the scratch's history
+    sp, md = ellipse_setup
+    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
+                      r0=0.5, field=patch_field(1.0, 1.4, 0.2))
+    taken = []
+    arrays = StageScratch.arrays
+
+    def recording(self, m, n):
+        out = arrays(self, m, n)
+        taken.append((self, out))
+        return out
+
+    monkeypatch.setattr(StageScratch, "arrays", recording)
+    nxt = coupled_step(st, 0.002)
+    assert len(taken) == 4 and nxt.scratch is st.scratch
+    assert all(scratch is st.scratch for scratch, _ in taken)
+    for _, out in taken[1:]:
+        assert all(np.shares_memory(a, b) for a, b in zip(taken[0][1], out))
+    fresh = coupled_step(replace(st, scratch=StageScratch()), 0.002)
+    assert np.array_equal(fresh.field.x, nxt.field.x)
+    assert np.array_equal([*fresh.ell, fresh.r], [*nxt.ell, nxt.r])
 
 
 def test_dt_guard_checks_every_stage(ellipse_setup, monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vortexbody as vb
-from vortexbody.geometry import _segments_cross
+from vortexbody.geometry import _segments_cross, squared_distances
 from vortexbody.lab import CANONICAL_SHAPES
 
 # Oracle: perimeter of the (2,1) ellipse, 4*a*E(1 - b^2/a^2) via scipy.special.ellipe
@@ -213,6 +213,21 @@ def test_placement_roundtrip(theta, hx, hy):
     # inverse map: y -> (y - h) R
     np.testing.assert_allclose((pl.to_lab(pts) - pl.h) @ R, pts, atol=1e-12)
     np.testing.assert_allclose((pts @ R) @ R.T, pts, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(0, 5), (1, 1), (200, 300), (3, 20000)])
+def test_squared_distances_chunks_are_exact(m, n):
+    # the row-chunked build, into a new array or a view of a larger
+    # buffer, has the bits of the direct two-difference formula
+    rng = np.random.default_rng(n)
+    p, y = rng.normal(size=(m, 2)), rng.normal(size=(n, 2))
+    want = ((p[:, None, 0] - y[None, :, 0]) ** 2
+            + (p[:, None, 1] - y[None, :, 1]) ** 2)
+    assert np.array_equal(squared_distances(p, y), want)
+    buf = np.full(m * n + 7, np.nan)
+    out = buf[:m * n].reshape(m, n)
+    assert squared_distances(p, y, out) is out
+    assert np.array_equal(out, want) and np.isnan(buf[m * n:]).all()
 
 
 def test_perp_and_rotation():

@@ -437,13 +437,20 @@ def test_summary_content(tiny_run):
 
 
 def test_determinism_byte_identical(tmp_path):
-    cfg = parse_config(write_config(tmp_path))
-    run(cfg, out_dir=tmp_path / "a", threads=2)
-    run(cfg, out_dir=tmp_path / "b", threads=1)
-    for name in ("coupled-eps0.2-trajectory.csv", "coupled-eps0.1-blobs.csv",
-                 "limit-trajectory.csv", "report.json"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes(), name
+    # each coupled run steps through its own stage scratch, so pools of
+    # one, two and three workers write the same bytes
+    cfg = parse_config(write_config(tmp_path,
+                                    **{"eps = 0.2 0.1": "eps = 0.2 0.1 0.05"}))
+    for threads in (1, 2, 3):
+        run(cfg, out_dir=tmp_path / str(threads), threads=threads)
+    # summary.json holds wall times; every other artifact is compared
+    names = sorted(p.name for p in (tmp_path / "1").iterdir()
+                   if p.name != "summary.json")
+    assert "coupled-eps0.05-blobs.csv" in names and "report.json" in names
+    for threads in (2, 3):
+        for name in names:
+            assert (tmp_path / str(threads) / name).read_bytes() == \
+                (tmp_path / "1" / name).read_bytes(), (threads, name)
 
 
 def test_csv_lines_match_csv_writer(tmp_path):

@@ -4,6 +4,7 @@ invariants of the exact system."""
 import numpy as np
 import pytest
 
+from conftest import empty_field
 from vortexbody.biotsavart import BlobField, velocity_free_space
 from vortexbody.limit_system import (
     VortexCollisionError,
@@ -26,7 +27,7 @@ def weighted_centroid(state: VortexWaveState) -> np.ndarray:
 
 
 def test_empty_vorticity_keeps_vortex_static():
-    st = VortexWaveState(h=[0.4, -0.2], field=BlobField.empty(frame="lab"),
+    st = VortexWaveState(h=[0.4, -0.2], field=empty_field(frame="lab"),
                          gamma=3.0)
     h_dot, blob_dot = vw_rhs(st.h, st.field, st.gamma)
     assert np.array_equal(h_dot, [0.0, 0.0])
@@ -96,7 +97,7 @@ def test_support_annulus_cases():
     lo, hi = ring.support_annulus((0.0, 0.0))
     assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
 
-    empty = BlobField.empty(frame="lab")
+    empty = empty_field(frame="lab")
     assert empty.support_annulus((0.0, 0.0)) == (np.inf, 0.0)
 
 

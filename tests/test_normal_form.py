@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, sampled_run
+from conftest import FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, empty_field, sampled_run
 from vortexbody.biotsavart import (BlobField, HydrodynamicField,
                                    velocity_free_space)
 from vortexbody.coupled_system import (
@@ -62,7 +62,7 @@ def test_trivial_modulation(asym_setup):
     pset, md = asym_setup
     sp = ScaledPotentials(pset, 0.1)
     st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
-                      ell0=(0.3, -0.2), r0=0.7, field=BlobField.empty())
+                      ell0=(0.3, -0.2), r0=0.7, field=empty_field())
     mod = modulation(st)
     assert mod.clean
     assert mod.a == 0.0 and mod.b == 0.0
@@ -213,7 +213,7 @@ def test_disk_degeneracies(disk_setup):
 def test_weakly_gyroscopic_G_disk_vanishes(disk_setup):
     sp, md = disk_setup
     st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA, ell0=(0.5, 0.1),
-                      r0=0.4, field=BlobField.empty())
+                      r0=0.4, field=empty_field())
     G = weakly_gyroscopic_G(modulation(st), md)
     assert np.abs(G).max() < 1e-15
 
@@ -279,7 +279,7 @@ def test_empty_field_expansions(asym_setup):
 
     # no vorticity: the source integral and its expansion both vanish
     st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
-                      ell0=FROZEN_ELL, r0=FROZEN_R, field=BlobField.empty())
+                      ell0=FROZEN_ELL, r0=FROZEN_R, field=empty_field())
     mod = modulation(st)
     hydro = HydrodynamicField(sp, st.field)
     assert np.abs(force_B(st, hydro)).max() == 0.0
@@ -292,7 +292,7 @@ def test_empty_field_expansions(asym_setup):
 
     # and with the body at rest every term carries a zero factor
     rest = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
-                        field=BlobField.empty())
+                        field=empty_field())
     _, eCb0 = expansion_C(rest, modulation(rest))
     assert np.abs(eCb0).max() == 0.0
 
@@ -310,7 +310,7 @@ def _resting(asym_setup, samples):
     """A body at rest with no vorticity, sampled ``samples`` times."""
     pset, md = asym_setup
     st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0,
-                      field=BlobField.empty())
+                      field=empty_field())
     row = sample_modulation(st)
     return ModulationSeries.from_columns(
         {key: [value] * samples for key, value in row.items()}, st)
