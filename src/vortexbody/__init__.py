@@ -50,7 +50,6 @@ from .limit_system import (  # noqa: F401
 )
 from .coupled_system import (  # noqa: F401
     CoupledState,
-    ForceBreakdown,
     TimeStepError,
     VorticityPatch,
     accelerations,

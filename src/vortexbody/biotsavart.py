@@ -171,24 +171,15 @@ def velocity_free_space(field: BlobField, points) -> np.ndarray:
     return perp(pts * moments[:, :1] - moments[:, 1:]) / TWO_PI
 
 
-@dataclass(frozen=True)
-class GradientSample:
-    """The traceless symmetric velocity gradient at a point, packed as the
-    two scalars (a, b) of [[-a, b], [b, a]].  ``clean`` is False when a
-    blob core sits within five radii, where the harmonic structure the
-    modulation terms rely on breaks down."""
-
-    a: float
-    b: float
-    clean: bool = True
-
-
-def velocity_gradient(field: BlobField, point) -> GradientSample:
-    """Symmetric part of the blob-sum Jacobian at one point.
+def velocity_gradient(field: BlobField, point) -> tuple[float, float, bool]:
+    """Symmetric part of the blob-sum Jacobian at one point, as
+    ``(a, b, clean)``: the gradient is [[-a, b], [b, a]], and ``clean``
+    is False when a blob core sits within five radii, where the harmonic
+    structure the modulation terms rely on breaks down.
 
     For a divergence-free sum the diagonal is traceless exactly; the
     off-diagonal is symmetrized, discarding the local vorticity of any
-    nearby cores (the clean flag reports whether any are near).
+    nearby cores.
     """
     pts = np.asarray(point, dtype=float).reshape(-1, 2)
     if pts.shape[0] != 1:
@@ -208,7 +199,7 @@ def velocity_gradient(field: BlobField, point) -> GradientSample:
     a = float(np.sum(field.gamma / np.pi * d[:, 0] * d[:, 1] * gp))
     b = float(np.sum(field.gamma / TWO_PI * (d[:, 0] ** 2 - d[:, 1] ** 2) * gp))
     clean = bool(np.all(rho > (5.0 * field.delta) ** 2))
-    return GradientSample(a, b, clean)
+    return a, b, clean
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +270,10 @@ class HydrodynamicField:
         np.multiply(kx, kx, out=r2)
         r2 += np.multiply(ky, ky, out=tmp)
         self.clearance = eps * float(np.sqrt(r2.min())) if field.n else np.inf
-        kx /= r2
-        ky /= r2
+        # a blob on a node leaves 0/0 here; the winding sum rejects the NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kx /= r2
+            ky /= r2
         self._kx, self._ky = kx, ky
         # sum_k w_k n_k . d/r^2 is Gauss's double-layer integral (n into the
         # solid): 2 pi for a blob inside the body, 0 outside, NaN on a node.
@@ -315,8 +308,7 @@ class HydrodynamicField:
                                          compat_tol=np.inf)
         self.charges = sigma * mesh.w
         self._boundary_tangent = ((u_free * mesh.tau).sum(axis=1)
-                                  + base.ops.arc_derivative(
-                                      base.ops.layer_values(sigma)))
+                                  + base.ops.arc_derivative(base.ops.V @ sigma))
 
         # every layer gradient at the blobs from one GEMM; the columns are
         # the correction, phi_1, phi_2, eps phi_3 (its scaling law) and H
@@ -342,11 +334,9 @@ class HydrodynamicField:
     def tilde_boundary_trace(self, ell, r: float) -> np.ndarray:
         """Boundary trace of v minus its circulation carrier gamma H: the
         correction's tangent trace plus the rigid-motion potentials."""
-        s = self.scaled
-        return (self._boundary_tangent[:, None] * s.base.mesh.tau
-                + ell[0] * s.phi_boundary_trace(1)
-                + ell[1] * s.phi_boundary_trace(2)
-                + r * s.phi_boundary_trace(3))
+        traces = self.scaled.phi_traces
+        return (self._boundary_tangent[:, None] * self.scaled.base.mesh.tau
+                + ell[0] * traces[0] + ell[1] * traces[1] + r * traces[2])
 
 
 # ---------------------------------------------------------------------------

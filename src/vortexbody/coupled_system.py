@@ -186,7 +186,7 @@ def force_C(state: CoupledState, hydro: HydrodynamicField):
 
     vt = hydro.tilde_boundary_trace(state.ell, state.r)
     rigid = state.ell + state.r * perp(state.eps * mesh.x)
-    H = state.scaled.h_boundary_trace()
+    H = state.scaled.h_trace
 
     quad = lambda f: K @ (f * w)
     C_a = quad(0.5 * (vt ** 2).sum(1)) - quad((rigid * vt).sum(1))
@@ -195,26 +195,15 @@ def force_C(state: CoupledState, hydro: HydrodynamicField):
     return C_a, C_b, C_c
 
 
-@dataclass(frozen=True)
-class ForceBreakdown:
-    B: np.ndarray
-    C_a: np.ndarray
-    C_b: np.ndarray
-    C_c: np.ndarray
-    coriolis: np.ndarray
-    accel: np.ndarray        # (ell', r')
-
-
 def accelerations(state: CoupledState,
-                  hydro: HydrodynamicField) -> ForceBreakdown:
-    """Solve M (ell', r') = -B - C - (m r ell^perp, 0)."""
+                  hydro: HydrodynamicField) -> np.ndarray:
+    """The body accelerations (ell', r') as a (3,) array, from
+    M (ell', r') = -B - C - (m r ell^perp, 0)."""
     B = force_B(state, hydro)
     C_a, C_b, C_c = force_C(state, hydro)
     cor = np.array([*(state.body_mass * state.r * perp(state.ell)), 0.0])
     rhs = -(B + C_a + C_b + C_c + cor)
-    accel = np.linalg.solve(state.inertia_matrix, rhs)
-    return ForceBreakdown(B=B, C_a=C_a, C_b=C_b, C_c=C_c, coriolis=cor,
-                          accel=accel)
+    return np.linalg.solve(state.inertia_matrix, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +230,7 @@ def _stage_rhs(state: CoupledState, dt: float, x, ell, r, theta, h):
             raise TimeStepError(
                 f"dt {dt:.3e} x speed {vmax:.3f} exceeds a fifth of the "
                 f"clearance {hydro.clearance:.3f}")
-    accel = accelerations(stage, hydro).accel
+    accel = accelerations(stage, hydro)
     return x_dot, accel[:2], accel[2], float(r), rotation(theta) @ ell
 
 

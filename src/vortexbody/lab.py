@@ -491,11 +491,11 @@ def _coupled_diagnostics(rec: RunRecord, dt: float) -> dict:
            "residual_dt_converged": None, "monitor_fitted_C": None}
     if rec.modulated is None or len(rec.t) < 5:
         return out
-    series = normal_form_residual(rec.modulated, dt)
+    res = normal_form_residual(rec.modulated, dt)
     _, _, monitor = modulation_rate_monitor(rec.modulated, dt)
-    out.update(residual_fitted_C=series.fitted_constant,
-               residual_max_norm=float(series.norms().max()),
-               residual_dt_converged=series.dt_converged,
+    out.update(residual_fitted_C=res.fitted_constant,
+               residual_max_norm=float(np.linalg.norm(res.implied, axis=1).max()),
+               residual_dt_converged=res.dt_converged,
                monitor_fitted_C=float(monitor))
     return out
 
@@ -582,38 +582,34 @@ def assemble_report(config: ExperimentConfig, coupled: Sequence[RunRecord],
 # artifacts
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """One line per row tuple, every number as %.17g (round-trips)."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+def _write_csv(path: Path, header: str, columns) -> None:
+    """The header line, then one line per row of the columns, every
+    number as %.17g (round-trips); an (m, k) column fills k columns."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
+# each trajectory file's header line and the RunRecord series that fill
+# it, in file order
+_TRAJECTORY = {
+    "coupled": ("t,h1,h2,theta,ell1,ell2,r,energy,gamma,beta,"
+                "support_min,support_max",
+                ("t", "h", "theta", "ell", "r", "energy", "gamma", "beta",
+                 "support")),
+    "limit": ("t,h1,h2,impulse1,impulse2,support_min,support_max",
+              ("t", "h", "impulse", "support")),
+}
 
 
 def write_trajectory(path: Path, rec: RunRecord) -> None:
-    if rec.kind == "coupled":
-        header = ["t", "h1", "h2", "theta", "ell1", "ell2", "r", "energy",
-                  "gamma", "beta", "support_min", "support_max"]
-        rows = ((rec.t[k], rec.h[k, 0], rec.h[k, 1], rec.theta[k],
-                 rec.ell[k, 0], rec.ell[k, 1], rec.r[k], rec.energy[k],
-                 rec.gamma[k], rec.beta[k], rec.support[k, 0],
-                 rec.support[k, 1])
-                for k in range(len(rec.t)))
-    else:
-        header = ["t", "h1", "h2", "impulse1", "impulse2",
-                  "support_min", "support_max"]
-        rows = ((rec.t[k], rec.h[k, 0], rec.h[k, 1], rec.impulse[k, 0],
-                 rec.impulse[k, 1], rec.support[k, 0], rec.support[k, 1])
-                for k in range(len(rec.t)))
-    _write_csv(path, header, rows)
+    header, series = _TRAJECTORY[rec.kind]
+    _write_csv(path, header, [getattr(rec, name) for name in series])
 
 
 def write_blobs(path: Path, rec: RunRecord) -> None:
-    header = ["index", "gamma", "x1_start", "x2_start", "x1_end", "x2_end"]
-    n = rec.blob_gamma.size
-    rows = ((j, rec.blob_gamma[j], rec.blob_lab[0, j, 0], rec.blob_lab[0, j, 1],
-             rec.blob_lab[-1, j, 0], rec.blob_lab[-1, j, 1]) for j in range(n))
-    _write_csv(path, header, rows)
+    _write_csv(path, "index,gamma,x1_start,x2_start,x1_end,x2_end",
+               [np.arange(rec.blob_gamma.size), rec.blob_gamma,
+                rec.blob_lab[0], rec.blob_lab[-1]])
 
 
 def _write_json(path: Path, payload) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .biotsavart import HydrodynamicField, velocity_free_space, velocity_gradient
 from .coupled_system import CoupledState
-from .geometry import perp
+from .geometry import perp, rotation
 from .potential import MassData
 
 __all__ = [
@@ -55,8 +55,7 @@ class ModulationData:
     origin_velocity: np.ndarray     # ambient velocity at the body origin
     a: float                        # strain scalars: gradient [[-a, b], [b, a]]
     b: float
-    ell_modulated: np.ndarray
-    p_modulated: np.ndarray         # (ell_modulated, eps r)
+    p_modulated: np.ndarray         # (ell - drift - eps strain(xi), eps r)
     clean: bool                     # False when a blob core crowds the origin
 
     def strain(self, v) -> np.ndarray:
@@ -73,14 +72,11 @@ def _strain(a: float, b: float, v) -> np.ndarray:
 def modulation(state: CoupledState) -> ModulationData:
     """Sample the blob field at the body origin and modulate (ell, r)."""
     drift = velocity_free_space(state.field, np.zeros((1, 2)))[0]
-    gs = velocity_gradient(state.field, np.zeros(2))
-    a, b, clean = gs.a, gs.b, gs.clean
-
+    a, b, clean = velocity_gradient(state.field, np.zeros(2))
     eps = state.eps
-    xi = state.mass.xi
-    ell_mod = state.ell - drift - eps * _strain(a, b, xi)
+    ell_mod = state.ell - drift - eps * _strain(a, b, state.mass.xi)
     return ModulationData(
-        origin_velocity=drift, a=a, b=b, ell_modulated=ell_mod,
+        origin_velocity=drift, a=a, b=b,
         p_modulated=np.array([*ell_mod, eps * state.r]), clean=clean)
 
 
@@ -181,11 +177,13 @@ def apply_lambda(mass: MassData, which: str, p, q=None) -> np.ndarray:
                   - _lambda_quadratic(mass, which, q))
 
 
-def _weak_gyro(a: float, b: float, mass: MassData) -> np.ndarray:
-    """Weakly gyroscopic vector (0, 0, xi . strain(xi) + a eta_1 - b eta_2)."""
+def _weak_gyro(a, b, mass: MassData) -> np.ndarray:
+    """Weakly gyroscopic vector (0, 0, xi . strain(xi) + a eta_1 - b eta_2)
+    for each strain pair: scalars give (3,), (m,) arrays give (m, 3)."""
     xi, eta = mass.xi, mass.eta
-    third = xi @ _strain(a, b, xi) + a * eta[0] - b * eta[1]
-    return np.array([0.0, 0.0, third])
+    dot = _strain(a, b, xi)[..., None, :] @ xi[:, None]  # single-call bits
+    third = dot[..., 0, 0] + a * eta[0] - b * eta[1]
+    return np.stack([np.zeros_like(third), np.zeros_like(third), third], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +284,12 @@ def boundary_approximation_defect(state: CoupledState,
     mesh = sc.base.mesh
     nodes = state.eps * mesh.x
     off = state.ell - mod.origin_velocity
+    traces = sc.phi_traces
 
     surrogate = (mod.origin_velocity + mod.strain(nodes)
-                 + off[0] * sc.phi_boundary_trace(1)
-                 + off[1] * sc.phi_boundary_trace(2)
-                 - mod.a * sc.phi_boundary_trace(4)
-                 - mod.b * sc.phi_boundary_trace(5)
-                 + state.r * sc.phi_boundary_trace(3))
+                 + off[0] * traces[0] + off[1] * traces[1]
+                 - mod.a * traces[3] - mod.b * traces[4]
+                 + state.r * traces[2])
     exact = HydrodynamicField(sc, state.field).tilde_boundary_trace(
         state.ell, state.r)
     gap = exact - surrogate
@@ -313,24 +310,37 @@ class ResidualSeries:
     fitted_constant: float       # max |implied| / (1 + |p| + eps |p|^2)
     dt_converged: bool | None = None  # None when the run is too short to tell
 
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.implied, axis=1)
+
+def _centered(values: np.ndarray, dt: float) -> np.ndarray:
+    """Centered difference along the first axis, at the interior samples."""
+    return (values[2:] - values[:-2]) / (2.0 * dt)
+
+
+def _inertia_terms(series: ModulationSeries):
+    """M = eps^alpha M_g + eps^2 M_a and, per sample, the quadratic terms
+    eps^(alpha-1) Lambda_g(p) + eps Lambda_a(p) of the modulated momentum."""
+    eps, alpha, mass = series.eps, series.alpha, series.mass
+    p = series.p_modulated
+    M = eps ** alpha * mass.genuine + eps ** 2 * mass.added_3x3
+    quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p)
+            + eps * apply_lambda(mass, "a", p))
+    return M, quad
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, bit for bit: one dot per row."""
+    return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
 
 
 def _residual_core(series: ModulationSeries, dt):
     eps, alpha, mass = series.eps, series.alpha, series.mass
     p = series.p_modulated
-    M = eps ** alpha * mass.genuine + eps ** 2 * mass.added_3x3
-    axis = gyro_axis(mass)
-    quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p)
-            + eps * apply_lambda(mass, "a", p))
-    out = np.empty((len(series) - 2, 3))
-    for k in range(1, len(series) - 1):
-        dp = (p[k + 1] - p[k - 1]) / (2.0 * dt)
-        gyro = series.gamma[k] * cross_product(p[k], axis)
-        weak = eps * series.gamma[k] * _weak_gyro(series.a[k], series.b[k],
-                                                  mass)
-        out[k - 1] = (M @ dp + quad[k] - gyro - weak) / eps ** min(alpha, 2.0)
+    M, quad = _inertia_terms(series)
+    gamma = series.gamma[1:-1, None]
+    gyro = gamma * cross_product(p[1:-1], gyro_axis(mass))
+    weak = eps * gamma * _weak_gyro(series.a[1:-1], series.b[1:-1], mass)
+    inertia = (M @ _centered(p, dt)[..., None])[..., 0]  # single-call bits
+    out = (inertia + quad[1:-1] - gyro - weak) / eps ** min(alpha, 2.0)
     sizes = np.linalg.norm(p[1:-1], axis=1)
     fitted = float((np.linalg.norm(out, axis=1)
                     / (1.0 + sizes + eps * sizes ** 2)).max())
@@ -368,44 +378,32 @@ def rotated_mass_identity_check(series: ModulationSeries, dt: float) -> float:
     """
     if len(series) < 3:
         raise ValueError("need at least three uniformly spaced samples")
-    eps, alpha, mass = series.eps, series.alpha, series.mass
-    Mg, Ma = mass.genuine, mass.added_3x3
-    M = eps ** alpha * Mg + eps ** 2 * Ma
-    p = series.p_modulated
+    eps, alpha, p = series.eps, series.alpha, series.p_modulated
+    Mg, Ma = series.mass.genuine, series.mass.added_3x3
+    M, quad = _inertia_terms(series)
+    # the attitude rotation of each sample, acting on (ell, r)
+    Q = np.tile(np.eye(3), (len(series), 1, 1))
+    Q[:, :2, :2] = np.moveaxis(rotation(series.theta), -1, 0)
 
-    def Q(theta):
-        c, s = np.cos(theta), np.sin(theta)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    rotated = np.array([
-        (eps ** alpha * Mg @ Q(theta) + eps ** 2 * Q(theta) @ Ma) @ pk
-        for theta, pk in zip(series.theta, p)])
-
-    quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p)
-            + eps * apply_lambda(mass, "a", p))
-    worst = 0.0
-    for k in range(1, len(series) - 1):
-        dp = (p[k + 1] - p[k - 1]) / (2.0 * dt)
-        lhs = (Q(series.theta[k]) @ (M @ dp + quad[k]))[:2]
-        rhs = ((rotated[k + 1] - rotated[k - 1]) / (2.0 * dt))[:2]
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    rotated = ((eps ** alpha * Mg @ Q + eps ** 2 * Q @ Ma)
+               @ p[..., None])[..., 0]
+    inertia = (M @ _centered(p, dt)[..., None])[..., 0]
+    lhs = (Q[1:-1] @ (inertia + quad[1:-1])[..., None])[:, :2, 0]
+    rhs = _centered(rotated, dt)[:, :2]
+    return float(np.abs(lhs - rhs).max())
 
 
 def modulation_rate_monitor(series: ModulationSeries, dt: float):
     """Centered-difference rate of the drift-plus-strain correction,
     with the spin rotation removed, fitted against 1 + |p_modulated|.
 
-    Returns (times, rates, fitted constant).  Bounded along healthy runs.
+    Returns (times, rates, fitted constant); the constant is 0.0 with
+    fewer than three samples.  Bounded along healthy runs.
     """
     vals = series.drift + series.eps * _strain(series.a, series.b,
                                                series.mass.xi)
-    rates = np.empty((len(series) - 2, 2))
-    fitted = 0.0
-    for k in range(1, len(series) - 1):
-        rate = ((vals[k + 1] - vals[k - 1]) / (2.0 * dt)
-                + series.r[k] * perp(series.drift[k]))
-        rates[k - 1] = rate
-        size = np.linalg.norm(series.p_modulated[k])
-        fitted = max(fitted, float(np.linalg.norm(rate) / (1.0 + size)))
+    rates = (_centered(vals, dt)
+             + series.r[1:-1, None] * perp(series.drift[1:-1]))
+    sizes = _row_norms(series.p_modulated[1:-1])
+    fitted = float((_row_norms(rates) / (1.0 + sizes)).max(initial=0.0))
     return series.t[1:-1], rates, fitted

@@ -181,12 +181,6 @@ class BoundaryOperators:
 
     # -- boundary traces ----------------------------------------------------
 
-    def layer_values(self, sigma: np.ndarray) -> np.ndarray:
-        return self.V @ sigma
-
-    def layer_normal_derivative(self, sigma: np.ndarray) -> np.ndarray:
-        return self.A @ sigma
-
     def arc_derivative(self, boundary_values: np.ndarray) -> np.ndarray:
         """Tangential (arc-length) derivative of on-curve values."""
         return spectral_derivative(boundary_values) / self.mesh.speed
@@ -234,7 +228,7 @@ def solve_exterior_neumann(mesh: BoundaryMesh, data, *,
     g = np.asarray(data, dtype=float)
     sigma = ops.neumann_density(g)
     return NeumannSolution(mesh=mesh, data=g, density=sigma,
-                           boundary_values=ops.layer_values(sigma), _ops=ops)
+                           boundary_values=ops.V @ sigma, _ops=ops)
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,7 @@ class HarmonicField:
         d = self.mesh.x - self.pole
         r2 = (d ** 2).sum(axis=1)
         base = (self.mesh.normal * d).sum(axis=1) / (TWO_PI * r2)
-        return base + self._ops.layer_normal_derivative(self.density)
+        return base + self._ops.A @ self.density
 
     def boundary_trace(self) -> np.ndarray:
         """On the boundary the stream vanishes, so the field is tangent:
@@ -496,13 +490,9 @@ class MassData:
         m = self.mass
         return np.array([m[0, 2], m[1, 2], 0.0])
 
-    @staticmethod
-    def scale_operator(eps: float) -> np.ndarray:
-        return np.diag([1.0, 1.0, eps])
-
     def total_mass(self, eps: float, alpha: float) -> np.ndarray:
         """eps^alpha I M_g I + eps^2 I M_a I with I = diag(1, 1, eps)."""
-        I = self.scale_operator(eps)
+        I = np.diag([1.0, 1.0, eps])
         return (eps ** alpha * I @ self.genuine @ I
                 + eps ** 2 * I @ self.added_3x3 @ I)
 
@@ -537,12 +527,6 @@ class ScaledPotentials:
     base: PotentialSet
     eps: float
 
-    def phi_boundary_trace(self, i: int) -> np.ndarray:
-        return self._phi_traces[i - 1]
-
-    def h_boundary_trace(self) -> np.ndarray:
-        return self._h_trace
-
     @cached_property
     def rigid_normal_data(self) -> np.ndarray:
         """K: the normal data (3, n) of the three rigid motions on the
@@ -552,13 +536,15 @@ class ScaledPotentials:
                                     self.eps * mesh.neumann_data(3)]))
 
     @cached_property
-    def _phi_traces(self) -> tuple[np.ndarray, ...]:
+    def phi_traces(self) -> tuple[np.ndarray, ...]:
+        """The five scaled potentials' boundary traces, indexed like base.phi."""
         return tuple(_read_only((self.eps if i >= 3 else 1.0)
                                 * phi.boundary_trace())
                      for i, phi in enumerate(self.base.phi, start=1))
 
     @cached_property
-    def _h_trace(self) -> np.ndarray:
+    def h_trace(self) -> np.ndarray:
+        """The boundary trace of the scaled harmonic field."""
         return _read_only(self.base.H.boundary_trace() / self.eps)
 
     @property

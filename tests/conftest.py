@@ -12,7 +12,7 @@ import pytest
 from vortexbody.biotsavart import BlobField, HydrodynamicField
 from vortexbody.coupled_system import (VorticityPatch, coupled_step, force_B,
                                        force_C, init_coupled)
-from vortexbody.geometry import build_mesh, perturbed_disk
+from vortexbody.geometry import build_mesh, perp, perturbed_disk
 from vortexbody.normal_form import (
     ModulationSeries,
     boundary_approximation_defect,
@@ -28,8 +28,10 @@ SWEEP_EPS = (0.2, 0.1, 0.05, 0.025)
 
 
 def gradient_matrix(sample) -> np.ndarray:
-    """The traceless symmetric matrix [[-a, b], [b, a]] of a GradientSample."""
-    return np.array([[-sample.a, sample.b], [sample.b, sample.a]])
+    """The traceless symmetric matrix [[-a, b], [b, a]] of a velocity_gradient
+    sample (a, b, clean)."""
+    a, b, _ = sample
+    return np.array([[-a, b], [b, a]])
 
 
 def patch_field(inner, outer, spacing, vorticity=1.0) -> BlobField:
@@ -44,10 +46,11 @@ def empty_field(frame="body") -> BlobField:
                      frame=frame)
 
 
-def total_force(breakdown) -> np.ndarray:
-    """The right-hand side -(B + C + Coriolis) of a ForceBreakdown."""
-    return -(breakdown.B + breakdown.C_a + breakdown.C_b + breakdown.C_c
-             + breakdown.coriolis)
+def total_force(state, hydro) -> np.ndarray:
+    """The right-hand side -(B + C + Coriolis) of the body equation."""
+    C_a, C_b, C_c = force_C(state, hydro)
+    coriolis = np.array([*(state.body_mass * state.r * perp(state.ell)), 0.0])
+    return -(force_B(state, hydro) + C_a + C_b + C_c + coriolis)
 
 # Frozen flow state for the expansion-order sweep.  The shape must be
 # genuinely asymmetric: central symmetry kills the odd shape moments

@@ -457,7 +457,10 @@ def test_csv_lines_match_csv_writer(tmp_path):
     header = ["index", "a", "b", "c", "d", "e"]
     rows = [(0, 1.5, -0.0, np.inf, -np.inf, np.nan),
             (7, np.float64(1.0) / 3.0, 1e-300, 5e-324, -1e300, 2)]
-    lab._write_csv(tmp_path / "fast.csv", header, rows)
+    # an index column, one (m, 2) column filling two, and two more
+    cols = [np.array([0, 7]), np.array([r[1:3] for r in rows]),
+            np.array([r[3] for r in rows]), np.array([r[4:] for r in rows])]
+    lab._write_csv(tmp_path / "fast.csv", ",".join(header), cols)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -465,6 +468,14 @@ def test_csv_lines_match_csv_writer(tmp_path):
             writer.writerow([f"{float(v):.17g}" for v in row])
     assert (tmp_path / "fast.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+    lines = (tmp_path / "fast.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "7"]
+
+    # a table with no rows writes its header line only
+    lab._write_csv(tmp_path / "empty.csv", ",".join(header),
+                   [np.zeros(0), np.zeros((0, 2)), np.zeros(0),
+                    np.zeros((0, 2))])
+    assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
 
 
 def test_energy_drift_from_zero_energy_is_absolute(tmp_path):

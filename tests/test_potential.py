@@ -200,8 +200,17 @@ def test_scaling_laws(bump_set):
                   - direct.H.velocity(pts)).max() < 1e-10
     assert np.abs(bump_set.H.stream(pts / eps)
                   - direct.H.stream(pts)).max() < 1e-10
-    assert np.abs(scaled.h_boundary_trace()
+    assert np.abs(scaled.h_trace
                   - direct.H.boundary_trace()).max() < 1e-10
+    # the cached traces, indexed from 0 like base.phi, and read-only
+    for i, factor in enumerate((1.0, 1.0, eps, eps, eps)):
+        assert np.array_equal(scaled.phi_traces[i],
+                              factor * bump_set.phi[i].boundary_trace())
+    assert len(scaled.phi_traces) == 5
+    assert np.array_equal(scaled.h_trace, bump_set.H.boundary_trace() / eps)
+    for trace in (*scaled.phi_traces, scaled.h_trace):
+        with pytest.raises(ValueError, match="read-only"):
+            trace[0, 0] = 0.0
     assert np.abs(direct.xi - eps * bump_set.xi).max() < 1e-10
     assert np.abs(direct.eta - eps ** 2 * bump_set.eta).max() < 1e-10
     assert abs(scaled.area - direct.moments.area) < 1e-12
