@@ -186,16 +186,19 @@ def velocity_gradient(field: BlobField, point) -> tuple[float, float, bool]:
         raise ValueError("one sample point at a time")
     d = pts[0] - field.x
     rho = d[:, 0] ** 2 + d[:, 1] ** 2
-    core = -np.expm1(-rho / field.delta ** 2)
     # dG/d(rho) for G = (1 - exp(-rho/delta^2)) / rho.  The direct form
-    # loses all digits for rho << delta^2, so switch to the series there.
+    # loses all digits for rho << delta^2, so switch to the series there;
+    # each form runs on its own entries only, so a far blob's large u never
+    # reaches the series' powers of u.
     delta2 = field.delta ** 2
     u = rho / delta2
     near = u < 1e-3
-    safe_rho = np.where(near, 1.0, rho)
-    gp = np.where(near,
-                  (-0.5 + u / 3.0 - u ** 2 / 8.0) / delta2 ** 2,
-                  (rho / delta2 * np.exp(-u) - core) / safe_rho ** 2)
+    gp = np.empty_like(rho)
+    un = u[near]
+    gp[near] = (-0.5 + un / 3.0 - un ** 2 / 8.0) / delta2 ** 2
+    far = ~near
+    uf = u[far]
+    gp[far] = (uf * np.exp(-uf) + np.expm1(-uf)) / rho[far] ** 2
     a = float(np.sum(field.gamma / np.pi * d[:, 0] * d[:, 1] * gp))
     b = float(np.sum(field.gamma / TWO_PI * (d[:, 0] ** 2 - d[:, 1] ** 2) * gp))
     clean = bool(np.all(rho > (5.0 * field.delta) ** 2))

@@ -65,6 +65,13 @@ class ConfigError(ValueError):
 # configuration
 
 
+# the blob kernels square delta, and biotsavart.velocity_gradient's core
+# series divides by delta**4: delta**4 and its reciprocal are finite,
+# nonzero normal doubles only for 1.2e-77 < delta < 1.2e77, the fourth
+# roots of the double range; these are the decades inside
+DELTA_MIN, DELTA_MAX = 1e-76, 1e76
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: body, fluid data, scale sweep, time grid, output.
@@ -72,12 +79,14 @@ class ExperimentConfig:
     ``eps`` must be finite and strictly decreasing.  ``patches``
     describe the initial vorticity as (inner, outer, density) annuli
     sharing one lattice ``spacing`` and blob core ``delta``; the support
-    must leave room for the largest body.  ``rho`` bounds the admissible
-    annulus (support inside distances [1/rho, rho] from the carrier);
-    leaving it stops a run with an ``annulus-exit`` marker.  ``seed``
-    (non-negative) feeds only randomized identity checks, never the
-    dynamics.  Every number, shape coefficients included, must be finite;
-    ``T`` is a whole number of ``dt`` steps; the shape meshes at ``panels``.
+    must leave room for the largest body, and ``delta`` (``spacing`` when
+    unset) lies in [DELTA_MIN, DELTA_MAX] = [1e-76, 1e76].  ``rho`` bounds
+    the admissible annulus (support inside distances [1/rho, rho] from the
+    carrier); leaving it stops a run with an ``annulus-exit`` marker.
+    ``seed`` (non-negative) feeds only randomized identity checks, never
+    the dynamics.  Every number, shape coefficients included, must be
+    finite; ``T`` is a whole number of ``dt`` steps; the shape meshes at
+    ``panels``.
     """
 
     shape: ShapeSpec
@@ -130,8 +139,10 @@ class ExperimentConfig:
             raise ConfigError(f"T / dt = {ratio:g} is not a whole step count")
         if self.spacing <= 0:
             raise ConfigError("spacing must be positive")
-        if self.delta is not None and not 0.0 < self.delta < np.inf:
-            raise ConfigError("delta must be positive and finite")
+        delta = self.spacing if self.delta is None else self.delta
+        if not DELTA_MIN <= delta <= DELTA_MAX:
+            raise ConfigError(f"delta = {delta:g} (given, or defaulted from "
+                              f"spacing) is outside [{DELTA_MIN:g}, {DELTA_MAX:g}]")
         if self.rho <= 1.0:
             raise ConfigError("rho must exceed 1")
         if self.patches:

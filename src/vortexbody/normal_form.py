@@ -24,23 +24,6 @@ from .coupled_system import CoupledState
 from .geometry import perp, rotation
 from .potential import MassData
 
-__all__ = [
-    "ModulationData",
-    "modulation",
-    "ModulationSeries",
-    "sample_modulation",
-    "cross_product",
-    "gyro_axis",
-    "apply_lambda",
-    "expansion_B",
-    "expansion_C",
-    "boundary_approximation_defect",
-    "ResidualSeries",
-    "normal_form_residual",
-    "rotated_mass_identity_check",
-    "modulation_rate_monitor",
-]
-
 
 # ---------------------------------------------------------------------------
 # modulated variables

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import circulant, lu_factor, lu_solve
 
-from .contour import contour_integral, hat_field
+from .contour import IdentityRow, contour_integral, hat_field
 from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments, perp,
                        point_vortex, squared_distances)
 
@@ -222,12 +222,10 @@ class NeumannSolution:
         return dt[:, None] * self.mesh.tau + self.data[:, None] * self.mesh.normal
 
 
-def solve_exterior_neumann(mesh: BoundaryMesh, data, *,
-                           ops: BoundaryOperators | None = None) -> NeumannSolution:
-    ops = ops or BoundaryOperators(mesh)
+def solve_exterior_neumann(ops: BoundaryOperators, data) -> NeumannSolution:
     g = np.asarray(data, dtype=float)
     sigma = ops.neumann_density(g)
-    return NeumannSolution(mesh=mesh, data=g, density=sigma,
+    return NeumannSolution(mesh=ops.mesh, data=g, density=sigma,
                            boundary_values=ops.V @ sigma, _ops=ops)
 
 
@@ -275,9 +273,8 @@ class HarmonicField:
         return float(np.sum((trace * self.mesh.tau).sum(axis=1) * self.mesh.w))
 
 
-def harmonic_field(mesh: BoundaryMesh, *,
-                   ops: BoundaryOperators | None = None) -> HarmonicField:
-    ops = ops or BoundaryOperators(mesh)
+def harmonic_field(ops: BoundaryOperators) -> HarmonicField:
+    mesh = ops.mesh
     pole = mesh.interior_point
     d = mesh.x - pole
     f = -(0.25 / np.pi) * np.log((d ** 2).sum(axis=1))
@@ -347,9 +344,9 @@ class PotentialSet:
 def build_potential_set(mesh: BoundaryMesh) -> PotentialSet:
     """Solve the five exterior Neumann problems and the harmonic field."""
     ops = BoundaryOperators(mesh)
-    phi = tuple(solve_exterior_neumann(mesh, mesh.neumann_data(i), ops=ops)
+    phi = tuple(solve_exterior_neumann(ops, mesh.neumann_data(i))
                 for i in range(1, 6))
-    H = harmonic_field(mesh, ops=ops)
+    H = harmonic_field(ops)
 
     raw = np.empty((5, 5))
     for i in range(5):
@@ -431,8 +428,6 @@ def field_identity_rows(pset: PotentialSet) -> list:
     four contour moments of each Kirchhoff gradient against the mass and
     geometric data, plus the conjugation/reality constraints on the
     harmonic-field moments.  Complements the pure-geometry suite."""
-    from .contour import IdentityRow
-
     rows = []
     for i in range(1, 6):
         quad = moment_integrals(pset.phi[i - 1])

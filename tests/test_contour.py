@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vortexbody as vb
+from vortexbody import geometry as vb
 from vortexbody import contour as ct
 
 

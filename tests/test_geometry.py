@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vortexbody as vb
+from vortexbody import geometry as vb
 from vortexbody.geometry import _segments_cross, squared_distances
 from vortexbody.lab import CANONICAL_SHAPES
 
@@ -245,9 +245,9 @@ def test_rk4_step_is_fourth_order():
     for n in (20, 40):
         y = (v0, 0.0)
         for _ in range(n):
-            y = vb.geometry.rk4_step(lambda v, t: (vb.perp(v), 1.0), y, 1.0 / n)
+            y = vb.rk4_step(lambda v, t: (vb.perp(v), 1.0), y, 1.0 / n)
         errors.append(np.abs(y[0] - vb.rotation(1.0) @ v0).max())
         assert abs(y[1] - 1.0) < 1e-14
     assert 14.0 <= errors[0] / errors[1] <= 18.0
     with pytest.raises(ValueError):
-        vb.geometry.rk4_step(lambda v, t: (vb.perp(v), 1.0), (v0, 0.0), 0.0)
+        vb.rk4_step(lambda v, t: (vb.perp(v), 1.0), (v0, 0.0), 0.0)

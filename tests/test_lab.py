@@ -3,6 +3,9 @@ exit codes, and the aggregated identity report."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vortexbody import lab, normal_form
 from vortexbody.biotsavart import BodyCollisionError
@@ -223,12 +226,25 @@ def test_config_text_fails_closed(text):
     assert cfg.steps >= 1
 
 
+EXTREME_CORE = ("[shape]\npreset = ellipse\na = 2.0\nb = 1.0\npanels = 64\n"
+                "[vorticity]\npatch = 1.0 1.3 1.0\nspacing = 0.3\n"
+                "delta = {}\n[sweep]\neps = 0.1\n[time]\nt = 0.002\n"
+                "dt = 0.001\n")
+
+
 @settings(max_examples=25, deadline=None)
 @given(config_texts())
+@example(EXTREME_CORE.format("1e100"))
+@example(EXTREME_CORE.format("1e160"))
+@example(EXTREME_CORE.format("1e-60"))
+@example(EXTREME_CORE.format("1e-100"))
+@example(EXTREME_CORE.format("1e-200"))
 def test_accepted_config_runs_or_fails_closed(text):
     # two steps of every config that parses: a ConfigError, or records
-    # that are aborted exactly when their .aborted marker exists
-    with tempfile.TemporaryDirectory() as tmp:
+    # that are aborted exactly when their .aborted marker exists, with no
+    # numpy warning on the way
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         tmp = Path(tmp)
         try:
             cfg = parse_config(write_config(tmp, text))
@@ -713,6 +729,17 @@ def test_cli_exit_codes(tmp_path, caplog):
     for command in ("check-identities", "potentials", "simulate-limit"):
         with pytest.raises(SystemExit):
             main([command, "--threads", "2"])
+
+
+def test_module_entry_point_runs_clean(tmp_path):
+    # python -m vortexbody.lab runs the module as __main__; the package
+    # must not have imported it first, or runpy warns on every run
+    env = {**os.environ, "PYTHONPATH": str(Path(lab.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                          "vortexbody.lab", "potentials", "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-400:]
+    assert out.stderr == ""
 
 
 def test_unmeshable_shape_fails_closed(tmp_path, capfd, caplog):

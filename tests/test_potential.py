@@ -123,9 +123,9 @@ def test_ellipse_closed_forms(ellipse_set):
 def test_neumann_self_convergence():
     shape = ellipse(2.0, 1.0)
     probes = np.array([[3.0, 0.0], [0.0, -3.0], [2.0, 2.0], [-2.5, 0.8]])
-    coarse = solve_exterior_neumann(build_mesh(shape, 128),
+    coarse = solve_exterior_neumann(BoundaryOperators(build_mesh(shape, 128)),
                                     build_mesh(shape, 128).neumann_data(1))
-    fine = solve_exterior_neumann(build_mesh(shape, 256),
+    fine = solve_exterior_neumann(BoundaryOperators(build_mesh(shape, 256)),
                                   build_mesh(shape, 256).neumann_data(1))
     assert np.abs(coarse.potential(probes) - fine.potential(probes)).max() < 1e-8
 
@@ -140,8 +140,7 @@ def test_conformal_center_self_convergence():
 def test_incompatible_data_rejected(disk_set):
     mesh = disk_set.mesh
     with pytest.raises(ValueError, match="incompatible"):
-        solve_exterior_neumann(mesh, mesh.neumann_data(1) + 0.3,
-                               ops=disk_set.ops)
+        solve_exterior_neumann(disk_set.ops, mesh.neumann_data(1) + 0.3)
 
 
 def test_moment_rows_against_closed_forms(disk_set, ellipse_set, bump_set):
@@ -313,7 +312,7 @@ def test_boundary_operator_shared(disk_set):
     # one factored operator serves many right-hand sides
     ops = BoundaryOperators(disk_set.mesh)
     g = disk_set.mesh.neumann_data(4)
-    sol = solve_exterior_neumann(disk_set.mesh, g, ops=ops)
+    sol = solve_exterior_neumann(ops, g)
     th = disk_set.mesh.s
     # disk: data cos(2 theta) lifts to cos(2 theta)/(2 r^2)
     assert np.abs(sol.boundary_values - 0.5 * np.cos(2 * th)).max() < 1e-10
