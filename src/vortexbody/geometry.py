@@ -218,10 +218,6 @@ class BoundaryMesh:
         return self.x[:, 0] + 1j * self.x[:, 1]
 
     @property
-    def perimeter(self) -> float:
-        return float(self.w.sum())
-
-    @property
     def circumradius(self) -> float:
         return float(np.max(np.hypot(self.x[:, 0], self.x[:, 1])))
 

@@ -21,7 +21,6 @@ import json
 import logging
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -415,15 +414,24 @@ def _coupled_abort_reason(state, exc) -> str:
     return "collision"
 
 
-def run_coupled(config: ExperimentConfig, pset, mass, eps: float) -> RunRecord:
-    """Integrate the coupled system at one scale, sampling every step."""
-    try:
-        state = init_coupled(ScaledPotentials(pset, eps), mass,
-                             alpha=config.alpha, gamma=config.gamma,
-                             ell0=config.ell0, r0=config.r0,
-                             field=initial_field(config, "body"))
-    except ValueError as exc:
-        raise ConfigError(f"eps={eps:g}: {exc}") from None
+def _initial_states(config: ExperimentConfig, pset, mass) -> list:
+    """The checked initial coupled state of every scale, so that a scale
+    the coupled system rejects is a ConfigError before any run steps."""
+    states = []
+    for eps in config.eps:
+        try:
+            states.append(init_coupled(
+                ScaledPotentials(pset, eps), mass, alpha=config.alpha,
+                gamma=config.gamma, ell0=config.ell0, r0=config.r0,
+                field=initial_field(config, "body")))
+        except ValueError as exc:
+            raise ConfigError(f"eps={eps:g}: {exc}") from None
+    return states
+
+
+def run_coupled(config: ExperimentConfig, state) -> RunRecord:
+    """Integrate the coupled system from one scale's initial state,
+    sampling every step."""
 
     def sample(s):
         return {"h": s.placement.h, "ell": s.ell, "energy": total_energy(s),
@@ -431,7 +439,7 @@ def run_coupled(config: ExperimentConfig, pset, mass, eps: float) -> RunRecord:
                 "blob_lab": s.placement.to_lab(s.field.x),
                 **sample_modulation(s)}
 
-    return _integrate(config, eps, state, coupled_step, sample,
+    return _integrate(config, state.eps, state, coupled_step, sample,
                       (TimeStepError, BodyCollisionError, FloatingPointError),
                       _coupled_abort_reason)
 
@@ -519,7 +527,7 @@ class ConvergenceReport:
     coupled run (energy relative, circulation and total blob strength
     absolute), the peak momentum size max_t(|ell| + eps |r|), the last
     time the annulus condition held, the abort marker, and the normal
-    form diagnostics.  Built single-threaded from finished runs.
+    form diagnostics.
     """
 
     rows: tuple[dict, ...]
@@ -724,24 +732,25 @@ Present only for stopped runs; holds the machine-readable reason
 
 
 def run(config: ExperimentConfig, out_dir: Path | None = None,
-        threads: int | None = None, with_limit: bool = True):
+        threads: int = 1, with_limit: bool = True):
     """Execute the experiment and write artifacts.
 
-    Returns (records, report).  Coupled runs are scheduled on a thread
-    pool, one run per worker; the limit run and report assembly stay
-    single-threaded.  ``report`` is None when the limit leg is skipped.
+    Returns (records, report).  Every scale's initial state is checked
+    first; then the coupled runs go one after another, one per scale,
+    followed by the limit run.  ``report`` is None when the limit leg is
+    skipped.  ``threads`` exists for callers that pass it and must be 1.
     """
-    if threads is not None and threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
+    if threads != 1:
+        raise ConfigError(f"the scale sweep runs serially; threads must be "
+                          f"1, got {threads}")
     out_dir = Path(out_dir) if out_dir is not None else config.out
     pset = build_potential_set(build_mesh(config.shape, config.panels))
     mass = build_mass_data(pset, config.m1, config.J1)
 
-    workers = threads or min(len(config.eps), 4)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        coupled = list(pool.map(
-            lambda e: run_coupled(config, pset, mass, e), config.eps))
-
+    states = _initial_states(config, pset, mass)
+    # a run's stage scratch grows inside its initial state: hand each
+    # state over, so that it is freed when its run ends
+    coupled = [run_coupled(config, states.pop(0)) for _ in config.eps]
     records = list(coupled)
     report = None
     if with_limit:
@@ -917,7 +926,7 @@ def _exit_code(records: Sequence[RunRecord]) -> int:
 def _cmd_simulate_coupled(args) -> int:
     config = _require_config(args)
     records, _ = run(config, out_dir=_out_dir(args, config),
-                     threads=args.threads, with_limit=False)
+                     with_limit=False)
     return _exit_code(records)
 
 
@@ -931,8 +940,7 @@ def _cmd_simulate_limit(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = _require_config(args)
-    records, report = run(config, out_dir=_out_dir(args, config),
-                          threads=args.threads)
+    records, report = run(config, out_dir=_out_dir(args, config))
     print(report.table())
     return _exit_code(records)
 
@@ -947,28 +955,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="debug-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # (name, help, handler, whether it runs the scale sweep)
+    # (name, help, handler)
     specs = (
         ("check-identities", "run every boundary/field identity suite",
-         _cmd_check, False),
+         _cmd_check),
         ("potentials", "solve the potentials for one shape and tabulate",
-         _cmd_potentials, False),
+         _cmd_potentials),
         ("simulate-coupled", "coupled runs for each configured scale",
-         _cmd_simulate_coupled, True),
-        ("simulate-limit", "the single vortex-wave run", _cmd_simulate_limit,
-         False),
+         _cmd_simulate_coupled),
+        ("simulate-limit", "the single vortex-wave run", _cmd_simulate_limit),
         ("converge", "full sweep, limit run, and convergence report",
-         _cmd_converge, True),
+         _cmd_converge),
     )
-    for name, help_text, func, sweeps in specs:
+    for name, help_text, func in specs:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--config", type=Path, default=None,
                        help="experiment file (key = value with sections)")
         q.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides the config)")
-        if sweeps:
-            q.add_argument("--threads", type=int, default=None,
-                           help="worker pool size for the scale sweep")
         q.set_defaults(func=func)
     return parser
 

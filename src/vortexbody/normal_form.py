@@ -9,8 +9,8 @@ velocity gives the modulated momentum.  In these variables Newton's
 equations collapse to two exactly gyroscopic quadratic tensors, a
 circulation term along a fixed axis, a weakly gyroscopic scalar and a
 weakly nonlinear remainder.  This module builds those pieces, the
-closed-form force approximations they come from, and residual and
-identity checks evaluated on series sampled along a run.
+closed-form force approximations they come from, and the residual and
+rate diagnostics evaluated on series sampled along a run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .biotsavart import HydrodynamicField, velocity_free_space, velocity_gradient
 from .coupled_system import CoupledState
-from .geometry import perp, rotation
+from .geometry import perp
 from .potential import MassData
 
 
@@ -350,30 +350,6 @@ def normal_form_residual(series: ModulationSeries, dt: float) -> ResidualSeries:
 
     return ResidualSeries(t=series.t[1:-1], implied=out,
                           fitted_constant=fitted, dt_converged=converged)
-
-
-def rotated_mass_identity_check(series: ModulationSeries, dt: float) -> float:
-    """Max gap, over interior times and the two velocity components,
-    between the attitude-rotated inertia terms and the plain time
-    derivative of the rotated momentum.
-
-    Both sides use centered differences; the gap vanishes at rate dt^2.
-    """
-    if len(series) < 3:
-        raise ValueError("need at least three uniformly spaced samples")
-    eps, alpha, p = series.eps, series.alpha, series.p_modulated
-    Mg, Ma = series.mass.genuine, series.mass.added_3x3
-    M, quad = _inertia_terms(series)
-    # the attitude rotation of each sample, acting on (ell, r)
-    Q = np.tile(np.eye(3), (len(series), 1, 1))
-    Q[:, :2, :2] = np.moveaxis(rotation(series.theta), -1, 0)
-
-    rotated = ((eps ** alpha * Mg @ Q + eps ** 2 * Q @ Ma)
-               @ p[..., None])[..., 0]
-    inertia = (M @ _centered(p, dt)[..., None])[..., 0]
-    lhs = (Q[1:-1] @ (inertia + quad[1:-1])[..., None])[:, :2, 0]
-    rhs = _centered(rotated, dt)[:, :2]
-    return float(np.abs(lhs - rhs).max())
 
 
 def modulation_rate_monitor(series: ModulationSeries, dt: float):

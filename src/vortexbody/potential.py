@@ -26,7 +26,6 @@ implements those scaling laws.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,9 +146,6 @@ class BoundaryOperators:
         B[:n, n] = 1.0
         B[n, :n] = w
         self._lu_dirichlet = lu_factor(B, overwrite_a=True)
-        # scipy.linalg.lu_solve corrupts the heap when threads solve
-        # against one shared factor; the threaded sweep shares this object
-        self._solve_lock = threading.Lock()
 
     # -- solves ------------------------------------------------------------
 
@@ -169,14 +165,12 @@ class BoundaryOperators:
             raise ValueError(
                 f"incompatible Neumann data: net flux {total:.3e} "
                 f"(relative {abs(total) / scale:.3e})")
-        with self._solve_lock:
-            return lu_solve(self._lu_neumann, g)
+        return lu_solve(self._lu_neumann, g)
 
     def dirichlet_density(self, f: np.ndarray):
         """(sigma, c) with S sigma + c = f on the boundary, sum sigma w = 0."""
         rhs = np.concatenate([np.asarray(f, dtype=float), [0.0]])
-        with self._solve_lock:
-            sol = lu_solve(self._lu_dirichlet, rhs)
+        sol = lu_solve(self._lu_dirichlet, rhs)
         return sol[:-1], float(sol[-1])
 
     # -- boundary traces ----------------------------------------------------

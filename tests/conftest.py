@@ -12,9 +12,11 @@ import pytest
 from vortexbody.biotsavart import BlobField, HydrodynamicField
 from vortexbody.coupled_system import (VorticityPatch, coupled_step, force_B,
                                        force_C, init_coupled)
-from vortexbody.geometry import build_mesh, perp, perturbed_disk
+from vortexbody.geometry import build_mesh, perp, perturbed_disk, rotation
 from vortexbody.normal_form import (
     ModulationSeries,
+    _centered,
+    _inertia_terms,
     boundary_approximation_defect,
     expansion_B,
     expansion_C,
@@ -51,6 +53,30 @@ def total_force(state, hydro) -> np.ndarray:
     C_a, C_b, C_c = force_C(state, hydro)
     coriolis = np.array([*(state.body_mass * state.r * perp(state.ell)), 0.0])
     return -(force_B(state, hydro) + C_a + C_b + C_c + coriolis)
+
+
+def rotated_mass_identity_check(series: ModulationSeries, dt: float) -> float:
+    """Max gap, over interior times and the two velocity components,
+    between the attitude-rotated inertia terms and the plain time
+    derivative of the rotated momentum.
+
+    Both sides use centered differences; the gap vanishes at rate dt^2.
+    """
+    if len(series) < 3:
+        raise ValueError("need at least three uniformly spaced samples")
+    eps, alpha, p = series.eps, series.alpha, series.p_modulated
+    Mg, Ma = series.mass.genuine, series.mass.added_3x3
+    M, quad = _inertia_terms(series)
+    # the attitude rotation of each sample, acting on (ell, r)
+    Q = np.tile(np.eye(3), (len(series), 1, 1))
+    Q[:, :2, :2] = np.moveaxis(rotation(series.theta), -1, 0)
+
+    rotated = ((eps ** alpha * Mg @ Q + eps ** 2 * Q @ Ma)
+               @ p[..., None])[..., 0]
+    inertia = (M @ _centered(p, dt)[..., None])[..., 0]
+    lhs = (Q[1:-1] @ (inertia + quad[1:-1])[..., None])[:, :2, 0]
+    rhs = _centered(rotated, dt)[:, :2]
+    return float(np.abs(lhs - rhs).max())
 
 # Frozen flow state for the expansion-order sweep.  The shape must be
 # genuinely asymmetric: central symmetry kills the odd shape moments
@@ -153,3 +179,40 @@ def residual_runs(asym_setup, random_blobs):
 def residual_series(residual_runs):
     return {eps: normal_form_residual(record, dt)
             for eps, (record, dt) in residual_runs.items()}
+
+
+def disk_vortex_rhs(R, mass, gamma, strengths):
+    """Right-hand side of a rigid disk of radius R, body mass ``mass`` and
+    circulation ``gamma`` among point vortices of the given strengths
+    (Shashikanth, Marsden, Burdick & Kelly, Phys. Fluids 14, 2002), for
+    solve_ivp.  The state is (z_c, U, z_1 .. z_n) with each complex entry
+    stored as two reals; circulations are counter-clockwise.
+
+    Each vortex has the circle-theorem images -Gamma_k at
+    z_c + R^2 / conj(z_k - z_c) and +Gamma_k at z_c, the translation adds
+    the dipole -U R^2 / (z - z_c) to the complex potential, and the
+    conserved impulse (m + pi R^2) U - i gamma z_c
+    - i sum Gamma_k (z_k - R^2 / conj(z_k - z_c)) gives U'.
+    """
+    G = np.asarray(strengths, dtype=float)
+
+    def rhs(_, y):
+        zc, U, *rest = y[0::2] + 1j * y[1::2]
+        z = np.array(rest)
+        zeta = z - zc
+        images = zc + R * R / np.conj(zeta)
+        pair = np.subtract.outer(z, z)
+        np.fill_diagonal(pair, 1.0)
+        mutual = G / (2j * np.pi * pair)
+        np.fill_diagonal(mutual, 0.0)
+        # conjugate velocity of each vortex, its own term left out
+        w = (U * R * R / zeta ** 2 + (gamma + G.sum()) / (2j * np.pi * zeta)
+             + mutual.sum(axis=1)
+             - (G / (2j * np.pi * np.subtract.outer(z, images))).sum(axis=1))
+        zdot = np.conj(w)
+        lift = G @ (zdot + R * R * np.conj(zdot - U) / np.conj(zeta) ** 2)
+        Udot = 1j * (gamma * U + lift) / (mass + np.pi * R * R)
+        out = np.concatenate([[U, Udot], zdot])
+        return np.column_stack([out.real, out.imag]).ravel()
+
+    return rhs

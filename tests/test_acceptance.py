@@ -10,6 +10,7 @@ checklist, at the tolerances frozen there.
 7. uniform boundedness of the modulated momentum
 8. trajectory convergence to the limit system
 9. disk orbit against an independently integrated reduced ODE
+10. disk among point vortices against the exact disk-vortex ODE
 
 Criteria 7-9 drive the config-file interface end to end; everything else
 calls the library directly.  The eps-sweep fixture is the dominant cost
@@ -20,11 +21,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import patch_field, sampled_run
+from conftest import (disk_vortex_rhs, patch_field,
+                      rotated_mass_identity_check, sampled_run)
+from vortexbody.biotsavart import BlobField
 from vortexbody.coupled_system import coupled_step, init_coupled, total_energy
 from vortexbody.geometry import build_mesh, disk, ellipse
 from vortexbody.lab import check, parse_config, run
-from vortexbody.normal_form import apply_lambda, rotated_mass_identity_check
+from vortexbody.normal_form import apply_lambda
 from vortexbody.potential import (
     ScaledPotentials,
     build_mass_data,
@@ -280,3 +283,54 @@ def test_criterion_9_disk_orbit_oracle(tmp_path):
     for eps, alpha in ((0.1, 2.0), (0.2, 1.5)):
         gap, radius = _orbit_gap(tmp_path, eps, alpha)
         assert gap <= 0.01 * radius, (eps, alpha, gap, radius)
+
+
+# -- criterion 10 -----------------------------------------------------------
+
+# two point-like blobs: their mutual distance and their distance to the
+# body stay many cores wide, so the blob and point-vortex flows differ by
+# about exp(-(0.3 / 0.05)^2)
+DISK_BLOBS = BlobField(x=[[1.0, 0.0], [-0.8, 0.6]], gamma=[1.0, -0.7],
+                       delta=0.05)
+
+
+@pytest.fixture(scope="module")
+def disk128():
+    pset = build_potential_set(build_mesh(disk(), 128))
+    return pset, build_mass_data(pset)
+
+
+def _disk_vortex_gaps(disk128, alpha, dt, eps=0.2, T=0.5):
+    """Max gaps of the body centre and of the blobs between the coupled
+    integrator and the disk-vortex ODE at tight tolerance, and the
+    distance the ODE's body travels."""
+    pset, md = disk128
+    st = init_coupled(ScaledPotentials(pset, eps), md, alpha=alpha,
+                      gamma=TWO_PI, ell0=(0.5, 0.0), r0=0.0, field=DISK_BLOBS)
+    t, h, blobs = [0.0], [st.placement.h], [st.placement.to_lab(st.field.x)]
+    for _ in range(round(T / dt)):
+        st = coupled_step(st, dt)
+        t.append(st.t)
+        h.append(st.placement.h)
+        blobs.append(st.placement.to_lab(st.field.x))
+    y0 = np.concatenate([[0.0, 0.0, 0.5, 0.0], DISK_BLOBS.x.ravel()])
+    sol = solve_ivp(disk_vortex_rhs(eps, eps ** alpha, TWO_PI,
+                                    DISK_BLOBS.gamma),
+                    (0.0, t[-1]), y0, method="DOP853", t_eval=t,
+                    rtol=1e-12, atol=1e-14)
+    y = sol.y.T
+    h_gap = np.linalg.norm(np.array(h) - y[:, :2], axis=1).max()
+    blob_gap = np.linalg.norm(np.array(blobs) - y[:, 4:].reshape(-1, 2, 2),
+                              axis=2).max()
+    return float(h_gap), float(blob_gap), float(np.hypot(*y[-1, :2]))
+
+
+def test_criterion_10_disk_with_point_vortices(disk128):
+    h_gap, blob_gap, travel = _disk_vortex_gaps(disk128, 2.0, 1e-3)
+    assert travel > 0.1, travel
+    assert h_gap <= 1e-8 and blob_gap <= 1.5e-10, (h_gap, blob_gap)
+    # RK4: halving dt divides the gap by about 16
+    fine, _, _ = _disk_vortex_gaps(disk128, 2.0, 5e-4)
+    assert 8.0 <= h_gap / fine <= 32.0, (h_gap, fine)
+    h_gap, blob_gap, _ = _disk_vortex_gaps(disk128, 0.5, 1e-3)
+    assert h_gap <= 1e-10 and blob_gap <= 5e-12, (h_gap, blob_gap)

@@ -2,12 +2,15 @@
 exit codes, and the aggregated identity report."""
 
 import csv
+import gc
 import json
+import logging
 import os
 import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -256,8 +259,7 @@ def test_accepted_config_runs_or_fails_closed(text):
         if sum(np.pi * p.outer * p.outer for p in cfg.patches) > 500 * s2:
             return
         try:
-            records, _ = run(replace(cfg, T=2 * cfg.dt), tmp / "out",
-                             threads=1)
+            records, _ = run(replace(cfg, T=2 * cfg.dt), tmp / "out")
         except ConfigError:
             return
         for rec in records:
@@ -453,20 +455,36 @@ def test_summary_content(tiny_run):
 
 
 def test_determinism_byte_identical(tmp_path):
-    # each coupled run steps through its own stage scratch, so pools of
-    # one, two and three workers write the same bytes
+    # the sweep runs serially, so two runs of one config write the same
+    # bytes
     cfg = parse_config(write_config(tmp_path,
                                     **{"eps = 0.2 0.1": "eps = 0.2 0.1 0.05"}))
-    for threads in (1, 2, 3):
-        run(cfg, out_dir=tmp_path / str(threads), threads=threads)
+    for tag in ("a", "b"):
+        run(cfg, out_dir=tmp_path / tag)
     # summary.json holds wall times; every other artifact is compared
-    names = sorted(p.name for p in (tmp_path / "1").iterdir()
+    names = sorted(p.name for p in (tmp_path / "a").iterdir()
                    if p.name != "summary.json")
     assert "coupled-eps0.05-blobs.csv" in names and "report.json" in names
-    for threads in (2, 3):
-        for name in names:
-            assert (tmp_path / str(threads) / name).read_bytes() == \
-                (tmp_path / "1" / name).read_bytes(), (threads, name)
+    for name in names:
+        assert (tmp_path / "b" / name).read_bytes() == \
+            (tmp_path / "a" / name).read_bytes(), name
+
+
+def test_finished_runs_release_their_initial_state(tmp_path, monkeypatch):
+    # a run's stage scratch grows inside its initial state; a sweep that
+    # kept every initial state would hold one scratch per finished scale
+    real_run = lab.run_coupled
+    started = []
+
+    def run_coupled(config, state):
+        gc.collect()
+        assert all(ref() is None for ref in started)
+        started.append(weakref.ref(state))
+        return real_run(config, state)
+
+    monkeypatch.setattr(lab, "run_coupled", run_coupled)
+    run(parse_config(write_config(tmp_path)), tmp_path / "out")
+    assert len(started) == 2
 
 
 def test_csv_lines_match_csv_writer(tmp_path):
@@ -575,7 +593,7 @@ def test_stage_collision_aborts(tmp_path, monkeypatch):
     monkeypatch.setattr(lab, "coupled_step", step)
     out = tmp_path / "out"
     code = main(["converge", "--config", str(write_config(tmp_path)),
-                 "--out", str(out), "--threads", "1"])
+                 "--out", str(out)])
     assert code == 2
     for eps in ("0.2", "0.1"):
         marker = json.loads((out / f"coupled-eps{eps}.aborted").read_text())
@@ -600,7 +618,7 @@ def test_nonfinite_state_aborts(tmp_path, monkeypatch):
     monkeypatch.setattr(lab, "coupled_step", step)
     out = tmp_path / "out"
     code = main(["converge", "--config", str(write_config(tmp_path)),
-                 "--out", str(out), "--threads", "1"])
+                 "--out", str(out)])
     assert code == 2
     for eps in ("0.2", "0.1"):
         marker = json.loads((out / f"coupled-eps{eps}.aborted").read_text())
@@ -634,7 +652,7 @@ def test_rejected_sample_stays_out_of_the_report(tmp_path, monkeypatch):
     monkeypatch.setattr(lab, "coupled_step", step)
     out = tmp_path / "out"
     code = main(["converge", "--config", str(write_config(tmp_path)),
-                 "--out", str(out), "--threads", "1"])
+                 "--out", str(out)])
     assert code == 2
     report = json.loads((out / "report.json").read_text(),
                         parse_constant=_reject_constant)
@@ -657,7 +675,7 @@ def test_nonfinite_stage_input_aborts(tmp_path, monkeypatch, capfd, caplog):
     monkeypatch.setattr(lab, "coupled_step", step)
     out = tmp_path / "out"
     code = main(["converge", "--config", str(write_config(tmp_path)),
-                 "--out", str(out), "--threads", "1"])
+                 "--out", str(out)])
     assert code == 2
     for eps in ("0.2", "0.1"):
         marker = json.loads((out / f"coupled-eps{eps}.aborted").read_text())
@@ -680,7 +698,7 @@ def test_modulation_runs_once_per_kept_sample(tmp_path, monkeypatch):
 
     monkeypatch.setattr(normal_form, "modulation", counted)
     cfg = parse_config(write_config(tmp_path))
-    records, report = run(cfg, out_dir=tmp_path / "out", threads=1)
+    records, report = run(cfg, out_dir=tmp_path / "out")
     coupled = [r for r in records if r.kind == "coupled"]
     assert seen == [t for rec in coupled for t in rec.t]
     assert all(row["residual_fitted_C"] is not None for row in report.rows)
@@ -698,7 +716,7 @@ def test_annulus_exit_abort(tmp_path):
     assert "outside" in marker["detail"]
 
 
-def test_cli_exit_codes(tmp_path, caplog):
+def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[shape]\npreset = rhombus\n")
     assert main(["converge", "--config", str(bad)]) == 1
@@ -707,7 +725,7 @@ def test_cli_exit_codes(tmp_path, caplog):
 
     good = write_config(tmp_path)
     assert main(["simulate-coupled", "--config", str(good),
-                 "--out", str(tmp_path / "sc"), "--threads", "2"]) == 0
+                 "--out", str(tmp_path / "sc")]) == 0
     names = sorted(f.name for f in (tmp_path / "sc").iterdir())
     assert "limit-trajectory.csv" not in names
     assert "coupled-eps0.2-trajectory.csv" in names
@@ -716,19 +734,18 @@ def test_cli_exit_codes(tmp_path, caplog):
                  "--out", str(tmp_path / "sl")]) == 0
     assert (tmp_path / "sl" / "limit-trajectory.csv").exists()
 
-    # a pool of fewer than one worker is a ConfigError before any work
-    for threads in ("0", "-1"):
-        caplog.clear()
-        out = tmp_path / f"threads{threads}"
-        assert main(["converge", "--config", str(good), "--out", str(out),
-                     "--threads", threads]) == 1
-        assert [r.levelname for r in caplog.records] == ["ERROR"]
-        assert not out.exists()
-
-    # the thread pool exists only where there is a scale sweep
-    for command in ("check-identities", "potentials", "simulate-limit"):
+    # the sweep runs serially: no command takes --threads, and run's
+    # threads argument is a ConfigError before any work unless it is 1
+    for command in ("check-identities", "potentials", "simulate-coupled",
+                    "simulate-limit", "converge"):
         with pytest.raises(SystemExit):
             main([command, "--threads", "2"])
+    cfg = parse_config(good)
+    for threads in (2, 0):
+        out = tmp_path / f"threads{threads}"
+        with pytest.raises(ConfigError, match="threads must be 1"):
+            run(cfg, out, threads=threads)
+        assert not out.exists()
 
 
 def test_module_entry_point_runs_clean(tmp_path):
@@ -765,6 +782,24 @@ def test_unrunnable_state_fails_closed(tmp_path, capfd, caplog, old, new,
                  "--out", str(tmp_path / "out")]) == 1
     assert message in caplog.text
     assert "Traceback" not in capfd.readouterr().err
+
+
+def test_bad_scale_fails_before_any_step(tmp_path, caplog):
+    # eps = 1e-200 is rejected by init_coupled; every scale is checked
+    # before the sweep steps one, so eps = 0.2 never runs
+    caplog.set_level(logging.INFO)
+    path = write_config(tmp_path, **{"panels = 64": "panels = 128",
+                                     "spacing = 0.35": "spacing = 0.3",
+                                     "t = 0.02": "t = 0.05",
+                                     "dt = 0.002": "dt = 0.001",
+                                     "eps = 0.2 0.1": "eps = 0.2 1e-200"})
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1, errors
+    assert "eps=1e-200" in errors[0].getMessage()
+    assert not any("steps" in r.getMessage() for r in caplog.records)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [

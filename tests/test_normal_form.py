@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, empty_field, sampled_run
+from conftest import (FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, empty_field,
+                      rotated_mass_identity_check, sampled_run)
 from vortexbody.biotsavart import (BlobField, HydrodynamicField,
                                    velocity_free_space)
 from vortexbody.coupled_system import (
@@ -28,7 +29,6 @@ from vortexbody.normal_form import (
     modulation,
     modulation_rate_monitor,
     normal_form_residual,
-    rotated_mass_identity_check,
     _weak_gyro,
     sample_modulation,
 )

@@ -15,17 +15,10 @@ from its boundary trace, the mid region in normal-offset coordinates,
 then a polar annulus and an analytic Laurent tail.
 """
 
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-import vortexbody
 from vortexbody.contour import hat_field
 from vortexbody.geometry import build_mesh, disk, ellipse, perturbed_disk
 from vortexbody.potential import (
@@ -357,35 +350,3 @@ def test_operators_built_in_place_match_reference(shape, panels):
     assert np.array_equal(ops.A, A)
     assert np.array_equal(ops.V, V)
 
-
-def test_shared_solves_are_thread_safe():
-    # the threaded sweep solves against one BoundaryOperators from every
-    # worker; an unguarded shared LU factor corrupted the heap and aborted
-    # the process, so the stress runs in a child interpreter
-    script = textwrap.dedent("""
-        import threading, time
-        import numpy as np
-        from vortexbody.geometry import build_mesh, ellipse
-        from vortexbody.potential import BoundaryOperators
-        ops = BoundaryOperators(build_mesh(ellipse(2.0, 1.0), 256))
-        f = np.cos(ops.mesh.s)
-        want = ops.dirichlet_density(f)[0]
-        stop = time.perf_counter() + 3.0
-        bad = []
-        def work():
-            while time.perf_counter() < stop:
-                if not np.array_equal(ops.dirichlet_density(f)[0], want):
-                    bad.append(1)
-        threads = [threading.Thread(target=work) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        print(sum(t.is_alive() for t in threads), len(bad))
-    """)
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(vortexbody.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr[-400:]
-    assert out.stdout.split() == ["0", "0"]
