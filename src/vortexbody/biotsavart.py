@@ -112,10 +112,8 @@ class BlobField:
     def support_annulus(self, center) -> tuple[float, float]:
         """Closest and farthest blob distance from ``center``; (inf, 0)
         when there are no blobs."""
-        if self.n == 0:
-            return (np.inf, 0.0)
         d = np.hypot(*(self.x - np.asarray(center, float)).T)
-        return (float(d.min()), float(d.max()))
+        return (float(d.min(initial=np.inf)), float(d.max(initial=0.0)))
 
 
 def _kernel_in_place(rho: np.ndarray, delta: float) -> np.ndarray:
@@ -272,7 +270,7 @@ class HydrodynamicField:
         np.subtract.outer(unit[:, 1], mesh.x[:, 1], out=ky)
         np.multiply(kx, kx, out=r2)
         r2 += np.multiply(ky, ky, out=tmp)
-        self.clearance = eps * float(np.sqrt(r2.min())) if field.n else np.inf
+        self.clearance = eps * float(np.sqrt(r2.min(initial=np.inf)))
         # a blob on a node leaves 0/0 here; the winding sum rejects the NaN
         with np.errstate(divide="ignore", invalid="ignore"):
             kx /= r2

@@ -106,11 +106,9 @@ class CoupledState:
         return np.array([self.ell[0], self.ell[1], self.r])
 
     def boundary_distance(self) -> float:
-        """Smallest blob distance to the boundary nodes."""
-        if self.field.n == 0:
-            return np.inf
+        """Smallest blob distance to the boundary nodes (inf without blobs)."""
         rho = squared_distances(self.field.x, self.eps * self.scaled.base.mesh.x)
-        return float(np.sqrt(rho.min()))
+        return float(np.sqrt(rho.min(initial=np.inf)))
 
 
 def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
@@ -163,8 +161,6 @@ def force_B(state: CoupledState, hydro: HydrodynamicField) -> np.ndarray:
     the state's blob x node geometry ``hydro`` followed by a dot product
     with each charge vector.
     """
-    if state.field.n == 0:
-        return np.zeros(3)
     v = hydro.blob_velocity(state.gamma, state.ell, state.r)
     u_perp = perp(v - state.ell - state.r * perp(state.field.x))
     lobe = hydro.gradient_adjoint(state.field.gamma[:, None] * u_perp)
@@ -224,12 +220,11 @@ def _stage_rhs(state: CoupledState, dt: float, x, ell, r, theta, h):
                     r=float(r))
     hydro = HydrodynamicField(stage.scaled, stage.field, stage.scratch)
     x_dot = hydro.blob_velocity(stage.gamma, ell, r) - ell - r * perp(x)
-    if state.field.n:
-        vmax = float(np.hypot(x_dot[:, 0], x_dot[:, 1]).max())
-        if dt * vmax >= 0.2 * hydro.clearance:
-            raise TimeStepError(
-                f"dt {dt:.3e} x speed {vmax:.3f} exceeds a fifth of the "
-                f"clearance {hydro.clearance:.3f}")
+    vmax = float(np.hypot(x_dot[:, 0], x_dot[:, 1]).max(initial=0.0))
+    if dt * vmax >= 0.2 * hydro.clearance:
+        raise TimeStepError(
+            f"dt {dt:.3e} x speed {vmax:.3f} exceeds a fifth of the "
+            f"clearance {hydro.clearance:.3f}")
     accel = accelerations(stage, hydro)
     return x_dot, accel[:2], accel[2], float(r), rotation(theta) @ ell
 
@@ -274,8 +269,6 @@ def total_energy(state: CoupledState) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         quad = float(p @ state.inertia_matrix @ p)
     f = state.field
-    if f.n == 0:
-        return 0.5 * quad
 
     # gamma^T P gamma over the upper block-triangle of the symmetric P:
     # each row block b against columns i0:, its diagonal block counted once

@@ -77,15 +77,14 @@ class ExperimentConfig:
 
     ``eps`` must be finite and strictly decreasing.  ``patches``
     describe the initial vorticity as (inner, outer, density) annuli
-    sharing one lattice ``spacing`` and blob core ``delta``; the support
-    must leave room for the largest body, and ``delta`` (``spacing`` when
-    unset) lies in [DELTA_MIN, DELTA_MAX] = [1e-76, 1e76].  ``rho`` bounds
-    the admissible annulus (support inside distances [1/rho, rho] from the
-    carrier); leaving it stops a run with an ``annulus-exit`` marker.
-    ``seed`` (non-negative) feeds only randomized identity checks, never
-    the dynamics.  Every number, shape coefficients included, must be
-    finite; ``T`` is a whole number of ``dt`` steps; the shape meshes at
-    ``panels``.
+    sharing one lattice ``spacing`` and blob core ``delta``, which
+    (``spacing`` when unset) lies in [DELTA_MIN, DELTA_MAX] = [1e-76,
+    1e76].  ``rho`` bounds the admissible annulus (support inside
+    distances [1/rho, rho] from the carrier); leaving it stops a run with
+    an ``annulus-exit`` marker.  ``seed`` (non-negative) feeds only
+    randomized identity checks, never the dynamics.  Every number, shape
+    coefficients included, must be finite; ``T`` is a whole number of
+    ``dt`` steps; the shape meshes at ``panels``.
     """
 
     shape: ShapeSpec
@@ -144,13 +143,6 @@ class ExperimentConfig:
                               f"spacing) is outside [{DELTA_MIN:g}, {DELTA_MAX:g}]")
         if self.rho <= 1.0:
             raise ConfigError("rho must exceed 1")
-        if self.patches:
-            bound = sum(abs(c) for c in self.shape.coeffs)
-            inner = min(p.inner for p in self.patches)
-            if 2.0 * self.eps[0] * bound > inner:
-                raise ConfigError(
-                    f"largest body (radius <= {self.eps[0] * bound:.3f}) is "
-                    f"not separated from vorticity starting at {inner:.3f}")
 
     @property
     def steps(self) -> int:
@@ -332,37 +324,47 @@ class RunRecord:
 _RECORD_FIELDS = {f.name for f in fields(RunRecord)}
 
 
-def _integrate(config: ExperimentConfig, eps: float | None, state, step,
-               sample, stops, reason) -> RunRecord:
-    """The loop both systems share: sample the initial state, then step,
-    sample and check the annulus until T, an abort or an annulus exit.
+def _sample(state, sample) -> tuple[dict, list[str]]:
+    """One sample row (t, gamma and beta, then the run's own series) and
+    the keys holding a non-finite value.  support is (inf, 0) for an
+    empty field; the positions it is read from are checked in blob_lab."""
+    row = {"t": state.t, "gamma": state.gamma, "beta": state.field.beta,
+           **sample(state)}
+    return row, [key for key, value in row.items()
+                 if key != "support" and not np.isfinite(value).all()]
+
+
+def _initial_sample(state, sample) -> dict:
+    """A run's row 0; a non-finite one is a ConfigError naming its keys."""
+    row, bad = _sample(state, sample)
+    if bad:
+        raise ConfigError(f"non-finite initial {', '.join(bad)}")
+    return row
+
+
+def _integrate(config: ExperimentConfig, eps: float | None, state, first,
+               step, sample, stops, reason) -> RunRecord:
+    """The loop both systems share: from the initial state and its
+    checked row 0 ``first``, step, sample and check the annulus until T,
+    an abort or an annulus exit.
 
     ``sample(state)`` returns the run-specific series values as a dict
-    keyed by RunRecord field; t, gamma and beta are recorded here.  A
-    coupled sample also holds the columns of its ModulationSeries, which
-    become ``modulated``.  An exception in ``stops`` raised by ``step``
+    keyed by RunRecord field (see _sample).  A coupled sample also holds
+    the columns of its ModulationSeries, which become ``modulated``.  An exception in ``stops`` raised by ``step``
     ends the run with the abort reason ``reason(state, exc)``, state
     being the last one reached.  A sample holding a non-finite value ends
-    it as ``non-finite`` and is not kept; the initial one is a ConfigError.
+    it as ``non-finite`` and is not kept.
     """
     started = time.perf_counter()
     steps = config.steps
-    series = {}
+    series = {key: np.zeros((steps + 1, *np.shape(value)))
+              for key, value in first.items()}
 
-    def record(k, s):
-        row = {"t": s.t, "gamma": s.gamma, "beta": s.field.beta, **sample(s)}
+    def record(k, row):
         for key, value in row.items():
-            if key not in series:
-                series[key] = np.zeros((steps + 1, *np.shape(value)))
             series[key][k] = value
-        # support is (inf, 0) for an empty field; the positions it is
-        # read from are checked in blob_lab
-        return [key for key, value in row.items()
-                if key != "support" and not np.isfinite(value).all()]
 
-    if bad := record(0, state):
-        raise ConfigError(f"non-finite initial {', '.join(bad)}")
-    n = state.field.n
+    record(0, first)
     aborted, detail = None, ""
     done = 0
     for k in range(1, steps + 1):
@@ -371,15 +373,16 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, step,
         except stops as exc:
             aborted, detail = reason(state, exc), str(exc)
             break
-        if bad := record(k, state):
+        row, bad = _sample(state, sample)
+        record(k, row)
+        if bad:
             aborted = "non-finite"
             detail = (f"non-finite {', '.join(bad)} "
                       f"at t={series['t'][k]:.6g}")
             break
         done = k
         support = series["support"][k]
-        if n and not (support[0] >= 1.0 / config.rho
-                      and support[1] <= config.rho):
+        if not (support[0] >= 1.0 / config.rho and support[1] <= config.rho):
             aborted = "annulus-exit"
             detail = (f"support [{support[0]:.3f}, {support[1]:.3f}] "
                       f"outside [1/{config.rho:g}, {config.rho:g}] "
@@ -414,32 +417,35 @@ def _coupled_abort_reason(state, exc) -> str:
     return "collision"
 
 
+def _coupled_sample(s) -> dict:
+    return {"h": s.placement.h, "ell": s.ell, "energy": total_energy(s),
+            "support": s.field.support_annulus((0.0, 0.0)),
+            "blob_lab": s.placement.to_lab(s.field.x),
+            **sample_modulation(s)}
+
+
 def _initial_states(config: ExperimentConfig, pset, mass) -> list:
-    """The checked initial coupled state of every scale, so that a scale
-    the coupled system rejects is a ConfigError before any run steps."""
-    states = []
+    """Every scale's checked initial coupled state with its row 0, so
+    that a scale the coupled system rejects, or whose first sample is not
+    finite, is a ConfigError before any run steps."""
+    starts = []
     for eps in config.eps:
         try:
-            states.append(init_coupled(
+            state = init_coupled(
                 ScaledPotentials(pset, eps), mass, alpha=config.alpha,
                 gamma=config.gamma, ell0=config.ell0, r0=config.r0,
-                field=initial_field(config, "body")))
-        except ValueError as exc:
+                field=initial_field(config, "body"))
+            starts.append((state, _initial_sample(state, _coupled_sample)))
+        except ValueError as exc:   # a ConfigError from the sample as well
             raise ConfigError(f"eps={eps:g}: {exc}") from None
-    return states
+    return starts
 
 
-def run_coupled(config: ExperimentConfig, state) -> RunRecord:
-    """Integrate the coupled system from one scale's initial state,
-    sampling every step."""
-
-    def sample(s):
-        return {"h": s.placement.h, "ell": s.ell, "energy": total_energy(s),
-                "support": s.field.support_annulus((0.0, 0.0)),
-                "blob_lab": s.placement.to_lab(s.field.x),
-                **sample_modulation(s)}
-
-    return _integrate(config, state.eps, state, coupled_step, sample,
+def run_coupled(config: ExperimentConfig, state, first) -> RunRecord:
+    """Integrate the coupled system from one scale's initial state and
+    its row 0 (see _initial_states), sampling every step."""
+    return _integrate(config, state.eps, state, first, coupled_step,
+                      _coupled_sample,
                       (TimeStepError, BodyCollisionError, FloatingPointError),
                       _coupled_abort_reason)
 
@@ -456,8 +462,9 @@ def run_limit(config: ExperimentConfig) -> RunRecord:
         return {"h": s.h, "support": s.field.support_annulus(s.h),
                 "impulse": impulse, "blob_lab": s.field.x}
 
-    return _integrate(config, None, state, vw_step, sample,
-                      VortexCollisionError, lambda s, exc: "collision")
+    return _integrate(config, None, state, _initial_sample(state, sample),
+                      vw_step, sample, VortexCollisionError,
+                      lambda s, exc: "collision")
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +742,9 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
         threads: int = 1, with_limit: bool = True):
     """Execute the experiment and write artifacts.
 
-    Returns (records, report).  Every scale's initial state is checked
-    first; then the coupled runs go one after another, one per scale,
-    followed by the limit run.  ``report`` is None when the limit leg is
+    Returns (records, report).  Every scale's initial state and first
+    sample are checked first; then the coupled runs go one after another,
+    one per scale, followed by the limit run.  ``report`` is None when the limit leg is
     skipped.  ``threads`` exists for callers that pass it and must be 1.
     """
     if threads != 1:
@@ -747,10 +754,10 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
     pset = build_potential_set(build_mesh(config.shape, config.panels))
     mass = build_mass_data(pset, config.m1, config.J1)
 
-    states = _initial_states(config, pset, mass)
+    starts = _initial_states(config, pset, mass)
     # a run's stage scratch grows inside its initial state: hand each
     # state over, so that it is freed when its run ends
-    coupled = [run_coupled(config, states.pop(0)) for _ in config.eps]
+    coupled = [run_coupled(config, *starts.pop(0)) for _ in config.eps]
     records = list(coupled)
     report = None
     if with_limit:

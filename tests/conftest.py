@@ -216,3 +216,26 @@ def disk_vortex_rhs(R, mass, gamma, strengths):
         return np.column_stack([out.real, out.imag]).ravel()
 
     return rhs
+
+
+def vortex_wave_rhs(gamma, strengths):
+    """Right-hand side of the eps -> 0 limit of ``disk_vortex_rhs``: a
+    point vortex of circulation ``gamma`` at h among point vortices of the
+    given strengths, for solve_ivp.  The state is (h, z_1 .. z_n), each
+    complex entry stored as two reals; circulations are counter-clockwise.
+
+    With point vortices for the background, the vortex-wave system is the
+    point-vortex system of all n + 1: each moves with the others' flow.
+    """
+    G = np.concatenate([[gamma], np.asarray(strengths, dtype=float)])
+
+    def rhs(_, y):
+        z = y[0::2] + 1j * y[1::2]
+        pair = np.subtract.outer(z, z)
+        np.fill_diagonal(pair, 1.0)
+        w = G / (2j * np.pi * pair)
+        np.fill_diagonal(w, 0.0)
+        zdot = np.conj(w.sum(axis=1))
+        return np.column_stack([zdot.real, zdot.imag]).ravel()
+
+    return rhs

@@ -11,10 +11,12 @@ checklist, at the tolerances frozen there.
 8. trajectory convergence to the limit system
 9. disk orbit against an independently integrated reduced ODE
 10. disk among point vortices against the exact disk-vortex ODE
+11. the exact eps -> 0 rate on the disk: disk-vortex ODE against the
+    vortex-wave ODE of the same point vortices
 
 Criteria 7-9 drive the config-file interface end to end; everything else
 calls the library directly.  The eps-sweep fixture is the dominant cost
-(a few minutes); the rest runs in seconds.
+(about 20 s); the rest runs in seconds.
 """
 
 import numpy as np
@@ -22,7 +24,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import (disk_vortex_rhs, patch_field,
-                      rotated_mass_identity_check, sampled_run)
+                      rotated_mass_identity_check, sampled_run,
+                      vortex_wave_rhs)
 from vortexbody.biotsavart import BlobField
 from vortexbody.coupled_system import coupled_step, init_coupled, total_energy
 from vortexbody.geometry import build_mesh, disk, ellipse
@@ -334,3 +337,46 @@ def test_criterion_10_disk_with_point_vortices(disk128):
     assert 8.0 <= h_gap / fine <= 32.0, (h_gap, fine)
     h_gap, blob_gap, _ = _disk_vortex_gaps(disk128, 0.5, 1e-3)
     assert h_gap <= 1e-10 and blob_gap <= 5e-12, (h_gap, blob_gap)
+
+
+# -- criterion 11 -----------------------------------------------------------
+
+def _exact_sup_h(eps, alpha, gamma, T=0.5):
+    """sup over 2001 samples of [0, T] of |h_eps - h| between the disk of
+    radius eps and mass eps^alpha among criterion 10's point vortices and
+    their vortex-wave limit, both ODEs by DOP853 at rtol 1e-10, and the
+    distance the limit vortex travels."""
+    t = np.linspace(0.0, T, 2001)
+    x0 = DISK_BLOBS.x.ravel()
+
+    def solve(rhs, y0):
+        return solve_ivp(rhs, (0.0, T), y0, method="DOP853", t_eval=t,
+                         rtol=1e-10, atol=1e-12).y.T
+
+    body = solve(disk_vortex_rhs(eps, eps ** alpha, gamma, DISK_BLOBS.gamma),
+                 np.concatenate([[0.0, 0.0, 0.5, 0.0], x0]))
+    limit = solve(vortex_wave_rhs(gamma, DISK_BLOBS.gamma),
+                  np.concatenate([[0.0, 0.0], x0]))
+    gap = np.hypot(*(body[:, :2] - limit[:, :2]).T).max()
+    return float(gap), float(np.hypot(*limit[-1, :2]))
+
+
+def test_criterion_11_exact_rate_on_the_disk():
+    # below the lab's smallest eps: at alpha 2 the body tends to the
+    # moving limit vortex as eps^2; at alpha 1 the effective mass
+    # eps m1 + pi eps^2 gives a slope that falls to 1 from above; without
+    # circulation there is no convergence
+    def sweep(alpha, gamma):
+        (coarse, travel), (fine, _) = (_exact_sup_h(eps, alpha, gamma)
+                                       for eps in (0.05, 0.02))
+        return coarse, fine, np.log(coarse / fine) / np.log(0.05 / 0.02), travel
+
+    coarse, fine, slope, travel = sweep(2.0, TWO_PI)
+    assert travel > 0.1, travel
+    assert coarse == pytest.approx(2.112e-3, rel=0.01), coarse
+    assert fine == pytest.approx(3.381e-4, rel=0.01), fine
+    assert 1.95 <= slope <= 2.05, slope
+    _, _, slope, _ = sweep(1.0, TWO_PI)
+    assert 1.0 < slope <= 1.2, slope
+    coarse, fine, _, _ = sweep(2.0, 0.0)
+    assert fine >= coarse > 0.3, (coarse, fine)

@@ -88,12 +88,14 @@ def test_gamma_zero_warns(disk_setup, caplog):
     assert any("gamma" in rec.message for rec in caplog.records)
 
 
-def test_empty_field_energy_is_quadratic(disk_setup):
-    sp, md = disk_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.4, field=empty_field())
-    p = st.p
-    assert abs(total_energy(st) - 0.5 * p @ st.inertia_matrix @ p) < 1e-14
+def test_empty_field_energy_is_quadratic(disk_setup, ellipse_setup):
+    # the blob sums of an empty field are empty products: exactly +0
+    for sp, md in (disk_setup, ellipse_setup):
+        for gamma in (2 * np.pi, -3.0):
+            st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma,
+                              ell0=(1.0, 0.0), r0=0.4, field=empty_field())
+            p = st.p
+            assert total_energy(st) == 0.5 * p @ st.inertia_matrix @ p
 
 
 def test_coincident_blobs_energy_equals_merged(ellipse_setup):
@@ -261,7 +263,7 @@ def test_energy_matches_disk_images(disk_setup):
     assert abs(total_energy(st) - want) <= 1e-12 * abs(want)
 
 
-def test_forces_vanish_at_rest(disk_setup):
+def test_forces_vanish_at_rest(disk_setup, ellipse_setup):
     sp, md = disk_setup
     st = init_coupled(sp, md, alpha=ALPHA, gamma=3.0, field=empty_field())
     hydro = HydrodynamicField(sp, st.field)
@@ -269,6 +271,14 @@ def test_forces_vanish_at_rest(disk_setup):
     C_a, C_b, C_c = force_C(st, hydro)
     assert np.abs(C_a).max() < 1e-13
     assert np.abs(C_c).max() < 1e-12
+    # no blobs: the vorticity force is +0, never -0, on any body or motion
+    for sp, md in (disk_setup, ellipse_setup):
+        for gamma in (2 * np.pi, -3.0):
+            st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma,
+                              ell0=(0.4, -0.2), r0=0.7, field=empty_field())
+            B = force_B(st, HydrodynamicField(sp, st.field))
+            assert np.array_equal(B, np.zeros(3))
+            assert not np.signbit(B).any()
 
 
 def test_disk_lift_is_minus_gamma_ell_perp(disk_setup):

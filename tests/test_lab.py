@@ -269,10 +269,24 @@ def test_accepted_config_runs_or_fails_closed(text):
 
 def test_support_separation_guard(tmp_path):
     # an eps = 0.3 ellipse has circumradius 0.6; twice that exceeds the
-    # support start at 1.0
-    path = write_config(tmp_path, **{"eps = 0.2 0.1": "eps = 0.3"})
-    with pytest.raises(ConfigError):
-        parse_config(path)
+    # nearest blob at 1.020.  init_coupled decides this on the blobs, so
+    # the config parses and the run stops before any step
+    cfg = parse_config(write_config(tmp_path, **{"eps = 0.2 0.1": "eps = 0.3"}))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="eps=0.3: body circumradius"):
+        run(cfg, out)
+    assert not out.exists()
+
+
+def test_separation_is_decided_on_the_blobs(tmp_path):
+    # at eps = 0.2501 the body's circumradius 0.5002 is more than half the
+    # patch's inner radius 1.0, but less than half the nearest blob
+    # distance 1.020: the run goes ahead
+    path = write_config(tmp_path, **{"eps = 0.2 0.1": "eps = 0.2501"})
+    cfg = parse_config(path)
+    assert min(np.hypot(*initial_field(cfg, "body").x.T)) > 1.0004
+    assert main(["converge", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_initial_field_frames_agree(tmp_path):
@@ -476,11 +490,11 @@ def test_finished_runs_release_their_initial_state(tmp_path, monkeypatch):
     real_run = lab.run_coupled
     started = []
 
-    def run_coupled(config, state):
+    def run_coupled(config, state, first):
         gc.collect()
         assert all(ref() is None for ref in started)
         started.append(weakref.ref(state))
-        return real_run(config, state)
+        return real_run(config, state, first)
 
     monkeypatch.setattr(lab, "run_coupled", run_coupled)
     run(parse_config(write_config(tmp_path)), tmp_path / "out")
@@ -700,7 +714,9 @@ def test_modulation_runs_once_per_kept_sample(tmp_path, monkeypatch):
     cfg = parse_config(write_config(tmp_path))
     records, report = run(cfg, out_dir=tmp_path / "out")
     coupled = [r for r in records if r.kind == "coupled"]
-    assert seen == [t for rec in coupled for t in rec.t]
+    # every scale's row 0 is sampled before any run steps
+    assert seen == ([rec.t[0] for rec in coupled]
+                    + [t for rec in coupled for t in rec.t[1:]])
     assert all(row["residual_fitted_C"] is not None for row in report.rows)
 
 
@@ -799,6 +815,25 @@ def test_bad_scale_fails_before_any_step(tmp_path, caplog):
     assert len(errors) == 1, errors
     assert "eps=1e-200" in errors[0].getMessage()
     assert not any("steps" in r.getMessage() for r in caplog.records)
+    assert not out.exists()
+
+
+def test_nonfinite_initial_sample_fails_before_any_step(tmp_path, caplog):
+    # eps^alpha m1 |ell0|^2 is finite at eps = 0.2 and overflows at 0.05:
+    # every scale's first sample is checked before the sweep steps one
+    caplog.set_level(logging.INFO)
+    path = write_config(tmp_path, "[shape]\npreset = ellipse\npanels = 64\n"
+                        "[body]\nalpha = -2.0\nm1 = 1e304\n"
+                        "gamma = 6.283185307179586\nell0 = 10.0 0.0\n"
+                        "[vorticity]\npatch = 1.0 1.3 1.0\nspacing = 0.3\n"
+                        "[sweep]\neps = 0.2 0.05\n[time]\nt = 0.01\n"
+                        "dt = 0.001\n")
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["eps=0.05: non-finite initial energy"]
+    assert not any("coupled-eps0.2:" in r.getMessage()
+                   for r in caplog.records)
     assert not out.exists()
 
 
