@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import exp1
 
-from .geometry import TWO_PI, perp, point_vortex, squared_distances
+from .geometry import (TWO_PI, outer_difference, perp, point_vortex,
+                       squared_distances)
 from .potential import ScaledPotentials
 
 # rows per block of every blob-blob pair sum: a (PAIR_ROWS, n) block stays
@@ -266,8 +267,8 @@ class HydrodynamicField:
         scratch = StageScratch() if scratch is None else scratch
         kx, ky, r2, tmp = scratch.arrays(field.n, mesh.n)
         unit = field.x / eps
-        np.subtract.outer(unit[:, 0], mesh.x[:, 0], out=kx)
-        np.subtract.outer(unit[:, 1], mesh.x[:, 1], out=ky)
+        outer_difference(unit[:, 0], mesh.x[:, 0], out=kx)
+        outer_difference(unit[:, 1], mesh.x[:, 1], out=ky)
         np.multiply(kx, kx, out=r2)
         r2 += np.multiply(ky, ky, out=tmp)
         self.clearance = eps * float(np.sqrt(r2.min(initial=np.inf)))

@@ -38,6 +38,29 @@ def perp(v):
     return out
 
 
+def outer_difference(a, b, out=None) -> np.ndarray:
+    """a_i - b_j for every entry a_i of ``a`` and b_j of ``b``, shape (m, n).
+
+    Formed as the K = 2 product [a, 1] @ [1; -b]: both terms are products
+    with 1.0, which are exact, and their one sum rounds once, so every
+    entry equals np.subtract.outer's, except that (-0) - (+0) comes out +0.
+    The product fills rows of any width at about the same speed, where
+    numpy's buffered outer loop is up to three times slower on rows of
+    fewer than about 2700 entries.  Written into ``out`` when given (a
+    C-contiguous float (m, n) array), else into a new array.
+    """
+    return np.matmul(*_difference_factors(a, b), out=out)
+
+
+def _difference_factors(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The factors [a, 1] (m, 2) and [1; -b] (2, n) of outer_difference."""
+    left = np.ones((len(a), 2))
+    left[:, 0] = a
+    right = np.ones((2, len(b)))
+    np.negative(b, out=right[1])
+    return left, right
+
+
 def squared_distances(points, sources, out=None) -> np.ndarray:
     """|p_i - y_j|^2 for every point p_i and source y_j, shape (m, n).
 
@@ -46,15 +69,17 @@ def squared_distances(points, sources, out=None) -> np.ndarray:
     first coordinate difference is squared in place; the second is built
     in row chunks under 128 KiB and added, so a build holds one (m, n)
     array, never two or an (m, n, 2) stack.  Every operation is
-    elementwise, so the chunking does not change a bit.
+    elementwise or an exact product (see outer_difference), so the
+    chunking does not change a bit.
     """
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     y = np.asarray(sources, dtype=float).reshape(-1, 2)
-    rho = np.subtract.outer(p[:, 0], y[:, 0], out=out)
+    rho = outer_difference(p[:, 0], y[:, 0], out=out)
     rho *= rho
+    left, right = _difference_factors(p[:, 1], y[:, 1])
     step = max(1, _CHUNK_FLOATS // max(len(y), 1))
     for i0 in range(0, len(p), step):
-        d2 = np.subtract.outer(p[i0:i0 + step, 1], y[:, 1])
+        d2 = left[i0:i0 + step] @ right
         d2 *= d2
         rho[i0:i0 + step] += d2
     return rho

@@ -33,8 +33,8 @@ import numpy as np
 from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .contour import IdentityRow, contour_integral, hat_field
-from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments, perp,
-                       point_vortex, squared_distances)
+from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments,
+                       outer_difference, perp, point_vortex, squared_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +78,8 @@ def log_potential_sum(points, nodes, charges) -> np.ndarray:
 def log_gradient_sum(points, nodes, charges) -> np.ndarray:
     """Gradient of log_potential_sum, rows aligned with points."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d1 = np.subtract.outer(pts[:, 0], nodes[:, 0])
-    d2 = np.subtract.outer(pts[:, 1], nodes[:, 1])
+    d1 = outer_difference(pts[:, 0], nodes[:, 0])
+    d2 = outer_difference(pts[:, 1], nodes[:, 1])
     r2 = d1 ** 2 + d2 ** 2
     d1 /= r2
     d2 /= r2
@@ -102,10 +102,12 @@ class BoundaryOperators:
 
         # the (n, n) arrays are built in place to spare temporaries; tests
         # compare them bit for bit with the whole-array formulas, so the
-        # order of operations must stay that of the formulas
+        # order of operations must stay that of the formulas.  The pair
+        # offsets come from outer_difference, an exact product whose values
+        # are the formulas' differences
         r2 = squared_distances(x, x)
-        d1 = np.subtract.outer(x[:, 0], x[:, 0])
-        d2 = np.subtract.outer(x[:, 1], x[:, 1])
+        d1 = outer_difference(x[:, 0], x[:, 0])
+        d2 = outer_difference(x[:, 1], x[:, 1])
 
         # fluid-side normal derivative: A = -I/2 + K', curvature diagonal
         d1 *= nv[:, None, 0]
@@ -123,7 +125,7 @@ class BoundaryOperators:
         self._lu_neumann = lu_factor(self.A)
 
         # on-curve single-layer values: spectral log split
-        sin2 = np.subtract.outer(mesh.s, mesh.s)
+        sin2 = outer_difference(mesh.s, mesh.s)
         sin2 *= 0.5
         np.sin(sin2, out=sin2)
         sin2 *= sin2

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexbody import geometry as vb
-from vortexbody.geometry import _segments_cross, squared_distances
+from vortexbody.geometry import (_segments_cross, outer_difference,
+                                 squared_distances)
 from vortexbody.lab import CANONICAL_SHAPES
 
 # Oracle: perimeter of the (2,1) ellipse, 4*a*E(1 - b^2/a^2) via scipy.special.ellipe
@@ -232,6 +233,47 @@ def test_squared_distances_chunks_are_exact(m, n):
     out = buf[:m * n].reshape(m, n)
     assert squared_distances(p, y, out) is out
     assert np.array_equal(out, want) and np.isnan(buf[m * n:]).all()
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                           -5e-324, 1e308, -1e308, 1.0, -2.5])
+
+
+@pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (1, 1), (64, 2729),
+                                  (64, 2731), (300, 257)])
+@pytest.mark.parametrize("draw", ["normal", "special"])
+def test_outer_difference_matches_subtract_outer(m, n, draw):
+    # the exact rank-2 product has the values of numpy's outer subtract,
+    # NaN where it is NaN, on both sides of the 8192-element buffer width
+    rng = np.random.default_rng(m * n)
+    if draw == "normal":
+        a, b = rng.normal(size=m), rng.normal(size=n)
+    else:
+        a, b = rng.choice(SPECIAL_VALUES, m), rng.choice(SPECIAL_VALUES, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.subtract.outer(a, b)
+        got = outer_difference(a, b)
+        assert got.shape == (m, n)
+        assert np.array_equal(got, want, equal_nan=True)
+
+        buf = np.full(m * n + 7, np.nan)
+        out = buf[:m * n].reshape(m, n)
+        assert outer_difference(a, b, out=out) is out
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.isnan(buf[m * n:]).all()
+
+
+def test_outer_difference_of_signed_zeros():
+    # every pair of special values, and the one sign it does not keep:
+    # (-0) - (+0) is -0 in numpy's subtract and +0 from the product
+    a = b = SPECIAL_VALUES
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.subtract.outer(a, b)
+        got = outer_difference(a, b)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.signbit(want[1, 0]) and not np.signbit(got[1, 0])
+    zero = (a[:, None] == 0) & (b[None, :] == 0)
+    assert not np.signbit(got[zero]).any()
 
 
 def test_perp_and_rotation():

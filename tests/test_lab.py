@@ -519,11 +519,13 @@ def test_csv_lines_match_csv_writer(tmp_path):
     lines = (tmp_path / "fast.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "7"]
 
-    # a table with no rows writes its header line only
-    lab._write_csv(tmp_path / "empty.csv", ",".join(header),
-                   [np.zeros(0), np.zeros((0, 2)), np.zeros(0),
-                    np.zeros((0, 2))])
-    assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
+    # a table with no rows (a blob-free run's blob table) writes its header
+    # line only; a one-row table, the header and that row's line
+    for m in (0, 1):
+        lab._write_csv(tmp_path / f"rows{m}.csv", ",".join(header),
+                       [c[:m] for c in cols])
+        assert (tmp_path / f"rows{m}.csv").read_text() == \
+            "".join(line + "\n" for line in lines[:m + 1])
 
 
 def test_energy_drift_from_zero_energy_is_absolute(tmp_path):
