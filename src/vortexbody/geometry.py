@@ -43,7 +43,8 @@ def outer_difference(a, b, out=None) -> np.ndarray:
 
     Formed as the K = 2 product [a, 1] @ [1; -b]: both terms are products
     with 1.0, which are exact, and their one sum rounds once, so every
-    entry equals np.subtract.outer's, except that (-0) - (+0) comes out +0.
+    entry is the rounded difference numpy's subtract gives, except that
+    (-0) - (+0) comes out +0.
     The product fills rows of any width at about the same speed, where
     numpy's buffered outer loop is up to three times slower on rows of
     fewer than about 2700 entries.  Written into ``out`` when given (a
