@@ -15,7 +15,9 @@ with two boundary operators on the periodic parameter grid:
 * the on-curve values V sigma, whose kernel has the periodic log
   singularity.  V splits as (1/4pi) ln(4 sin^2((s-t)/2)) plus an analytic
   remainder; the log part is integrated exactly mode-by-mode (symbol
-  -2pi/|k|), the remainder by trapezoid.  The first-kind Dirichlet system
+  -2pi/|k|), the remainder by trapezoid.  On the uniform grid the split
+  factor and the log rule depend on i - j only, so both come from one
+  column each (n sines per mesh, not n^2).  The first-kind Dirichlet system
   V sigma + c = f with the zero-mean side condition is bordered by one
   row/column and LU-factored once per mesh.
 
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import circulant, lu_factor, lu_solve
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import lu_factor, lu_solve
 
 from .contour import IdentityRow, contour_integral, hat_field
 from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments,
@@ -41,8 +44,9 @@ from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments,
 # periodic spectral helpers
 
 
-def log_quadrature_matrix(n: int) -> np.ndarray:
-    """Dense rule for f -> integral of ln(4 sin^2((s_i - t)/2)) f(t) dt.
+def log_quadrature_column(n: int) -> np.ndarray:
+    """First column of the rule for f -> integral of ln(4 sin^2((s_i - t)/2))
+    f(t) dt; entry (i, j) of the rule is column[(i - j) mod n].
 
     Exact for trigonometric polynomials of degree < n/2: the kernel acts
     diagonally in Fourier space with symbol -2pi/|k| (zero mean part).
@@ -51,7 +55,20 @@ def log_quadrature_matrix(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
     nz = k != 0
     lam[nz] = -TWO_PI / np.abs(k[nz])
-    return circulant(np.fft.ifft(lam).real)
+    return np.fft.ifft(lam).real
+
+
+def circulant_view(column: np.ndarray) -> np.ndarray:
+    """Read-only (n, n) view with entry (i, j) = column[(i - j) mod n].
+
+    The view walks one buffer of 2n - 1 floats (the column reversed, then
+    its tail reversed) with a negative row stride; no (n, n) array is made.
+    """
+    n = len(column)
+    ext = np.concatenate((column[::-1], column[:0:-1]))
+    step = ext.strides[0]
+    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step),
+                      writeable=False)
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
@@ -104,10 +121,10 @@ class BoundaryOperators:
         # compare them bit for bit with the whole-array formulas, so the
         # order of operations must stay that of the formulas.  The pair
         # offsets come from outer_difference, an exact product whose values
-        # are the formulas' differences
-        r2 = squared_distances(x, x)
+        # are the formulas' differences, and r2 is summed from them
         d1 = outer_difference(x[:, 0], x[:, 0])
         d2 = outer_difference(x[:, 1], x[:, 1])
+        r2 = d1 ** 2 + d2 ** 2
 
         # fluid-side normal derivative: A = -I/2 + K', curvature diagonal
         d1 *= nv[:, None, 0]
@@ -124,19 +141,16 @@ class BoundaryOperators:
         self.A = d1
         self._lu_neumann = lu_factor(self.A)
 
-        # on-curve single-layer values: spectral log split
-        sin2 = outer_difference(mesh.s, mesh.s)
-        sin2 *= 0.5
-        np.sin(sin2, out=sin2)
-        sin2 *= sin2
-        sin2 *= 4.0
+        # on-curve single-layer values: spectral log split.  On the uniform
+        # grid both split terms depend on i - j only, so each comes from its
+        # first column through a circulant view: n sines, not n^2
+        sin2 = 4.0 * np.sin(0.5 * mesh.s) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            r2 /= sin2
+            r2 /= circulant_view(sin2)
             smooth = np.log(r2, out=r2)
-        del sin2
         np.fill_diagonal(smooth, 2.0 * np.log(speed))
         smooth *= h
-        smooth += log_quadrature_matrix(n)
+        smooth += circulant_view(log_quadrature_column(n))
         smooth /= 2.0 * TWO_PI
         smooth *= speed[None, :]
         self.V = smooth

@@ -17,15 +17,19 @@ then a polar annulus and an analytic Laurent tail.
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import circulant
 
 from vortexbody.contour import hat_field
 from vortexbody.geometry import build_mesh, disk, ellipse, perturbed_disk
+from vortexbody.lab import CANONICAL_SHAPES
 from vortexbody.potential import (
     BoundaryOperators,
     ScaledPotentials,
     build_mass_data,
     build_potential_set,
+    circulant_view,
     field_identity_rows,
     laurent_coefficients,
     moment_closed_forms,
@@ -311,9 +315,32 @@ def test_boundary_operator_shared(disk_set):
     assert np.abs(sol.boundary_values - 0.5 * np.cos(2 * th)).max() < 1e-10
 
 
+def modular_offsets(n):
+    """(i - j) mod n for every entry (i, j) of an (n, n) array."""
+    return (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+
+
+def reference_single_layer(mesh, sin2):
+    """V as a plain whole-array expression, given the (n, n) split factor
+    4 sin^2((s_i - s_j)/2), with the log rule gathered by a modular index."""
+    n, x, speed = mesh.n, mesh.x, mesh.speed
+    h = 2 * np.pi / n
+    r2 = (x[:, None, 0] - x[None, :, 0]) ** 2 + (x[:, None, 1] - x[None, :, 1]) ** 2
+    lam = np.zeros(n)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    lam[k != 0] = -2 * np.pi / np.abs(k[k != 0])
+    col = np.fft.ifft(lam).real
+    log_rule = col[modular_offsets(n)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smooth = np.log(r2 / sin2)
+    np.fill_diagonal(smooth, 2.0 * np.log(speed))
+    return (log_rule + h * smooth) / (2.0 * (2 * np.pi)) * speed[None, :]
+
+
 def reference_operators(mesh):
-    """A and V of ``BoundaryOperators`` as plain whole-array expressions,
-    with the log rule gathered by a modular index."""
+    """A and V of ``BoundaryOperators`` as plain whole-array expressions;
+    both log-split terms of V are gathered from their first columns by a
+    modular index."""
     n, x, nv, speed = mesh.n, mesh.x, mesh.normal, mesh.speed
     h = 2 * np.pi / n
     d1 = x[:, None, 0] - x[None, :, 0]
@@ -324,18 +351,16 @@ def reference_operators(mesh):
     np.fill_diagonal(kern, -(nv * mesh.xpp).sum(axis=1) / (2.0 * speed ** 2))
     A = -0.5 * np.eye(n) + (h / (2 * np.pi)) * kern * speed[None, :]
 
-    lam = np.zeros(n)
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    lam[k != 0] = -2 * np.pi / np.abs(k[k != 0])
-    col = np.fft.ifft(lam).real
-    log_rule = col[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    sin2 = (4.0 * np.sin(0.5 * mesh.s) ** 2)[modular_offsets(n)]
+    return A, reference_single_layer(mesh, sin2)
+
+
+def pairwise_sine_single_layer(mesh):
+    """V with the split factor evaluated on every pair of grid parameters,
+    4 sin^2((s_i - s_j)/2): the direct form of the factor that
+    ``BoundaryOperators`` takes from one column."""
     ds = mesh.s[:, None] - mesh.s[None, :]
-    sin2 = 4.0 * np.sin(0.5 * ds) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smooth = np.log(r2 / sin2)
-    np.fill_diagonal(smooth, 2.0 * np.log(speed))
-    V = (log_rule + h * smooth) / (2.0 * (2 * np.pi)) * speed[None, :]
-    return A, V
+    return reference_single_layer(mesh, 4.0 * np.sin(0.5 * ds) ** 2)
 
 
 @pytest.mark.parametrize("panels", [64, 512])
@@ -350,3 +375,31 @@ def test_operators_built_in_place_match_reference(shape, panels):
     assert np.array_equal(ops.A, A)
     assert np.array_equal(ops.V, V)
 
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_circulant_view_matches_scipy_circulant(n):
+    column = np.random.default_rng(n).standard_normal(n)
+    view = circulant_view(column)
+    assert np.array_equal(view, circulant(column))
+    with pytest.raises(ValueError):
+        view[0, 0] = 1.0
+    low, high = byte_bounds(view)
+    assert high - low == (2 * n - 1) * column.itemsize
+
+
+@pytest.mark.parametrize("panels", [64, 512])
+@pytest.mark.parametrize("shape", [shape for _, shape in CANONICAL_SHAPES],
+                         ids=[label for label, _ in CANONICAL_SHAPES])
+def test_single_layer_matches_pairwise_sine_factor(shape, panels):
+    """The column-built split factor differs from the pairwise one only in
+    the sine's argument, (i - j)h instead of the rounded s_i - s_j; V and the
+    added-mass matrix it yields move by roundoff only."""
+    mesh = build_mesh(shape, panels)
+    pset = build_potential_set(mesh)
+    V = pairwise_sine_single_layer(mesh)
+    assert np.abs(pset.ops.V - V).max() <= 1e-13 * np.abs(V).max()
+
+    raw = np.array([[np.sum((V @ phi.density) * mesh.neumann_data(j + 1) * mesh.w)
+                     for j in range(5)] for phi in pset.phi])
+    mass = 0.5 * (raw + raw.T)
+    assert np.abs(pset.mass - mass).max() <= 1e-14 * np.abs(mass).max()
