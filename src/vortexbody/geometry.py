@@ -24,6 +24,11 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# the area moments and the quartic added-mass entries grow as extent^3 *
+# perimeter, so the largest node coordinate is capped a decade under the
+# fourth root of the double range (1.3e77)
+EXTENT_MAX = 1e76
+
 # float64 entries per row chunk of squared_distances' second difference:
 # just under 128 KiB, below the allocator's default mmap threshold
 _CHUNK_FLOATS = (128 * 1024) // 8 - 1
@@ -159,10 +164,6 @@ class ShapeSpec:
         c = np.asarray(self.coeffs) * (1j * k) ** order
         return self._phase(s) @ c
 
-    def scaled(self, factor: float) -> "ShapeSpec":
-        return ShapeSpec(self.name, self.modes,
-                         tuple(c * factor for c in self.coeffs))
-
     def translated(self, offset) -> "ShapeSpec":
         off = complex(offset[0], offset[1])
         d = dict(zip(self.modes, self.coeffs))
@@ -176,8 +177,7 @@ def _centered(name: str, coeff_map: dict) -> ShapeSpec:
     modes = tuple(sorted(coeff_map))
     shape = ShapeSpec(name, modes, tuple(coeff_map[k] for k in modes))
     max_mode = max(1, max(abs(k) for k in modes))
-    mesh = build_mesh(shape, max(64, 8 * max_mode))
-    c = geometric_moments(mesh).centroid
+    c = build_mesh(shape, max(64, 8 * max_mode)).interior_point
     # subtracting the centroid from c_0 recenters exactly (translation is linear)
     return shape.translated((-c[0], -c[1]))
 
@@ -323,32 +323,53 @@ def build_mesh(shape: ShapeSpec, n_panels: int) -> BoundaryMesh:
     """Sample a shape at n_panels equispaced parameters.
 
     Rejects odd or too-coarse panel counts, degenerate parametrizations,
-    clockwise orientation and self-intersecting curves.
+    clockwise orientation, self-intersecting curves, and curves too large
+    for their moments: a node coordinate beyond EXTENT_MAX = 1e76, or
+    non-finite nodes, weights, area or moments, is a ValueError, reached
+    without a numpy warning.  The largest moments sum cubes of the
+    coordinates against the weights, so within EXTENT_MAX they and the
+    added-mass entries stay finite for any perimeter up to 1e79.
     """
     if n_panels < 8 or n_panels % 2 != 0:
         raise ValueError("n_panels must be an even integer >= 8")
     s = np.arange(n_panels) * (TWO_PI / n_panels)
-    z = shape.point(s)
-    zp = shape.derivative(s, 1)
-    zpp = shape.derivative(s, 2)
-    speed = np.abs(zp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = shape.point(s)
+        zp = shape.derivative(s, 1)
+        zpp = shape.derivative(s, 2)
+        speed = np.abs(zp)
+    x = np.column_stack([z.real, z.imag])
+    xpp = np.column_stack([zpp.real, zpp.imag])
+    w = speed * (TWO_PI / n_panels)
+    if not (np.isfinite(x).all() and np.isfinite(xpp).all()
+            and np.isfinite(w).all()):
+        raise ValueError("curve too large: non-finite nodes or weights")
+    if np.abs(x).max() > EXTENT_MAX:
+        raise ValueError(f"curve too large: a node coordinate exceeds "
+                         f"{EXTENT_MAX:g}")
     if speed.min() < 1e-12 * max(speed.max(), 1.0):
         raise ValueError("degenerate parametrization: |x'(s)| vanishes")
-    x = np.column_stack([z.real, z.imag])
     tau = np.column_stack([zp.real, zp.imag]) / speed[:, None]
     normal = perp(tau)
-    w = speed * (TWO_PI / n_panels)
-    if _segments_cross(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        crosses = _segments_cross(x)
+        # orientation: with n into the solid, -(1/2) sum (x.n) w is the area
+        area = -0.5 * float(np.sum((x * normal).sum(axis=1) * w))
+    if crosses:
         raise ValueError("boundary curve self-intersects")
-    # orientation: with n into the solid, -(1/2) sum (x.n) w is the area
-    area = -0.5 * float(np.sum((x * normal).sum(axis=1) * w))
+    if not np.isfinite(area):
+        raise ValueError("curve too large: its area overflows")
     if area <= 0:
         raise ValueError("parametrization must be counterclockwise")
     mesh = BoundaryMesh(shape=shape, n=n_panels, s=s, x=x, tau=tau,
-                        normal=normal, w=w, speed=speed,
-                        xpp=np.column_stack([zpp.real, zpp.imag]),
+                        normal=normal, w=w, speed=speed, xpp=xpp,
                         interior_point=np.zeros(2))
-    return replace(mesh, interior_point=geometric_moments(mesh).centroid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = geometric_moments(mesh)
+    if not np.isfinite([mom.area, *mom.centroid, mom.m_diff, mom.m_cross,
+                        mom.m_polar]).all():
+        raise ValueError("curve too large: its area moments overflow")
+    return replace(mesh, interior_point=mom.centroid)
 
 
 @dataclass(frozen=True)

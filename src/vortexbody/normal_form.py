@@ -129,7 +129,14 @@ def gyro_axis(mass: MassData) -> np.ndarray:
     return np.array([*perp(mass.xi), -1.0])
 
 
-def _lambda_quadratic(mass: MassData, which: str, p: np.ndarray) -> np.ndarray:
+def apply_lambda(mass: MassData, which: str, p) -> np.ndarray:
+    """The quadratic form <Lambda, p, p> of one of the gyroscopic tensors,
+    on momenta along the last axis: a (3,) p gives (3,), a (k, 3) stack
+    gives (k, 3).  'g' is the genuine-mass tensor, 'under' the bare
+    added-mass one, 'a' adds the spin coupling through the first moments
+    of the potentials.
+    """
+    p = np.asarray(p, dtype=float)
     ell, r = p[..., :2], p[..., 2:]
     if which == "g":
         return np.concatenate([mass.m1 * r * perp(ell), np.zeros_like(r)], -1)
@@ -141,23 +148,6 @@ def _lambda_quadratic(mass: MassData, which: str, p: np.ndarray) -> np.ndarray:
     if which == "a":
         return under + r * cross_product(p, mass.mu)
     raise ValueError(f"unknown tensor {which!r}; use 'g', 'under' or 'a'")
-
-
-def apply_lambda(mass: MassData, which: str, p, q=None) -> np.ndarray:
-    """Evaluate one of the quadratic gyroscopic tensors on momenta along
-    the last axis: a (3,) p gives (3,), a (k, 3) stack gives (k, 3).
-    With one argument: the quadratic form <Lambda, p, p>.  With two: the
-    symmetric bilinear extension by polarization.  'g' is the genuine-mass
-    tensor, 'under' the bare added-mass one, 'a' adds the spin coupling
-    through the first moments of the potentials.
-    """
-    p = np.asarray(p, dtype=float)
-    if q is None:
-        return _lambda_quadratic(mass, which, p)
-    q = np.asarray(q, dtype=float)
-    return 0.5 * (_lambda_quadratic(mass, which, p + q)
-                  - _lambda_quadratic(mass, which, p)
-                  - _lambda_quadratic(mass, which, q))
 
 
 def _weak_gyro(a, b, mass: MassData) -> np.ndarray:

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .contour import IdentityRow, contour_integral, hat_field
 from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments,
@@ -56,19 +55,6 @@ def log_quadrature_column(n: int) -> np.ndarray:
     nz = k != 0
     lam[nz] = -TWO_PI / np.abs(k[nz])
     return np.fft.ifft(lam).real
-
-
-def circulant_view(column: np.ndarray) -> np.ndarray:
-    """Read-only (n, n) view with entry (i, j) = column[(i - j) mod n].
-
-    The view walks one buffer of 2n - 1 floats (the column reversed, then
-    its tail reversed) with a negative row stride; no (n, n) array is made.
-    """
-    n = len(column)
-    ext = np.concatenate((column[::-1], column[:0:-1]))
-    step = ext.strides[0]
-    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step),
-                      writeable=False)
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
@@ -113,6 +99,8 @@ class BoundaryOperators:
 
     def __init__(self, mesh: BoundaryMesh):
         self.mesh = mesh
+        # the flux sum of a rigid datum scales as the body's size squared
+        self._flux_floor = mesh.circumradius ** 2
         n = mesh.n
         x, nv, speed, w = mesh.x, mesh.normal, mesh.speed, mesh.w
         h = TWO_PI / n
@@ -142,15 +130,15 @@ class BoundaryOperators:
         self._lu_neumann = lu_factor(self.A)
 
         # on-curve single-layer values: spectral log split.  On the uniform
-        # grid both split terms depend on i - j only, so each comes from its
-        # first column through a circulant view: n sines, not n^2
+        # grid both split terms depend on i - j only, so each is the
+        # circulant of its first column: n sines, not n^2
         sin2 = 4.0 * np.sin(0.5 * mesh.s) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            r2 /= circulant_view(sin2)
+            r2 /= circulant(sin2)
             smooth = np.log(r2, out=r2)
         np.fill_diagonal(smooth, 2.0 * np.log(speed))
         smooth *= h
-        smooth += circulant_view(log_quadrature_column(n))
+        smooth += circulant(log_quadrature_column(n))
         smooth /= 2.0 * TWO_PI
         smooth *= speed[None, :]
         self.V = smooth
@@ -173,10 +161,10 @@ class BoundaryOperators:
         """
         g = np.asarray(g, dtype=float)
         total = float(np.sum(g * self.mesh.w))
-        # relative to the data size, with an absolute floor so that
-        # identically-zero data (a symmetric datum on a symmetric shape)
-        # passes cleanly
-        scale = float(np.sum(np.abs(g) * self.mesh.w)) + 1.0
+        # relative to the data size, with an absolute floor of the body's
+        # squared size so that data that is zero up to rounding (a
+        # symmetric datum on a symmetric shape) passes at any body size
+        scale = float(np.sum(np.abs(g) * self.mesh.w)) + self._flux_floor
         if abs(total) > compat_tol * scale:
             raise ValueError(
                 f"incompatible Neumann data: net flux {total:.3e} "
@@ -219,9 +207,6 @@ class NeumannSolution:
         """Max-norm residual of the discrete normal-derivative equation."""
         return float(np.abs(self._ops.A @ self.density - self.data).max())
 
-    def potential(self, points) -> np.ndarray:
-        return log_potential_sum(points, self.mesh.x, self.charges)
-
     def gradient(self, points) -> np.ndarray:
         return log_gradient_sum(points, self.mesh.x, self.charges)
 
@@ -258,11 +243,6 @@ class HarmonicField:
     def charges(self) -> np.ndarray:
         return self.density * self.mesh.w
 
-    def stream(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        base = (0.25 / np.pi) * np.log(((pts - self.pole) ** 2).sum(axis=1))
-        return base + log_potential_sum(pts, self.mesh.x, self.charges) + self.constant
-
     def velocity(self, points) -> np.ndarray:
         return (point_vortex(points, self.pole)
                 + perp(log_gradient_sum(points, self.mesh.x, self.charges)))
@@ -277,10 +257,6 @@ class HarmonicField:
         """On the boundary the stream vanishes, so the field is tangent:
         H = -(d_n stream) tau."""
         return -self.normal_stream_derivative()[:, None] * self.mesh.tau
-
-    def circulation(self) -> float:
-        trace = self.boundary_trace()
-        return float(np.sum((trace * self.mesh.tau).sum(axis=1) * self.mesh.w))
 
 
 def harmonic_field(ops: BoundaryOperators) -> HarmonicField:

@@ -12,7 +12,8 @@ import pytest
 from vortexbody.biotsavart import BlobField, HydrodynamicField
 from vortexbody.coupled_system import (VorticityPatch, coupled_step, force_B,
                                        force_C, init_coupled)
-from vortexbody.geometry import build_mesh, perp, perturbed_disk, rotation
+from vortexbody.geometry import (ShapeSpec, build_mesh, perp, perturbed_disk,
+                                 rotation)
 from vortexbody.normal_form import (
     ModulationSeries,
     _centered,
@@ -24,7 +25,8 @@ from vortexbody.normal_form import (
     normal_form_residual,
     sample_modulation,
 )
-from vortexbody.potential import ScaledPotentials, build_mass_data, build_potential_set
+from vortexbody.potential import (ScaledPotentials, build_mass_data,
+                                  build_potential_set, log_potential_sum)
 
 SWEEP_EPS = (0.2, 0.1, 0.05, 0.025)
 
@@ -53,6 +55,31 @@ def total_force(state, hydro) -> np.ndarray:
     C_a, C_b, C_c = force_C(state, hydro)
     coriolis = np.array([*(state.body_mass * state.r * perp(state.ell)), 0.0])
     return -(force_B(state, hydro) + C_a + C_b + C_c + coriolis)
+
+
+def scaled_shape(shape: ShapeSpec, factor: float) -> ShapeSpec:
+    """The same curve with every Fourier coefficient times ``factor``."""
+    return ShapeSpec(shape.name, shape.modes,
+                     tuple(c * factor for c in shape.coeffs))
+
+
+def neumann_potential(solution, points) -> np.ndarray:
+    """A NeumannSolution's single-layer potential at each point."""
+    return log_potential_sum(points, solution.mesh.x, solution.charges)
+
+
+def harmonic_stream(H, points) -> np.ndarray:
+    """The stream function (1/2pi) ln|x - pole| + S sigma + c of a
+    HarmonicField at each point; it vanishes on the boundary."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    base = (0.25 / np.pi) * np.log(((pts - H.pole) ** 2).sum(axis=1))
+    return base + log_potential_sum(pts, H.mesh.x, H.charges) + H.constant
+
+
+def harmonic_circulation(H) -> float:
+    """The circulation of a HarmonicField's boundary trace."""
+    trace = H.boundary_trace()
+    return float(np.sum((trace * H.mesh.tau).sum(axis=1) * H.mesh.w))
 
 
 def rotated_mass_identity_check(series: ModulationSeries, dt: float) -> float:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from conftest import empty_field, gradient_matrix, patch_field, total_force
+from conftest import (empty_field, gradient_matrix, harmonic_stream,
+                      patch_field, total_force)
 from vortexbody import coupled_system
 from vortexbody.biotsavart import (
     BlobField,
@@ -185,7 +186,7 @@ def test_blocked_pair_sum_matches_dense(ellipse_setup, n):
     psi = f.gamma @ dense_pair_stream(f) @ f.gamma
     p = st.p
     correction = boundary_correction(st, f.x, f.gamma, f.x)
-    stream = sp.base.H.stream(f.x / EPS)
+    stream = harmonic_stream(sp.base.H, f.x / EPS)
     dense = 0.5 * (p @ st.inertia_matrix @ p - psi - f.gamma @ correction
                    - 2.0 * (f.beta + st.gamma) * (f.gamma @ stream))
     # total_energy = dense + (psi - blocked psi)/2

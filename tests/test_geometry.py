@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scaled_shape
 from vortexbody import geometry as vb
 from vortexbody.geometry import (_segments_cross, outer_difference,
                                  squared_distances)
@@ -195,11 +198,38 @@ def test_translated_shape_moves_centroid():
 def test_scaled_shape():
     eps = 0.125
     base = vb.build_mesh(vb.ellipse(2, 1), 64)
-    small = vb.build_mesh(vb.ellipse(2, 1).scaled(eps), 64)
+    small = vb.build_mesh(scaled_shape(vb.ellipse(2, 1), eps), 64)
     np.testing.assert_allclose(small.x, eps * base.x, atol=1e-15)
     np.testing.assert_allclose(small.w, eps * base.w, atol=1e-15)
     mom = vb.geometric_moments(small)
     assert abs(mom.area - eps ** 2 * 2 * np.pi) < 1e-12
+
+
+@pytest.mark.parametrize("shape, message", [
+    (vb.disk(1e300), "node coordinate exceeds"),
+    (vb.disk(2.0 * vb.EXTENT_MAX), "node coordinate exceeds"),
+    # the second derivative of mode 9 overflows
+    (vb.ShapeSpec("wavy", (1, 9), (1.0, 1e307)), "non-finite"),
+    # modes 1 and 1 - 64 alias on 64 panels: the nodes trace a circle of
+    # radius 1e75, but the weights sum to 4e85 and the moments overflow
+    (vb.ShapeSpec("aliased", (-63, 1), (-1e83, 1e75 + 1e83)), "moments"),
+])
+def test_too_large_curve_fails_without_warning(shape, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            vb.build_mesh(shape, 64)
+
+
+def test_curve_within_extent_bound_meshes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = vb.build_mesh(scaled_shape(vb.ellipse(2, 1),
+                                          0.4 * vb.EXTENT_MAX), 64)
+    assert np.abs(mesh.x).max() <= vb.EXTENT_MAX
+    mom = vb.geometric_moments(mesh)
+    assert np.isfinite([mom.area, mom.m_diff, mom.m_cross,
+                        mom.m_polar]).all()
 
 
 def test_spectral_refinement():

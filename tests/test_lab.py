@@ -6,6 +6,7 @@ import gc
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -207,8 +208,13 @@ def config_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# the disk preset at radius 1e300, far beyond geometry.EXTENT_MAX
+HUGE_SHAPE = "[shape]\na = 2.0\nb = 1.0\nradius = 1e300\n[sweep]\neps = 0.2 0.1\n"
+
+
 @settings(max_examples=100, deadline=None)
 @given(config_texts())
+@example(HUGE_SHAPE)
 def test_config_text_fails_closed(text):
     # parse only: a text is a ConfigError or a config with finite data
     with tempfile.TemporaryDirectory() as tmp:
@@ -242,6 +248,7 @@ EXTREME_CORE = ("[shape]\npreset = ellipse\na = 2.0\nb = 1.0\npanels = 64\n"
 @example(EXTREME_CORE.format("1e-60"))
 @example(EXTREME_CORE.format("1e-100"))
 @example(EXTREME_CORE.format("1e-200"))
+@example(HUGE_SHAPE)
 def test_accepted_config_runs_or_fails_closed(text):
     # two steps of every config that parses: a ConfigError, or records
     # that are aborted exactly when their .aborted marker exists, with no
@@ -383,6 +390,23 @@ def test_report_drifts_are_measured(tmp_path):
     assert row["gamma_drift"] == 0.125
 
 
+def test_impulse_drift_sees_the_impulse_turn(tmp_path):
+    # the impulse is a conserved vector: turning it at constant norm
+    # drifts by the chord, here 2 sin(pi/4) = sqrt 2
+    cfg = parse_config(write_config(tmp_path))
+    h = np.zeros((5, 2))
+    blobs = np.zeros((5, 3, 2))
+    coupled = _record(h, blobs)
+    coupled.energy = np.ones(5)
+    coupled.ell = np.zeros((5, 2))
+    coupled.r = np.zeros(5)
+    limit = _record(h, blobs, kind="limit")
+    angle = np.linspace(0.0, 0.5 * np.pi, 5)
+    limit.impulse = np.column_stack([np.cos(angle), np.sin(angle)])
+    drift = assemble_report(cfg, [coupled], limit).limit["impulse_drift"]
+    assert drift == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
 def test_fit_slope():
     eps = [0.2, 0.1, 0.05, 0.025]
     vals = [3.0 * e ** 2 for e in eps]
@@ -458,6 +482,26 @@ def test_report_content(tiny_run):
     assert "lattice index" in saved["metadata"]["matching"]
     assert saved["limit"]["impulse_drift"] < 1e-12
     assert report.rows[0]["sup_h_distance"] == saved["rows"][0]["sup_h_distance"]
+
+
+def test_data_dictionary_names_every_report_key(tiny_run):
+    _, _, _, out = tiny_run
+    text = (out / "data-dictionary.md").read_text()
+    section = text.split("## report.json\n")[1].split("\n## ")[0]
+
+    def keys(value):
+        if isinstance(value, dict):
+            for key, inner in value.items():
+                yield key
+                yield from keys(inner)
+        elif isinstance(value, list):
+            for inner in value:
+                yield from keys(inner)
+
+    report = json.loads((out / "report.json").read_text())
+    missing = {key for key in keys(report)
+               if not re.search(rf"\b{re.escape(key)}\b", section)}
+    assert not missing
 
 
 def test_summary_content(tiny_run):
@@ -935,6 +979,19 @@ def test_psd_row_fails_on_nonfinite_mass(monkeypatch):
     psd = [r for r in report.rows if r.name == "positive semidefinite"]
     assert len(psd) == len(CANONICAL_SHAPES)
     assert not any(r.passed for r in psd)
+
+
+def test_symmetry_row_reads_the_mass_defect(monkeypatch):
+    # build_potential_set symmetrises the mass matrix, so the row must
+    # report the asymmetry measured before that
+    def asymmetric(mesh):
+        return replace(build_potential_set(mesh), mass_defect=1e-9)
+
+    monkeypatch.setattr(lab, "build_potential_set", asymmetric)
+    report = check(panels=64)
+    symmetry = [r for r in report.rows if r.name == "symmetry"]
+    assert len(symmetry) == len(CANONICAL_SHAPES)
+    assert all(r.error == 1e-9 and not r.passed for r in symmetry)
 
 
 def test_identities_json_is_strict(tmp_path, monkeypatch):

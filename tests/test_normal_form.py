@@ -1,6 +1,6 @@
 """Modulated variables and the normal form of the body equation: strain
 extraction against kernel differences, tensor algebra (orthogonality,
-polarization, disk degeneracies), the frozen-state expansion sweep, and
+batching, disk degeneracies), the frozen-state expansion sweep, and
 the residual/identity diagnostics on short reference trajectories."""
 
 import numpy as np
@@ -157,21 +157,17 @@ def test_lambda_orthogonality(asym_setup):
 
 
 def test_lambda_batched_matches_rows(asym_setup):
-    # a (k, 3) stack gives the per-row results stacked, in both forms
+    # a (k, 3) stack gives the per-row results stacked
     _, md = asym_setup
     rng = np.random.default_rng(5)
     P, Q = rng.normal(size=(2, 64, 3))
     for which in ("g", "under", "a"):
-        for args in ((P,), (P, Q)):
-            rows = np.array([apply_lambda(md, which, *row)
-                             for row in zip(*args)])
-            batched = apply_lambda(md, which, *args)
-            assert batched.shape == P.shape
-            scale = np.linalg.norm(rows, axis=1).max()
-            np.testing.assert_allclose(batched, rows, rtol=0,
-                                       atol=1e-14 * scale)
-            single = apply_lambda(md, which, *(a[0] for a in args))
-            assert single.shape == (3,)
+        rows = np.array([apply_lambda(md, which, row) for row in P])
+        batched = apply_lambda(md, which, P)
+        assert batched.shape == P.shape
+        scale = np.linalg.norm(rows, axis=1).max()
+        np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-14 * scale)
+        assert apply_lambda(md, which, P[0]).shape == (3,)
     for qb in (Q, Q[0]):  # a stack, and one triple broadcast over the rows
         rows = np.array([np.cross(pa, qa)
                          for pa, qa in zip(P, np.broadcast_to(qb, P.shape))])
@@ -180,22 +176,6 @@ def test_lambda_batched_matches_rows(asym_setup):
                                    atol=1e-14 * scale)
     with pytest.raises(ValueError):
         apply_lambda(md, "nope", P)
-
-
-def test_lambda_polarization(asym_setup):
-    _, md = asym_setup
-    rng = np.random.default_rng(11)
-    p1, p2, p3 = rng.normal(size=(3, 3))
-    for which in ("g", "under", "a"):
-        sym = apply_lambda(md, which, p1, p2) - apply_lambda(md, which, p2, p1)
-        lin = (apply_lambda(md, which, p1, p2 + 2 * p3)
-               - apply_lambda(md, which, p1, p2)
-               - 2 * apply_lambda(md, which, p1, p3))
-        diag = apply_lambda(md, which, p1, p1) - apply_lambda(md, which, p1)
-        for gap in (sym, lin, diag):
-            assert np.abs(gap).max() < 1e-13, which
-    with pytest.raises(ValueError):
-        apply_lambda(md, "nope", p1)
 
 
 def test_disk_degeneracies(disk_setup):
