@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import exp1
 
-from .geometry import (TWO_PI, outer_difference, perp, point_vortex,
-                       squared_distances)
+from .geometry import (_CHUNK_FLOATS, TWO_PI, outer_difference, perp,
+                       point_vortex, squared_distances)
 from .potential import ScaledPotentials
 
 # rows per block of every blob-blob pair sum: a (PAIR_ROWS, n) block stays
@@ -209,20 +209,19 @@ def velocity_gradient(field: BlobField, point) -> tuple[float, float, bool]:
 
 
 class StageScratch:
-    """The four (blobs, nodes) float arrays a HydrodynamicField build
-    writes: the offsets kx and ky, r^2 (then the core factor) and one
-    product temporary.  A coupled run owns one, so its RK stages reuse
-    the same memory instead of mapping it afresh; the arrays of one build
-    are valid until the next build on the same scratch.  The buffers grow
-    to the largest build seen, and a smaller one takes their leading
-    elements."""
+    """The two (blobs, nodes) float arrays a HydrodynamicField build
+    writes: the offsets kx and ky, each divided by r^2 in place.  A
+    coupled run owns one, so its RK stages reuse the same memory instead
+    of mapping it afresh; the arrays of one build are valid until the
+    next build on the same scratch.  The buffers grow to the largest
+    build seen, and a smaller one takes their leading elements."""
 
     def __init__(self):
-        self._buffers = tuple(np.empty(0) for _ in range(4))
+        self._buffers = (np.empty(0), np.empty(0))
 
     def arrays(self, m: int, n: int) -> list[np.ndarray]:
         if self._buffers[0].size < m * n:
-            self._buffers = tuple(np.empty(m * n) for _ in range(4))
+            self._buffers = (np.empty(m * n), np.empty(m * n))
         return [b[:m * n].reshape(m, n) for b in self._buffers]
 
 
@@ -246,9 +245,11 @@ class HydrodynamicField:
     The Neumann kernel is scale-invariant, so the correction is solved on
     the unit mesh.
 
-    The build writes its (blobs, nodes) arrays into ``scratch`` (a new
-    StageScratch when None), which must not be built on again while this
-    field is in use.
+    The build holds two (blobs, nodes) arrays, kx and ky, written into
+    ``scratch`` (a new StageScratch when None), which must not be built on
+    again while this field is in use.  r^2 exists in row chunks only, and
+    the core factor of the free-space sum at the near pairs only, where
+    it differs from 1.
     """
 
     def __init__(self, scaled: ScaledPotentials, field: BlobField,
@@ -262,20 +263,36 @@ class HydrodynamicField:
         # freed before the node geometry exists
         self._free = velocity_free_space(field, field.x)
 
-        # the (blobs, nodes) geometry: four arrays owned by the run's
+        # the (blobs, nodes) geometry: two arrays owned by the run's
         # scratch, valid until the next stage, written in place
         scratch = StageScratch() if scratch is None else scratch
-        kx, ky, r2, tmp = scratch.arrays(field.n, mesh.n)
+        kx, ky = scratch.arrays(field.n, mesh.n)
         unit = field.x / eps
         outer_difference(unit[:, 0], mesh.x[:, 0], out=kx)
         outer_difference(unit[:, 1], mesh.x[:, 1], out=ky)
-        np.multiply(kx, kx, out=r2)
-        r2 += np.multiply(ky, ky, out=tmp)
-        self.clearance = eps * float(np.sqrt(r2.min(initial=np.inf)))
-        # a blob on a node leaves 0/0 here; the winding sum rejects the NaN
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kx /= r2
-            ky /= r2
+        # r^2 lives in row chunks under 128 KiB: each chunk gives its
+        # minimum, divides kx and ky, and lists its near pairs.  The
+        # free-space velocity at the nodes needs the core factor
+        # 1 - exp(-u), u = r^2 (eps/delta)^2, which from u = 40 on rounds
+        # to exactly 1, so it is kept at the near pairs only
+        rate = -(eps / field.delta) ** 2
+        step = max(1, _CHUNK_FLOATS // mesh.n)
+        r2_min, near, core = [], [np.empty(0, np.intp)], [np.empty(0)]
+        for i0 in range(0, field.n, step):
+            cx, cy = kx[i0:i0 + step], ky[i0:i0 + step]
+            r2 = cx * cx
+            r2 += cy * cy
+            r2_min.append(r2.min())
+            # a blob on a node leaves 0/0 here; the winding sum rejects the NaN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cx /= r2
+                cy /= r2
+            u = np.multiply(r2, rate, out=r2).reshape(-1)
+            pairs = np.flatnonzero(u > -40.0)
+            near.append(pairs + i0 * mesh.n)
+            core.append(-np.expm1(u[pairs]))
+        self.clearance = eps * float(np.sqrt(np.min(r2_min, initial=np.inf)))
+        near, core = np.concatenate(near), np.concatenate(core)
         self._kx, self._ky = kx, ky
         # sum_k w_k n_k . d/r^2 is Gauss's double-layer integral (n into the
         # solid): 2 pi for a blob inside the body, 0 outside, NaN on a node.
@@ -288,18 +305,20 @@ class HydrodynamicField:
             raise BodyCollisionError("blob inside the body")
 
         # free-space blob velocity at the scaled nodes eps*y: the node
-        # minus blob offset is -eps*d, so u = (G/2pi) @ (core (ky, -kx)) / eps
-        # with core = 1 - exp(-u), u = r^2 (eps/delta)^2.  From u = 40 on,
-        # -expm1(-u) rounds to exactly 1, so expm1 runs on the near pairs
-        # only
-        core = np.multiply(r2, -(eps / field.delta) ** 2, out=r2)
-        near = core > -40.0
-        tail = np.expm1(core[near])
-        core.fill(1.0)
-        core[near] = np.negative(tail, out=tail)
+        # minus blob offset is -eps*d, so u = (G/2pi) @ (core (ky, -kx)) / eps.
+        # Each product scales the near entries by the core in place and
+        # restores them after; the far entries' factor is exactly 1
         g = field.gamma / TWO_PI
-        u_free = np.column_stack([g @ np.multiply(core, ky, out=tmp),
-                                  -(g @ np.multiply(core, kx, out=tmp))]) / eps
+
+        def core_product(k):
+            flat = k.reshape(-1)
+            held = flat[near]
+            flat[near] = core * held
+            product = g @ k
+            flat[near] = held
+            return product
+
+        u_free = np.column_stack([core_product(ky), -core_product(kx)]) / eps
 
         g_n = -(u_free * mesh.normal).sum(axis=1)
         # project out the tiny incompatible part (blob-core tails inside

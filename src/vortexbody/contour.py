@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryMesh, geometric_moments
+from .geometry import BoundaryMesh
 
 #: recognized weight tags for contour_integral
 WEIGHTS = ("1", "z", "zbar", "abs2", "z2", "zabs2")
@@ -81,7 +81,7 @@ def identity_suite(mesh: BoundaryMesh) -> tuple[IdentityRow, ...]:
     rows hold for ANY embedded counterclockwise curve, so the suite is a
     runtime self-check of mesh orientation, weights and normals.
     """
-    mom = geometric_moments(mesh)
+    mom = mesh.moments
     area, (g1, g2) = mom.area, mom.centroid
     m_diff, m_cross, m_polar = mom.m_diff, mom.m_cross, mom.m_polar
     x1, x2 = mesh.x[:, 0], mesh.x[:, 1]

@@ -18,7 +18,7 @@ time integrator (coupled and vortex-wave) goes through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,10 @@ TWO_PI = 2.0 * np.pi
 # perimeter, so the largest node coordinate is capped a decade under the
 # fourth root of the double range (1.3e77)
 EXTENT_MAX = 1e76
+# the quartic moments and added-mass entries shrink as extent^4 and leave
+# the normal doubles below the fourth root of the smallest one (1.5e-77),
+# so the span of the nodes is kept a decade above it
+EXTENT_MIN = 1e-76
 
 # float64 entries per row chunk of squared_distances' second difference:
 # just under 128 KiB, below the allocator's default mmap threshold
@@ -237,7 +241,12 @@ class BoundaryMesh:
     w: np.ndarray          # (n,) arc-length weights
     speed: np.ndarray      # (n,) |x'(s)|
     xpp: np.ndarray        # (n, 2) x''(s)
-    interior_point: np.ndarray  # a point strictly inside the solid
+    moments: MomentSet     # area moments of the enclosed region
+
+    @property
+    def interior_point(self) -> np.ndarray:
+        """A point strictly inside the solid: the centroid."""
+        return self.moments.centroid
 
     @property
     def z(self):
@@ -324,9 +333,10 @@ def build_mesh(shape: ShapeSpec, n_panels: int) -> BoundaryMesh:
 
     Rejects odd or too-coarse panel counts, degenerate parametrizations,
     clockwise orientation, self-intersecting curves, and curves too large
-    for their moments: a node coordinate beyond EXTENT_MAX = 1e76, or
-    non-finite nodes, weights, area or moments, is a ValueError, reached
-    without a numpy warning.  The largest moments sum cubes of the
+    or too small for their moments: a node coordinate beyond EXTENT_MAX =
+    1e76, nodes spanning less than EXTENT_MIN = 1e-76 in both coordinates,
+    or non-finite nodes, weights, area or moments, is a ValueError,
+    reached without a numpy warning.  The largest moments sum cubes of the
     coordinates against the weights, so within EXTENT_MAX they and the
     added-mass entries stay finite for any perimeter up to 1e79.
     """
@@ -347,7 +357,12 @@ def build_mesh(shape: ShapeSpec, n_panels: int) -> BoundaryMesh:
     if np.abs(x).max() > EXTENT_MAX:
         raise ValueError(f"curve too large: a node coordinate exceeds "
                          f"{EXTENT_MAX:g}")
-    if speed.min() < 1e-12 * max(speed.max(), 1.0):
+    if np.ptp(x, axis=0).max() < EXTENT_MIN:
+        raise ValueError(f"curve too small: its nodes span less than "
+                         f"{EXTENT_MIN:g}")
+    # both sides scale with the curve, so the test reads the same at every
+    # size; a curve with no speed at all fails it too
+    if not speed.min() > 1e-12 * speed.max():
         raise ValueError("degenerate parametrization: |x'(s)| vanishes")
     tau = np.column_stack([zp.real, zp.imag]) / speed[:, None]
     normal = perp(tau)
@@ -361,15 +376,13 @@ def build_mesh(shape: ShapeSpec, n_panels: int) -> BoundaryMesh:
         raise ValueError("curve too large: its area overflows")
     if area <= 0:
         raise ValueError("parametrization must be counterclockwise")
-    mesh = BoundaryMesh(shape=shape, n=n_panels, s=s, x=x, tau=tau,
-                        normal=normal, w=w, speed=speed, xpp=xpp,
-                        interior_point=np.zeros(2))
     with np.errstate(over="ignore", invalid="ignore"):
-        mom = geometric_moments(mesh)
+        mom = _area_moments(x, normal, w)
     if not np.isfinite([mom.area, *mom.centroid, mom.m_diff, mom.m_cross,
                         mom.m_polar]).all():
         raise ValueError("curve too large: its area moments overflow")
-    return replace(mesh, interior_point=mom.centroid)
+    return BoundaryMesh(shape=shape, n=n_panels, s=s, x=x, tau=tau,
+                        normal=normal, w=w, speed=speed, xpp=xpp, moments=mom)
 
 
 @dataclass(frozen=True)
@@ -387,15 +400,15 @@ class MomentSet:
     m_polar: float
 
 
-def geometric_moments(mesh: BoundaryMesh) -> MomentSet:
-    """Exact-to-quadrature area moments via the divergence theorem.
+def _area_moments(x, normal, w) -> MomentSet:
+    """Exact-to-quadrature area moments via the divergence theorem, from
+    the nodes, normals and weights of a mesh.
 
     The normal points into the solid, so each volume integral equals
     MINUS the boundary flux of a vector field with the right divergence.
     """
-    x1, x2 = mesh.x[:, 0], mesh.x[:, 1]
-    n1, n2 = mesh.normal[:, 0], mesh.normal[:, 1]
-    w = mesh.w
+    x1, x2 = x[:, 0], x[:, 1]
+    n1, n2 = normal[:, 0], normal[:, 1]
 
     def flux(f1, f2):
         return -float(np.sum((f1 * n1 + f2 * n2) * w))

@@ -35,8 +35,8 @@ import numpy as np
 from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .contour import IdentityRow, contour_integral, hat_field
-from .geometry import (TWO_PI, BoundaryMesh, MomentSet, geometric_moments,
-                       outer_difference, perp, point_vortex, squared_distances)
+from .geometry import (TWO_PI, BoundaryMesh, MomentSet, outer_difference,
+                       perp, point_vortex, squared_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def build_potential_set(mesh: BoundaryMesh) -> PotentialSet:
 
     return PotentialSet(mesh=mesh, ops=ops, phi=phi, H=H, mass=mass,
                         mass_defect=mass_defect, xi=xi, eta=eta,
-                        moments=geometric_moments(mesh))
+                        moments=mesh.moments)
 
 
 # ---------------------------------------------------------------------------

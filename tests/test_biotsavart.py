@@ -22,8 +22,9 @@ from vortexbody.biotsavart import (
     velocity_free_space,
     velocity_gradient,
 )
-from vortexbody.geometry import (TWO_PI, build_mesh, disk, ellipse, perp,
-                                 polygon_contains, rotation, squared_distances)
+from vortexbody.geometry import (TWO_PI, build_mesh, disk, ellipse,
+                                 outer_difference, perp, polygon_contains,
+                                 rotation, squared_distances)
 from vortexbody.lab import CANONICAL_SHAPES
 from vortexbody.limit_system import VortexWaveState, vw_step
 from vortexbody.potential import ScaledPotentials, build_potential_set, log_gradient_sum
@@ -384,6 +385,71 @@ def test_stage_scratch_reuse_is_exact(disk_scaled):
     assert reused.clearance == fresh.clearance
     assert reused.flux_defect == fresh.flux_defect
     assert np.array_equal(reused.charges, fresh.charges)
+
+
+def full_array_stage(scaled, field):
+    """The stage build with every (blobs, nodes) array whole: r^2 and the
+    core factor 1 - exp(-u) on every pair, multiplied into full-size
+    products.  The reference HydrodynamicField must match bit for bit."""
+    base = scaled.base
+    mesh, eps = base.mesh, scaled.eps
+    unit = field.x / eps
+    kx = outer_difference(unit[:, 0], mesh.x[:, 0])
+    ky = outer_difference(unit[:, 1], mesh.x[:, 1])
+    r2 = kx * kx
+    r2 += ky * ky
+    clearance = eps * float(np.sqrt(r2.min(initial=np.inf)))
+    kx /= r2
+    ky /= r2
+    core = np.multiply(r2, -(eps / field.delta) ** 2)
+    near = core > -40.0
+    tail = np.expm1(core[near])
+    core.fill(1.0)
+    core[near] = -tail
+    g = field.gamma / TWO_PI
+    u_free = np.column_stack([g @ (core * ky), -(g @ (core * kx))]) / eps
+    g_n = -(u_free * mesh.normal).sum(axis=1)
+    w_eps = eps * mesh.w
+    flux_defect = float(np.sum(g_n * w_eps) / np.sum(w_eps))
+    sigma = base.ops.neumann_density(g_n - flux_defect, compat_tol=np.inf)
+    charges = sigma * mesh.w
+    phi = base.phi
+    columns = np.column_stack([charges, phi[0].charges, phi[1].charges,
+                               eps * phi[2].charges, base.H.charges]) / TWO_PI
+    return {"_kx": kx, "_ky": ky, "clearance": clearance,
+            "flux_defect": flux_defect, "charges": charges,
+            "_grad": np.stack([kx @ columns, ky @ columns], axis=-1),
+            "_free": velocity_free_space(field, field.x), "near": near.sum()}
+
+
+@pytest.fixture(scope="module")
+def ellipse64_scaled():
+    return ScaledPotentials(build_potential_set(build_mesh(ellipse(2.0, 1.0),
+                                                           64)), 0.2)
+
+
+@pytest.mark.parametrize("case", ["near", "far", "chunks", "empty"])
+def test_stage_build_matches_full_arrays(ellipse64_scaled, case):
+    # r^2 in row chunks and the core factor at the near pairs only give
+    # the bits of the whole-array build: pairs within the u = 40 cut, none
+    # there, 600 blobs x 64 nodes in row chunks of 255 (the last one 90
+    # rows), and no blobs
+    scaled = ellipse64_scaled
+    eps, mesh = scaled.eps, scaled.base.mesh
+    field = {"near": ring(40, 0.5, 0.04, 3),
+             "far": ring(40, 0.5, 1e-4, 4),
+             "chunks": ring(600, 0.45, 0.03, 5),
+             "empty": ring(0, 0.5, 0.04, 6)}[case]
+    if case == "chunks":
+        assert field.n % (biotsavart._CHUNK_FLOATS // mesh.n) == 90
+    scratch = StageScratch()
+    hydro = HydrodynamicField(scaled, field, scratch)
+    ref = full_array_stage(scaled, field)
+    assert (ref.pop("near") > 0) == (case in ("near", "chunks"))
+    for name, want in ref.items():
+        got = getattr(hydro, name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    assert sum(b.size for b in scratch._buffers) == 2 * field.n * mesh.n
 
 
 def test_core_factor_is_one_from_forty():

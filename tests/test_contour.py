@@ -56,7 +56,7 @@ def test_identity_suite_machine_accuracy():
 
 def test_basic_contour_integrals():
     mesh = vb.build_mesh(vb.ellipse(2, 1), 256)
-    area = vb.geometric_moments(mesh).area
+    area = mesh.moments.area
     # holomorphic integrands vanish; zbar picks up the area
     assert abs(ct.contour_integral(mesh, None, "1")) < 1e-12
     assert abs(ct.contour_integral(mesh, None, "z")) < 1e-12

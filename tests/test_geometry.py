@@ -10,6 +10,7 @@ from vortexbody import geometry as vb
 from vortexbody.geometry import (_segments_cross, outer_difference,
                                  squared_distances)
 from vortexbody.lab import CANONICAL_SHAPES
+from vortexbody.potential import build_potential_set
 
 # Oracle: perimeter of the (2,1) ellipse, 4*a*E(1 - b^2/a^2) via scipy.special.ellipe
 ELLIPSE_21_PERIMETER = 9.688448220547675
@@ -153,7 +154,7 @@ def test_mesh_validation():
 
 def test_disk_moments_exact():
     mesh = vb.build_mesh(vb.disk(1.0), 64)
-    mom = vb.geometric_moments(mesh)
+    mom = mesh.moments
     assert abs(mom.area - np.pi) < 1e-12
     assert abs(mom.m_polar - np.pi / 2) < 1e-12
     assert abs(mom.m_diff) < 1e-12
@@ -164,7 +165,7 @@ def test_disk_moments_exact():
 def test_ellipse_moments_closed_form():
     # integral of x1^2 over the ellipse is pi a^3 b / 4, of x2^2 is pi a b^3 / 4
     mesh = vb.build_mesh(vb.ellipse(2, 1), 256)
-    mom = vb.geometric_moments(mesh)
+    mom = mesh.moments
     assert abs(mom.area - 2 * np.pi) < 1e-10
     assert abs(mom.m_diff - 3 * np.pi / 2) < 1e-10
     assert abs(mom.m_cross) < 1e-10
@@ -175,7 +176,7 @@ def test_ellipse_moments_closed_form():
 @given(a=st.floats(0.3, 3.0), b=st.floats(0.3, 3.0))
 def test_ellipse_moments_property(a, b):
     mesh = vb.build_mesh(vb.ellipse(a, b), 96)
-    mom = vb.geometric_moments(mesh)
+    mom = mesh.moments
     scale = max(1.0, a * b) ** 2
     assert abs(mom.area - np.pi * a * b) < 1e-10 * scale
     assert abs(mom.m_diff - np.pi * a * b * (a * a - b * b) / 4) < 1e-9 * scale
@@ -185,13 +186,13 @@ def test_ellipse_moments_property(a, b):
 def test_presets_are_centered():
     for shape in (vb.perturbed_disk(cos_amps={3: 0.2}),
                   vb.perturbed_disk(cos_amps={2: 0.15}, sin_amps={3: 0.10})):
-        mom = vb.geometric_moments(vb.build_mesh(shape, 256))
+        mom = vb.build_mesh(shape, 256).moments
         assert np.abs(mom.centroid).max() < 1e-13
 
 
 def test_translated_shape_moves_centroid():
     shape = vb.ellipse(2, 1).translated((0.3, -0.4))
-    mom = vb.geometric_moments(vb.build_mesh(shape, 256))
+    mom = vb.build_mesh(shape, 256).moments
     np.testing.assert_allclose(mom.centroid, [0.3, -0.4], atol=1e-12)
 
 
@@ -201,7 +202,7 @@ def test_scaled_shape():
     small = vb.build_mesh(scaled_shape(vb.ellipse(2, 1), eps), 64)
     np.testing.assert_allclose(small.x, eps * base.x, atol=1e-15)
     np.testing.assert_allclose(small.w, eps * base.w, atol=1e-15)
-    mom = vb.geometric_moments(small)
+    mom = small.moments
     assert abs(mom.area - eps ** 2 * 2 * np.pi) < 1e-12
 
 
@@ -227,9 +228,32 @@ def test_curve_within_extent_bound_meshes():
         mesh = vb.build_mesh(scaled_shape(vb.ellipse(2, 1),
                                           0.4 * vb.EXTENT_MAX), 64)
     assert np.abs(mesh.x).max() <= vb.EXTENT_MAX
-    mom = vb.geometric_moments(mesh)
+    mom = mesh.moments
     assert np.isfinite([mom.area, mom.m_diff, mom.m_cross,
                         mom.m_polar]).all()
+
+
+@pytest.mark.parametrize("radius", [1e-50, 0.5 * vb.EXTENT_MIN])
+def test_small_curve_meshes_and_solves(radius):
+    # the degeneracy test is relative, so a disk far below unit size, down
+    # to nodes spanning EXTENT_MIN, meshes; its added masses are the unit
+    # disk's times radius^(2 + [i>=3] + [j>=3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = vb.build_mesh(vb.disk(radius), 64)
+        mass = build_potential_set(mesh).mass
+    assert np.ptp(mesh.x, axis=0).max() >= vb.EXTENT_MIN
+    power = 2 + (np.arange(5) >= 2)
+    unit = build_potential_set(vb.build_mesh(vb.disk(1.0), 64)).mass
+    scaled = mass / radius ** power[:, None] / radius ** (power[None, :] - 2)
+    assert np.abs(scaled - unit).max() < 1e-13
+
+
+def test_curve_below_extent_floor_fails_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small"):
+            vb.build_mesh(vb.disk(0.4 * vb.EXTENT_MIN), 64)
 
 
 def test_spectral_refinement():
