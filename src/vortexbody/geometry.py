@@ -245,7 +245,7 @@ class BoundaryMesh:
 
     @property
     def interior_point(self) -> np.ndarray:
-        """A point strictly inside the solid: the centroid."""
+        """The centroid, which build_mesh checks lies strictly inside."""
         return self.moments.centroid
 
     @property
@@ -332,7 +332,8 @@ def build_mesh(shape: ShapeSpec, n_panels: int) -> BoundaryMesh:
     """Sample a shape at n_panels equispaced parameters.
 
     Rejects odd or too-coarse panel counts, degenerate parametrizations,
-    clockwise orientation, self-intersecting curves, and curves too large
+    clockwise orientation, self-intersecting curves, a centroid outside
+    the enclosed region (interior_point), and curves too large
     or too small for their moments: a node coordinate beyond EXTENT_MAX =
     1e76, nodes spanning less than EXTENT_MIN = 1e-76 in both coordinates,
     or non-finite nodes, weights, area or moments, is a ValueError,
@@ -381,6 +382,16 @@ def build_mesh(shape: ShapeSpec, n_panels: int) -> BoundaryMesh:
     if not np.isfinite([mom.area, *mom.centroid, mom.m_diff, mom.m_cross,
                         mom.m_polar]).all():
         raise ValueError("curve too large: its area moments overflow")
+    # the harmonic field's log pole sits at the centroid: Gauss's
+    # double-layer sum there, as HydrodynamicField forms it, reads 2 pi
+    # inside the solid and 0 outside (NaN on a node)
+    d = mom.centroid - x
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d /= (d * d).sum(axis=1)[:, None]
+        wind = d[:, 0] @ (normal[:, 0] * w) + d[:, 1] @ (normal[:, 1] * w)
+    if not wind > np.pi:
+        raise ValueError(f"centroid outside the body (winding sum "
+                         f"{wind:.3g}, not 2 pi)")
     return BoundaryMesh(shape=shape, n=n_panels, s=s, x=x, tau=tau,
                         normal=normal, w=w, speed=speed, xpp=xpp, moments=mom)
 

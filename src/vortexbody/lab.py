@@ -41,9 +41,9 @@ from .limit_system import VortexCollisionError, VortexWaveState, vw_step
 from .normal_form import (
     ModulationSeries,
     apply_lambda,
+    modulation,
     modulation_rate_monitor,
     normal_form_residual,
-    sample_modulation,
 )
 from .potential import (
     ScaledPotentials,
@@ -349,10 +349,11 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, first,
 
     ``sample(state)`` returns the run-specific series values as a dict
     keyed by RunRecord field (see _sample).  A coupled sample also holds
-    the columns of its ModulationSeries, which become ``modulated``.  An exception in ``stops`` raised by ``step``
-    ends the run with the abort reason ``reason(state, exc)``, state
-    being the last one reached.  A sample holding a non-finite value ends
-    it as ``non-finite`` and is not kept.
+    the columns of its ModulationSeries, which become ``modulated``.  An
+    exception in ``stops`` raised by ``step`` ends the run with the abort
+    reason ``reason(state, exc)``, state being the last one reached.  A
+    sample holding a non-finite value ends it as ``non-finite`` and is
+    not kept.
     """
     started = time.perf_counter()
     steps = config.steps
@@ -420,7 +421,7 @@ def _coupled_sample(s) -> dict:
     return {"h": s.placement.h, "ell": s.ell, "energy": total_energy(s),
             "support": s.field.support_annulus((0.0, 0.0)),
             "blob_lab": s.placement.to_lab(s.field.x),
-            **sample_modulation(s)}
+            "theta": s.placement.theta, "r": s.r, **modulation(s)}
 
 
 def _initial_states(config: ExperimentConfig, pset, mass) -> list:
@@ -514,7 +515,7 @@ def _coupled_diagnostics(rec: RunRecord, dt: float) -> dict:
     if rec.modulated is None or len(rec.t) < 5:
         return out
     res = normal_form_residual(rec.modulated, dt)
-    _, _, monitor = modulation_rate_monitor(rec.modulated, dt)
+    _, monitor = modulation_rate_monitor(rec.modulated, dt)
     out.update(residual_fitted_C=res.fitted_constant,
                residual_max_norm=float(np.linalg.norm(res.implied, axis=1).max()),
                residual_dt_converged=res.dt_converged,
@@ -906,8 +907,8 @@ def potential_facts(shape: ShapeSpec, panels: int = 256) -> dict:
     return {
         "shape": shape.name,
         "panels": panels,
-        "area": float(pset.moments.area),
-        "centroid": [float(v) for v in pset.moments.centroid],
+        "area": float(pset.mesh.moments.area),
+        "centroid": [float(v) for v in pset.mesh.moments.centroid],
         "mass_matrix": [[float(v) for v in row] for row in pset.mass],
         "xi": [float(v) for v in pset.xi],
         "eta": [float(v) for v in pset.eta],

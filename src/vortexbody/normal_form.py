@@ -29,22 +29,6 @@ from .potential import MassData
 # modulated variables
 
 
-@dataclass(frozen=True)
-class ModulationData:
-    """Origin samples of the ambient blob field and the body momentum
-    with the ambient drift and the strain correction through the
-    conformal center removed; the spin is scaled to eps*r."""
-
-    origin_velocity: np.ndarray     # ambient velocity at the body origin
-    a: float                        # strain scalars: gradient [[-a, b], [b, a]]
-    b: float
-    p_modulated: np.ndarray         # (ell - drift - eps strain(xi), eps r)
-    clean: bool                     # False when a blob core crowds the origin
-
-    def strain(self, v) -> np.ndarray:
-        return _strain(self.a, self.b, v)
-
-
 def _strain(a: float, b: float, v) -> np.ndarray:
     """Apply the gradient [[-a, b], [b, a]]; v may be one vector or (n, 2)."""
     v = np.asarray(v, dtype=float)
@@ -52,15 +36,17 @@ def _strain(a: float, b: float, v) -> np.ndarray:
                      b * v[..., 0] + a * v[..., 1]], axis=-1)
 
 
-def modulation(state: CoupledState) -> ModulationData:
-    """Sample the blob field at the body origin and modulate (ell, r)."""
+def modulation(state: CoupledState) -> dict:
+    """Sample the blob field at the body origin and modulate (ell, r):
+    the drift (ambient velocity at the origin), the strain scalars a, b
+    of the gradient [[-a, b], [b, a]], and the momentum
+    (ell - drift - eps strain(xi), eps r) as ``p_modulated``."""
     drift = velocity_free_space(state.field, np.zeros((1, 2)))[0]
-    a, b, clean = velocity_gradient(state.field, np.zeros(2))
+    a, b, _ = velocity_gradient(state.field, np.zeros(2))
     eps = state.eps
     ell_mod = state.ell - drift - eps * _strain(a, b, state.mass.xi)
-    return ModulationData(
-        origin_velocity=drift, a=a, b=b,
-        p_modulated=np.array([*ell_mod, eps * state.r]), clean=clean)
+    return {"drift": drift, "a": a, "b": b,
+            "p_modulated": np.array([*ell_mod, eps * state.r])}
 
 
 _SAMPLED = ("t", "theta", "gamma", "r", "drift", "a", "b", "p_modulated")
@@ -96,14 +82,6 @@ class ModulationSeries:
         come from ``state``."""
         return cls(eps=state.eps, alpha=state.alpha, mass=state.mass,
                    **{key: np.asarray(columns[key]) for key in _SAMPLED})
-
-
-def sample_modulation(state: CoupledState) -> dict:
-    """One ModulationSeries row keyed by field name."""
-    mod = modulation(state)
-    return {"t": state.t, "theta": state.placement.theta,
-            "gamma": state.gamma, "r": state.r, "drift": mod.origin_velocity,
-            "a": mod.a, "b": mod.b, "p_modulated": mod.p_modulated}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +141,7 @@ def _weak_gyro(a, b, mass: MassData) -> np.ndarray:
 # closed-form force approximations (order-of-accuracy studies only)
 
 
-def expansion_B(state: CoupledState, mod: ModulationData) -> np.ndarray:
+def expansion_B(state: CoupledState, mod: dict) -> np.ndarray:
     """Leading behavior of the vorticity force at small body size.
 
     Every coefficient carries its size scaling already (mass entries,
@@ -175,8 +153,8 @@ def expansion_B(state: CoupledState, mod: ModulationData) -> np.ndarray:
     m = sc.mass
     S = sc.area
     xg = sc.centroid
-    a, b = mod.a, mod.b
-    k0 = mod.origin_velocity
+    a, b = mod["a"], mod["b"]
+    k0 = mod["drift"]
     l1, l2 = state.ell
     r = state.r
 
@@ -198,15 +176,15 @@ def expansion_B(state: CoupledState, mod: ModulationData) -> np.ndarray:
 
 
 def expansion_C(state: CoupledState,
-                mod: ModulationData) -> tuple[np.ndarray, np.ndarray]:
+                mod: dict) -> tuple[np.ndarray, np.ndarray]:
     """Leading behavior of the two boundary forces (quadratic part,
     circulation part); same accuracy pattern as expansion_B."""
     sc = state.scaled
     m = sc.mass
     S = sc.area
     xg = sc.centroid
-    a, b = mod.a, mod.b
-    k0 = mod.origin_velocity
+    a, b = mod["a"], mod["b"]
+    k0 = mod["drift"]
     l1, l2 = state.ell
     r = state.r
     off = k0 - state.ell
@@ -236,7 +214,7 @@ def expansion_C(state: CoupledState,
     gamma, eps = state.gamma, state.eps
     xi, eta = state.mass.xi, state.mass.eta
     cb12 = (gamma * perp(off) + gamma * eps * r * xi
-            + gamma * eps * perp(mod.strain(xi)))
+            + gamma * eps * perp(_strain(a, b, xi)))
     cb3 = (gamma * eps * (xi @ off)
            + gamma * eps ** 2 * (-a * eta[0] + b * eta[1]))
 
@@ -245,7 +223,7 @@ def expansion_C(state: CoupledState,
 
 
 def boundary_approximation_defect(state: CoupledState,
-                                  mod: ModulationData) -> float:
+                                  mod: dict) -> float:
     """Boundary L2 gap between the drift-strain-potential surrogate of
     the circulation-free trace and the exact one.
 
@@ -256,12 +234,13 @@ def boundary_approximation_defect(state: CoupledState,
     sc = state.scaled
     mesh = sc.base.mesh
     nodes = state.eps * mesh.x
-    off = state.ell - mod.origin_velocity
+    a, b, drift = mod["a"], mod["b"], mod["drift"]
+    off = state.ell - drift
     traces = sc.phi_traces
 
-    surrogate = (mod.origin_velocity + mod.strain(nodes)
+    surrogate = (drift + _strain(a, b, nodes)
                  + off[0] * traces[0] + off[1] * traces[1]
-                 - mod.a * traces[3] - mod.b * traces[4]
+                 - a * traces[3] - b * traces[4]
                  + state.r * traces[2])
     exact = HydrodynamicField(sc, state.field).tilde_boundary_trace(
         state.ell, state.r)
@@ -276,9 +255,9 @@ def boundary_approximation_defect(state: CoupledState,
 @dataclass(frozen=True)
 class ResidualSeries:
     """Centered-difference residual of the modulated body equation,
-    rescaled by eps^min(alpha, 2), at the interior sample times."""
+    rescaled by eps^min(alpha, 2), at the interior samples
+    ``series.t[1:-1]``."""
 
-    t: np.ndarray
     implied: np.ndarray          # remainder force series, (n-2, 3)
     fitted_constant: float       # max |implied| / (1 + |p| + eps |p|^2)
     dt_converged: bool | None = None  # None when the run is too short to tell
@@ -338,16 +317,17 @@ def normal_form_residual(series: ModulationSeries, dt: float) -> ResidualSeries:
         scale = max(fitted, np.finfo(float).tiny)
         converged = bool(abs(coarse - fitted) <= 0.1 * scale)
 
-    return ResidualSeries(t=series.t[1:-1], implied=out,
-                          fitted_constant=fitted, dt_converged=converged)
+    return ResidualSeries(implied=out, fitted_constant=fitted,
+                          dt_converged=converged)
 
 
 def modulation_rate_monitor(series: ModulationSeries, dt: float):
     """Centered-difference rate of the drift-plus-strain correction,
     with the spin rotation removed, fitted against 1 + |p_modulated|.
 
-    Returns (times, rates, fitted constant); the constant is 0.0 with
-    fewer than three samples.  Bounded along healthy runs.
+    Returns the rates at the interior samples, ``series.t[1:-1]``, and
+    the fitted constant, 0.0 with fewer than three samples.  Bounded
+    along healthy runs.
     """
     vals = series.drift + series.eps * _strain(series.a, series.b,
                                                series.mass.xi)
@@ -355,4 +335,4 @@ def modulation_rate_monitor(series: ModulationSeries, dt: float):
              + series.r[1:-1, None] * perp(series.drift[1:-1]))
     sizes = _row_norms(series.p_modulated[1:-1])
     fitted = float((_row_norms(rates) / (1.0 + sizes)).max(initial=0.0))
-    return series.t[1:-1], rates, fitted
+    return rates, fitted

@@ -35,8 +35,8 @@ import numpy as np
 from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .contour import IdentityRow, contour_integral, hat_field
-from .geometry import (TWO_PI, BoundaryMesh, MomentSet, outer_difference,
-                       perp, point_vortex, squared_distances)
+from .geometry import (TWO_PI, BoundaryMesh, outer_difference, perp,
+                       point_vortex, squared_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,6 @@ class PotentialSet:
     mass_defect: float              # max |m_ij - m_ji| before symmetrization
     xi: np.ndarray                  # (2,)
     eta: np.ndarray                 # (2,)
-    moments: MomentSet
 
 
 def build_potential_set(mesh: BoundaryMesh) -> PotentialSet:
@@ -347,8 +346,7 @@ def build_potential_set(mesh: BoundaryMesh) -> PotentialSet:
     xi, eta = np.stack([h_mom.real, h_mom.imag], axis=-1)
 
     return PotentialSet(mesh=mesh, ops=ops, phi=phi, H=H, mass=mass,
-                        mass_defect=mass_defect, xi=xi, eta=eta,
-                        moments=mesh.moments)
+                        mass_defect=mass_defect, xi=xi, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +370,7 @@ def moment_closed_forms(pset: PotentialSet, i: int) -> dict:
     centroid terms); see the identity suite for the latter.
     """
     m = pset.mass
-    mom = pset.moments
+    mom = pset.mesh.moments
     area, (g1, g2) = mom.area, mom.centroid
     m_diff, m_cross, m_polar = mom.m_diff, mom.m_cross, mom.m_polar
 
@@ -536,16 +534,16 @@ class ScaledPotentials:
 
     @property
     def area(self) -> float:
-        return self.base.moments.area * self.eps ** 2
+        return self.base.mesh.moments.area * self.eps ** 2
 
     @property
     def centroid(self) -> np.ndarray:
-        return self.base.moments.centroid * self.eps
+        return self.base.mesh.moments.centroid * self.eps
 
     @property
     def m_diff(self) -> float:
-        return self.base.moments.m_diff * self.eps ** 4
+        return self.base.mesh.moments.m_diff * self.eps ** 4
 
     @property
     def m_cross(self) -> float:
-        return self.base.moments.m_cross * self.eps ** 4
+        return self.base.mesh.moments.m_cross * self.eps ** 4

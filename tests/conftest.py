@@ -23,7 +23,6 @@ from vortexbody.normal_form import (
     expansion_C,
     modulation,
     normal_form_residual,
-    sample_modulation,
 )
 from vortexbody.potential import (ScaledPotentials, build_mass_data,
                                   build_potential_set, log_potential_sum)
@@ -184,7 +183,8 @@ def sampled_run(pset, md, blobs, *, eps, dt, steps, r0):
     for k in range(steps + 1):
         if k:
             st = coupled_step(st, dt)
-        rows.append(sample_modulation(st))
+        rows.append({"t": st.t, "theta": st.placement.theta,
+                     "gamma": st.gamma, "r": st.r, **modulation(st)})
     return ModulationSeries.from_columns(
         {key: [row[key] for row in rows] for key in rows[0]}, st)
 

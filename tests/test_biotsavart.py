@@ -390,7 +390,9 @@ def test_stage_scratch_reuse_is_exact(disk_scaled):
 def full_array_stage(scaled, field):
     """The stage build with every (blobs, nodes) array whole: r^2 and the
     core factor 1 - exp(-u) on every pair, multiplied into full-size
-    products.  The reference HydrodynamicField must match bit for bit."""
+    products.  The reference HydrodynamicField must match bit for bit;
+    ``near`` counts the pairs within the cut, and ``u_nearest`` is each
+    blob's u at its nearest node."""
     base = scaled.base
     mesh, eps = base.mesh, scaled.eps
     unit = field.x / eps
@@ -399,6 +401,7 @@ def full_array_stage(scaled, field):
     r2 = kx * kx
     r2 += ky * ky
     clearance = eps * float(np.sqrt(r2.min(initial=np.inf)))
+    u_nearest = r2.min(axis=1) * (eps / field.delta) ** 2
     kx /= r2
     ky /= r2
     core = np.multiply(r2, -(eps / field.delta) ** 2)
@@ -413,13 +416,17 @@ def full_array_stage(scaled, field):
     flux_defect = float(np.sum(g_n * w_eps) / np.sum(w_eps))
     sigma = base.ops.neumann_density(g_n - flux_defect, compat_tol=np.inf)
     charges = sigma * mesh.w
+    tangent = ((u_free * mesh.tau).sum(axis=1)
+               + base.ops.arc_derivative(base.ops.V @ sigma))
     phi = base.phi
     columns = np.column_stack([charges, phi[0].charges, phi[1].charges,
                                eps * phi[2].charges, base.H.charges]) / TWO_PI
     return {"_kx": kx, "_ky": ky, "clearance": clearance,
             "flux_defect": flux_defect, "charges": charges,
+            "_boundary_tangent": tangent,
             "_grad": np.stack([kx @ columns, ky @ columns], axis=-1),
-            "_free": velocity_free_space(field, field.x), "near": near.sum()}
+            "_free": velocity_free_space(field, field.x), "near": near.sum(),
+            "u_nearest": u_nearest}
 
 
 @pytest.fixture(scope="module")
@@ -428,72 +435,54 @@ def ellipse64_scaled():
                                                            64)), 0.2)
 
 
-@pytest.mark.parametrize("case", ["near", "far", "chunks", "empty"])
-def test_stage_build_matches_full_arrays(ellipse64_scaled, case):
+def cut_pair_blobs(scaled):
+    """Blobs off the disk's boundary where u = r^2 (eps/delta)^2 at their
+    nearest node is 40 -+ 1e-9, or well inside or outside the cut."""
+    mesh, eps, delta = scaled.base.mesh, scaled.eps, 0.02 * scaled.eps
+    k = np.arange(0, mesh.n, 16)
+    u_near = np.resize([40.0 - 1e-9, 40.0 + 1e-9, 4.0, 30.0, 39.9, 41.0],
+                       len(k))
+    off = np.sqrt(u_near) * delta / eps
+    return BlobField(x=eps * (mesh.x[k] - off[:, None] * mesh.normal[k]),
+                     gamma=np.linspace(-1.0, 2.0, len(k)), delta=delta)
+
+
+@pytest.mark.parametrize("case", ["near", "far", "chunks", "empty", "cut"])
+def test_stage_build_matches_full_arrays(ellipse64_scaled, disk_scaled, case):
     # r^2 in row chunks and the core factor at the near pairs only give
-    # the bits of the whole-array build: pairs within the u = 40 cut, none
-    # there, 600 blobs x 64 nodes in row chunks of 255 (the last one 90
-    # rows), and no blobs
-    scaled = ellipse64_scaled
+    # the bits of the whole-array build, seen also through the flux
+    # defect, the correction's charges and the boundary tangent trace:
+    # pairs within the u = 40 cut, none there, 600 blobs x 64 nodes in
+    # row chunks of 255 (the last one 90 rows), no blobs, and blobs on
+    # either side of the cut by 1e-9 off the disk
+    scaled = disk_scaled if case == "cut" else ellipse64_scaled
     eps, mesh = scaled.eps, scaled.base.mesh
     field = {"near": ring(40, 0.5, 0.04, 3),
              "far": ring(40, 0.5, 1e-4, 4),
              "chunks": ring(600, 0.45, 0.03, 5),
-             "empty": ring(0, 0.5, 0.04, 6)}[case]
+             "empty": ring(0, 0.5, 0.04, 6),
+             "cut": cut_pair_blobs(disk_scaled)}[case]
     if case == "chunks":
         assert field.n % (biotsavart._CHUNK_FLOATS // mesh.n) == 90
     scratch = StageScratch()
     hydro = HydrodynamicField(scaled, field, scratch)
     ref = full_array_stage(scaled, field)
-    assert (ref.pop("near") > 0) == (case in ("near", "chunks"))
+    assert (ref.pop("near") > 0) == (case in ("near", "chunks", "cut"))
+    u = ref.pop("u_nearest")
+    if case == "cut":
+        assert ((40.0 - 2e-9 < u) & (u < 40.0)).sum() == 3
+        assert ((40.0 <= u) & (u < 40.0 + 2e-9)).sum() == 3
     for name, want in ref.items():
         got = getattr(hydro, name)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    assert np.array_equal(hydro.tilde_boundary_trace([0.0, 0.0], 0.0),
+                          ref["_boundary_tangent"][:, None] * mesh.tau)
     assert sum(b.size for b in scratch._buffers) == 2 * field.n * mesh.n
 
 
 def test_core_factor_is_one_from_forty():
     u = np.linspace(40.0, 1e3, 100_001)
     assert (-np.expm1(-u) == 1.0).all()
-
-
-def test_node_velocity_matches_all_pairs_core(disk_scaled):
-    # blobs off the boundary where u = r^2 (eps/delta)^2 at their nearest
-    # node is 40 -+ 1e-9, or well inside or outside the cut: the near-pair
-    # core gives the bits of expm1 on every pair, seen through the flux
-    # defect, the correction's charges and the boundary tangent trace
-    base = disk_scaled.base
-    mesh, eps, delta = base.mesh, disk_scaled.eps, 0.02 * disk_scaled.eps
-    k = np.arange(0, mesh.n, 16)
-    u_near = np.resize([40.0 - 1e-9, 40.0 + 1e-9, 4.0, 30.0, 39.9, 41.0],
-                       len(k))
-    off = np.sqrt(u_near) * delta / eps
-    field = BlobField(x=eps * (mesh.x[k] - off[:, None] * mesh.normal[k]),
-                      gamma=np.linspace(-1.0, 2.0, len(k)), delta=delta)
-    hydro = HydrodynamicField(disk_scaled, field)
-
-    unit = field.x / eps
-    kx = np.subtract.outer(unit[:, 0], mesh.x[:, 0])
-    ky = np.subtract.outer(unit[:, 1], mesh.x[:, 1])
-    r2 = kx * kx + ky * ky
-    kx /= r2
-    ky /= r2
-    u = r2.min(axis=1) * (eps / delta) ** 2
-    assert ((40.0 - 2e-9 < u) & (u < 40.0)).sum() == 3
-    assert ((40.0 <= u) & (u < 40.0 + 2e-9)).sum() == 3
-    core = -np.expm1(r2 * -(eps / delta) ** 2)
-    g = field.gamma / TWO_PI
-    u_free = np.column_stack([g @ (core * ky), -(g @ (core * kx))]) / eps
-    g_n = -(u_free * mesh.normal).sum(axis=1)
-    w_eps = eps * mesh.w
-    flux_defect = float(np.sum(g_n * w_eps) / np.sum(w_eps))
-    sigma = base.ops.neumann_density(g_n - flux_defect, compat_tol=np.inf)
-    tangent = ((u_free * mesh.tau).sum(axis=1)
-               + base.ops.arc_derivative(base.ops.V @ sigma))
-    assert hydro.flux_defect == flux_defect
-    assert np.array_equal(hydro.charges, sigma * mesh.w)
-    assert np.array_equal(hydro.tilde_boundary_trace([0.0, 0.0], 0.0),
-                          tangent[:, None] * mesh.tau)
 
 
 def test_body_frame_assembly(disk_scaled):

@@ -233,6 +233,28 @@ def test_curve_within_extent_bound_meshes():
                         mom.m_polar]).all()
 
 
+# a hooked body whose centroid lies in the fluid: H's log pole would sit
+# outside the solid, and H would carry no circulation
+OFF_CENTROID_AMPS = {1: -1.0, 2: -0.3, 3: 0.7, 4: -0.3}
+
+
+def test_centroid_outside_body_fails_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="centroid outside the body"):
+            vb.perturbed_disk(cos_amps=OFF_CENTROID_AMPS)
+
+
+def test_nonconvex_body_with_centroid_inside_meshes():
+    # r = 1 + 0.9 cos 2t pinches to 0.1 at its waist, which the centroid
+    # still lies inside; area pi (1 + 0.9^2 / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = vb.build_mesh(vb.perturbed_disk(cos_amps={2: 0.9}), 256)
+    assert abs(mesh.moments.area - np.pi * (1 + 0.9 ** 2 / 2)) < 1e-12
+    assert np.abs(mesh.interior_point).max() < 1e-12
+
+
 @pytest.mark.parametrize("radius", [1e-50, 0.5 * vb.EXTENT_MIN])
 def test_small_curve_meshes_and_solves(radius):
     # the degeneracy test is relative, so a disk far below unit size, down

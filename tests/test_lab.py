@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vortexbody import lab, normal_form
+from vortexbody import lab
 from vortexbody.biotsavart import BodyCollisionError
 from vortexbody.coupled_system import VorticityPatch
 from vortexbody.geometry import disk, ellipse
@@ -749,14 +749,14 @@ def test_nonfinite_stage_input_aborts(tmp_path, monkeypatch, capfd, caplog):
 
 
 def test_modulation_runs_once_per_kept_sample(tmp_path, monkeypatch):
-    real = normal_form.modulation
+    real = lab.modulation
     seen = []
 
     def counted(state):
         seen.append(state.t)
         return real(state)
 
-    monkeypatch.setattr(normal_form, "modulation", counted)
+    monkeypatch.setattr(lab, "modulation", counted)
     cfg = parse_config(write_config(tmp_path))
     records, report = run(cfg, out_dir=tmp_path / "out")
     coupled = [r for r in records if r.kind == "coupled"]
@@ -828,6 +828,17 @@ def test_unmeshable_shape_fails_closed(tmp_path, capfd, caplog):
     assert main(["potentials", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 1
     assert "self-intersects" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_centroid_outside_body_fails_closed(tmp_path, capfd, caplog):
+    path = write_config(tmp_path, "[shape]\npreset = perturbed-disk\n"
+                        "cos_1 = -1.0\ncos_2 = -0.3\ncos_3 = 0.7\n"
+                        "cos_4 = -0.3\n[sweep]\neps = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 1
+    assert "centroid outside the body" in caplog.text
+    assert not out.exists()
     assert "Traceback" not in capfd.readouterr().err
 
 

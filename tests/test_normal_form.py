@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, empty_field,
                       rotated_mass_identity_check, sampled_run)
 from vortexbody.biotsavart import (BlobField, HydrodynamicField,
-                                   velocity_free_space)
+                                   velocity_free_space, velocity_gradient)
 from vortexbody.coupled_system import (
     force_B,
     force_C,
@@ -29,15 +29,15 @@ from vortexbody.normal_form import (
     modulation,
     modulation_rate_monitor,
     normal_form_residual,
+    _strain,
     _weak_gyro,
-    sample_modulation,
 )
 from vortexbody.potential import ScaledPotentials, build_mass_data, build_potential_set
 
 
 def weakly_gyroscopic_G(mod, mass) -> np.ndarray:
     """Weakly gyroscopic vector (0, 0, xi . strain(xi) + a eta_1 - b eta_2)."""
-    return _weak_gyro(mod.a, mod.b, mass)
+    return _weak_gyro(mod["a"], mod["b"], mass)
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +64,11 @@ def test_trivial_modulation(asym_setup):
     st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
                       ell0=(0.3, -0.2), r0=0.7, field=empty_field())
     mod = modulation(st)
-    assert mod.clean
-    assert mod.a == 0.0 and mod.b == 0.0
-    assert np.all(mod.origin_velocity == 0.0)
-    assert np.array_equal(mod.p_modulated[:2], st.ell)
-    assert np.array_equal(mod.p_modulated, np.array([0.3, -0.2, 0.1 * 0.7]))
+    assert velocity_gradient(st.field, np.zeros(2))[2]   # clean
+    assert mod["a"] == 0.0 and mod["b"] == 0.0
+    assert np.all(mod["drift"] == 0.0)
+    assert np.array_equal(mod["p_modulated"][:2], st.ell)
+    assert np.array_equal(mod["p_modulated"], np.array([0.3, -0.2, 0.1 * 0.7]))
 
 
 def test_symmetric_ring_modulation(asym_setup):
@@ -80,22 +80,23 @@ def test_symmetric_ring_modulation(asym_setup):
     st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0,
                       gamma=FROZEN_GAMMA, field=ring)
     mod = modulation(st)
-    assert np.abs(mod.origin_velocity).max() < 1e-14
-    assert abs(mod.a) < 1e-14 and abs(mod.b) < 1e-14
+    assert np.abs(mod["drift"]).max() < 1e-14
+    assert abs(mod["a"]) < 1e-14 and abs(mod["b"]) < 1e-14
 
 
 def test_modulated_momentum_bookkeeping(asym_state):
     st = asym_state
     mod = modulation(st)
     eps = st.eps
-    want = st.ell - mod.origin_velocity - eps * mod.strain(st.mass.xi)
-    np.testing.assert_allclose(mod.p_modulated[:2], want, rtol=0, atol=1e-15)
-    assert np.array_equal(mod.p_modulated,
-                          np.array([*mod.p_modulated[:2], eps * st.r]))
+    want = (st.ell - mod["drift"]
+            - eps * _strain(mod["a"], mod["b"], st.mass.xi))
+    p = mod["p_modulated"]
+    np.testing.assert_allclose(p[:2], want, rtol=0, atol=1e-15)
+    assert np.array_equal(p, np.array([*p[:2], eps * st.r]))
 
 
 def gradient_matrix(mod):
-    return np.array([[-mod.a, mod.b], [mod.b, mod.a]])
+    return np.array([[-mod["a"], mod["b"]], [mod["b"], mod["a"]]])
 
 
 def test_gradient_matrix_matches_kernel_jacobian(asym_state):
@@ -118,10 +119,11 @@ def test_gradient_matrix_matches_kernel_jacobian(asym_state):
 def test_strain_is_the_gradient_matrix_action(asym_state):
     mod = modulation(asym_state)
     v = np.array([0.7, -0.4])
-    np.testing.assert_allclose(mod.strain(v), gradient_matrix(mod) @ v,
-                               rtol=0, atol=1e-16)
+    np.testing.assert_allclose(_strain(mod["a"], mod["b"], v),
+                               gradient_matrix(mod) @ v, rtol=0, atol=1e-16)
     batch = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 2.0]])
-    np.testing.assert_allclose(mod.strain(batch), batch @ gradient_matrix(mod).T,
+    np.testing.assert_allclose(_strain(mod["a"], mod["b"], batch),
+                               batch @ gradient_matrix(mod).T,
                                rtol=0, atol=1e-16)
 
 
@@ -291,7 +293,8 @@ def _resting(asym_setup, samples):
     pset, md = asym_setup
     st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0,
                       field=empty_field())
-    row = sample_modulation(st)
+    row = {"t": st.t, "theta": st.placement.theta, "gamma": st.gamma,
+           "r": st.r, **modulation(st)}
     return ModulationSeries.from_columns(
         {key: [value] * samples for key, value in row.items()}, st)
 
@@ -321,7 +324,6 @@ def test_residual_dt_stability_on_reference_run(reference_run):
     dev = abs(coarse.fitted_constant / series.fitted_constant - 1.0)
     assert dev < 0.10
     assert series.implied.shape == (47, 3)
-    assert series.t.shape == (47,)
 
 
 def test_residual_flags_coarse_cadence(asym_setup, random_blobs):
@@ -379,8 +381,8 @@ def test_weak_gyro_calibration_stable(asym_setup, random_blobs):
 
 
 def test_modulation_rate_monitor_bounded(reference_run):
-    t, rates, fitted = modulation_rate_monitor(reference_run, 1e-3)
-    assert t.shape == (47,) and rates.shape == (47, 2)
+    rates, fitted = modulation_rate_monitor(reference_run, 1e-3)
+    assert rates.shape == (47, 2)
     assert np.all(np.isfinite(rates))
     assert fitted < 0.5
 

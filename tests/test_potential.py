@@ -165,7 +165,7 @@ def test_field_identity_rows(disk_set, ellipse_set, bump_set):
 
 def test_laurent_tail_structure(ellipse_set, bump_set):
     for pset in (ellipse_set, bump_set):
-        area = pset.moments.area
+        area = pset.mesh.moments.area
         for i in range(1, 6):
             c = laurent_coefficients(pset.phi[i - 1], 3)
             assert abs(c[0]) < 1e-9  # gradients decay like 1/z^2
@@ -174,7 +174,7 @@ def test_laurent_tail_structure(ellipse_set, bump_set):
         expected = (-m[0, 1] + 1j * (m[0, 0] + area)) / (2j * np.pi)
         assert abs(c2 - expected) < 1e-9
         c3 = laurent_coefficients(pset.phi[2], 3)[2]
-        mom = pset.moments
+        mom = pset.mesh.moments
         expected3 = (-2 * (m[2, 4] + mom.m_diff)
                      - 2j * (m[2, 3] + mom.m_cross)) / (2j * np.pi)
         assert abs(c3 - expected3) < 1e-9
@@ -217,10 +217,10 @@ def test_scaling_laws(bump_set):
             trace[0, 0] = 0.0
     assert np.abs(direct.xi - eps * bump_set.xi).max() < 1e-10
     assert np.abs(direct.eta - eps ** 2 * bump_set.eta).max() < 1e-10
-    assert abs(scaled.area - direct.moments.area) < 1e-12
-    assert np.abs(scaled.centroid - direct.moments.centroid).max() < 1e-12
-    assert abs(scaled.m_diff - direct.moments.m_diff) < 1e-12
-    assert abs(scaled.m_cross - direct.moments.m_cross) < 1e-12
+    assert abs(scaled.area - direct.mesh.moments.area) < 1e-12
+    assert np.abs(scaled.centroid - direct.mesh.moments.centroid).max() < 1e-12
+    assert abs(scaled.m_diff - direct.mesh.moments.m_diff) < 1e-12
+    assert abs(scaled.m_cross - direct.mesh.moments.m_cross) < 1e-12
 
 
 def test_mass_data_bundle(disk_set, ellipse_set):
