@@ -66,6 +66,7 @@ class IdentityRow:
     name: str
     value: complex
     reference: complex
+    length_power: int = 0   # value ~ size ** length_power (field rows set it)
 
     @property
     def error(self) -> float:

@@ -21,7 +21,7 @@ import json
 import logging
 import re
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -39,13 +39,13 @@ from .coupled_system import (
 from .geometry import ShapeSpec, build_mesh, disk, ellipse, perturbed_disk
 from .limit_system import VortexCollisionError, VortexWaveState, vw_step
 from .normal_form import (
-    ModulationSeries,
     apply_lambda,
     modulation,
     modulation_rate_monitor,
     normal_form_residual,
 )
 from .potential import (
+    MassData,
     ScaledPotentials,
     build_mass_data,
     build_potential_set,
@@ -313,14 +313,15 @@ class RunRecord:
     r: np.ndarray | None = None
     energy: np.ndarray | None = None
     impulse: np.ndarray | None = None
-    modulated: ModulationSeries | None = None   # read by the normal form
+    # the modulation of a coupled run, read by the normal form
+    drift: np.ndarray | None = None         # (m, 2) blob velocity at the origin
+    a: np.ndarray | None = None             # (m,) strain scalars
+    b: np.ndarray | None = None
+    p_modulated: np.ndarray | None = None   # (m, 3)
 
     @property
     def label(self) -> str:
         return "limit" if self.eps is None else f"coupled-eps{self.eps:g}"
-
-
-_RECORD_FIELDS = {f.name for f in fields(RunRecord)}
 
 
 def _sample(state, sample) -> tuple[dict, list[str]]:
@@ -348,12 +349,10 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, first,
     an abort or an annulus exit.
 
     ``sample(state)`` returns the run-specific series values as a dict
-    keyed by RunRecord field (see _sample).  A coupled sample also holds
-    the columns of its ModulationSeries, which become ``modulated``.  An
-    exception in ``stops`` raised by ``step`` ends the run with the abort
-    reason ``reason(state, exc)``, state being the last one reached.  A
-    sample holding a non-finite value ends it as ``non-finite`` and is
-    not kept.
+    keyed by RunRecord field (see _sample).  An exception in ``stops``
+    raised by ``step`` ends the run with the abort reason
+    ``reason(state, exc)``, state being the last one reached.  A sample
+    holding a non-finite value ends it as ``non-finite`` and is not kept.
     """
     started = time.perf_counter()
     steps = config.steps
@@ -391,15 +390,12 @@ def _integrate(config: ExperimentConfig, eps: float | None, state, first,
 
     m = done + 1
     last_ok = done - 1 if aborted == "annulus-exit" else done
-    columns = {key: values[:m] for key, values in series.items()}
     rec = RunRecord(
         kind="limit" if eps is None else "coupled", eps=eps,
         blob_gamma=state.field.gamma.copy(), aborted=aborted,
         abort_detail=detail, t_eps=float(series["t"][max(last_ok, 0)]),
         elapsed=time.perf_counter() - started,
-        **{key: columns[key] for key in columns if key in _RECORD_FIELDS})
-    if eps is not None:
-        rec.modulated = ModulationSeries.from_columns(columns, state)
+        **{key: values[:m] for key, values in series.items()})
     log.info("%s: %d/%d steps%s in %.1fs", rec.label, done, steps,
              f", aborted ({aborted})" if aborted else "", rec.elapsed)
     return rec
@@ -509,13 +505,14 @@ def _drift(series: np.ndarray) -> float:
     return float(np.abs(series - series[0]).max())
 
 
-def _coupled_diagnostics(rec: RunRecord, dt: float) -> dict:
+def _coupled_diagnostics(rec: RunRecord, mass: MassData, alpha: float,
+                         dt: float) -> dict:
     out = {"residual_fitted_C": None, "residual_max_norm": None,
            "residual_dt_converged": None, "monitor_fitted_C": None}
-    if rec.modulated is None or len(rec.t) < 5:
+    if len(rec.t) < 5:
         return out
-    res = normal_form_residual(rec.modulated, dt)
-    _, monitor = modulation_rate_monitor(rec.modulated, dt)
+    res = normal_form_residual(rec, mass, alpha, dt)
+    _, monitor = modulation_rate_monitor(rec, mass, dt)
     out.update(residual_fitted_C=res.fitted_constant,
                residual_max_norm=float(np.linalg.norm(res.implied, axis=1).max()),
                residual_dt_converged=res.dt_converged,
@@ -557,8 +554,10 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def assemble_report(config: ExperimentConfig, coupled: Sequence[RunRecord],
+def assemble_report(config: ExperimentConfig, mass: MassData,
+                    coupled: Sequence[RunRecord],
                     limit: RunRecord) -> ConvergenceReport:
+    """The report of one sweep; ``mass`` is the runs' MassData."""
     rows = []
     for rec in coupled:
         eps = rec.eps
@@ -572,7 +571,7 @@ def assemble_report(config: ExperimentConfig, coupled: Sequence[RunRecord],
         row["beta_drift"] = _drift(rec.beta)
         row["peak_momentum"] = float(
             (np.hypot(rec.ell[:, 0], rec.ell[:, 1]) + eps * np.abs(rec.r)).max())
-        row.update(_coupled_diagnostics(rec, config.dt))
+        row.update(_coupled_diagnostics(rec, mass, config.alpha, config.dt))
         rows.append(row)
 
     eps_list = [r["eps"] for r in rows]
@@ -787,7 +786,7 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
         raise ConfigError(f"the scale sweep runs serially; threads must be "
                           f"1, got {threads}")
     out_dir = Path(out_dir) if out_dir is not None else config.out
-    pset = build_potential_set(build_mesh(config.shape, config.panels))
+    pset = resolved_potential_set(config.shape, config.panels)
     mass = build_mass_data(pset, config.m1, config.J1)
 
     starts = _initial_states(config, pset, mass)
@@ -799,7 +798,7 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
     if with_limit:
         limit = run_limit(config)
         records.append(limit)
-        report = assemble_report(config, coupled, limit)
+        report = assemble_report(config, mass, coupled, limit)
 
     write_artifacts(out_dir, records, report)
     return records, report
@@ -898,11 +897,37 @@ def check(panels: int = 512, seed: int = 0) -> CheckReport:
     return CheckReport(tuple(rows))
 
 
+def resolved_potential_set(shape: ShapeSpec, panels: int):
+    """The shape's potential set at ``panels``.  A solve that fails, or a
+    field identity row that misses by more than FIELD_TOL in units of the
+    body's circumradius, means the panels do not resolve the shape: a
+    ConfigError naming the worst row."""
+    try:
+        pset = build_potential_set(build_mesh(shape, panels))
+    except ValueError as exc:
+        raise ConfigError(f"{shape.name} at {panels} panels: {exc}") from None
+    # in size units the bound reads the same at every body size; the
+    # extent bounds keep size ** 4 a normal double
+    size = pset.mesh.circumradius
+    errors = {row.name: row.error / size ** row.length_power
+              for row in field_identity_rows(pset)}
+    # a NaN error is the worst row
+    worst = max(errors,
+                key=lambda name: np.nan_to_num(errors[name], nan=np.inf))
+    if not errors[worst] <= FIELD_TOL:
+        raise ConfigError(
+            f"{panels} panels do not resolve the {shape.name}: field identity "
+            f"{worst!r} misses by {errors[worst]:.3g} > {FIELD_TOL:g} "
+            f"(in units of its circumradius)")
+    return pset
+
+
 def potential_facts(shape: ShapeSpec, panels: int = 256) -> dict:
     """Reference numbers for one shape: inertia coefficients, conformal
     moments, the circulation-field Laurent head, and the residual of the
-    field identity rows."""
-    pset = build_potential_set(build_mesh(shape, panels))
+    field identity rows.  A shape the panels do not resolve is a
+    ConfigError."""
+    pset = resolved_potential_set(shape, panels)
     c1 = laurent_coefficients(pset.H, 1)[0]
     return {
         "shape": shape.name,

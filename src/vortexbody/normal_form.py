@@ -10,12 +10,12 @@ equations collapse to two exactly gyroscopic quadratic tensors, a
 circulation term along a fixed axis, a weakly gyroscopic scalar and a
 weakly nonlinear remainder.  This module builds those pieces, the
 closed-form force approximations they come from, and the residual and
-rate diagnostics evaluated on series sampled along a run.
+rate diagnostics evaluated on the columns of a coupled run record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,41 +47,6 @@ def modulation(state: CoupledState) -> dict:
     ell_mod = state.ell - drift - eps * _strain(a, b, state.mass.xi)
     return {"drift": drift, "a": a, "b": b,
             "p_modulated": np.array([*ell_mod, eps * state.r])}
-
-
-_SAMPLED = ("t", "theta", "gamma", "r", "drift", "a", "b", "p_modulated")
-
-
-@dataclass(frozen=True)
-class ModulationSeries:
-    """The samples of one coupled run that the trajectory diagnostics
-    read, at a uniform cadence; ``series[::2]`` doubles the cadence."""
-
-    t: np.ndarray
-    theta: np.ndarray
-    gamma: np.ndarray
-    r: np.ndarray
-    drift: np.ndarray           # (m, 2) ambient velocity at the body origin
-    a: np.ndarray               # (m,) strain scalars
-    b: np.ndarray
-    p_modulated: np.ndarray     # (m, 3)
-    eps: float
-    alpha: float
-    mass: MassData
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, samples: slice) -> ModulationSeries:
-        return replace(self, **{key: getattr(self, key)[samples]
-                                for key in _SAMPLED})
-
-    @classmethod
-    def from_columns(cls, columns, state: CoupledState) -> ModulationSeries:
-        """Stack sampled columns keyed by field name; eps, alpha and mass
-        come from ``state``."""
-        return cls(eps=state.eps, alpha=state.alpha, mass=state.mass,
-                   **{key: np.asarray(columns[key]) for key in _SAMPLED})
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +221,7 @@ def boundary_approximation_defect(state: CoupledState,
 class ResidualSeries:
     """Centered-difference residual of the modulated body equation,
     rescaled by eps^min(alpha, 2), at the interior samples
-    ``series.t[1:-1]``."""
+    ``run.t[1:-1]``."""
 
     implied: np.ndarray          # remainder force series, (n-2, 3)
     fitted_constant: float       # max |implied| / (1 + |p| + eps |p|^2)
@@ -268,11 +233,9 @@ def _centered(values: np.ndarray, dt: float) -> np.ndarray:
     return (values[2:] - values[:-2]) / (2.0 * dt)
 
 
-def _inertia_terms(series: ModulationSeries):
+def _inertia_terms(p: np.ndarray, eps: float, alpha: float, mass: MassData):
     """M = eps^alpha M_g + eps^2 M_a and, per sample, the quadratic terms
     eps^(alpha-1) Lambda_g(p) + eps Lambda_a(p) of the modulated momentum."""
-    eps, alpha, mass = series.eps, series.alpha, series.mass
-    p = series.p_modulated
     M = eps ** alpha * mass.genuine + eps ** 2 * mass.added_3x3
     quad = (eps ** (alpha - 1.0) * apply_lambda(mass, "g", p)
             + eps * apply_lambda(mass, "a", p))
@@ -284,14 +247,17 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
 
 
-def _residual_core(series: ModulationSeries, dt):
-    eps, alpha, mass = series.eps, series.alpha, series.mass
-    p = series.p_modulated
-    M, quad = _inertia_terms(series)
-    gamma = series.gamma[1:-1, None]
+def _residual_core(run, mass: MassData, alpha: float, dt: float, every: int):
+    """The residual and its fitted constant on every ``every``-th sample."""
+    eps = run.eps
+    p, gamma, a, b = (column[::every] for column in
+                      (run.p_modulated, run.gamma, run.a, run.b))
+    M, quad = _inertia_terms(p, eps, alpha, mass)
+    gamma = gamma[1:-1, None]
     gyro = gamma * cross_product(p[1:-1], gyro_axis(mass))
-    weak = eps * gamma * _weak_gyro(series.a[1:-1], series.b[1:-1], mass)
-    inertia = (M @ _centered(p, dt)[..., None])[..., 0]  # single-call bits
+    weak = eps * gamma * _weak_gyro(a[1:-1], b[1:-1], mass)
+    # single-call bits
+    inertia = (M @ _centered(p, every * dt)[..., None])[..., 0]
     out = (inertia + quad[1:-1] - gyro - weak) / eps ** min(alpha, 2.0)
     sizes = np.linalg.norm(p[1:-1], axis=1)
     fitted = float((np.linalg.norm(out, axis=1)
@@ -299,21 +265,24 @@ def _residual_core(series: ModulationSeries, dt):
     return out, fitted
 
 
-def normal_form_residual(series: ModulationSeries, dt: float) -> ResidualSeries:
+def normal_form_residual(run, mass: MassData, alpha: float,
+                         dt: float) -> ResidualSeries:
     """Everything in the modulated equation except the remainder force,
     moved to one side: what is left over, divided by its expected size.
 
-    The momentum derivative uses centered differences at the sampled
-    cadence, no smoothing; dt_converged compares against the double
-    cadence and flags runs sampled too coarsely for the difference to
-    mean anything."""
-    if len(series) < 3:
+    ``run`` is a coupled lab.RunRecord sampled every ``dt`` (its eps and
+    its gamma, a, b and p_modulated columns are read); ``mass`` and
+    ``alpha`` are the run's.  The momentum derivative uses centered
+    differences at the sampled cadence, no smoothing; dt_converged
+    compares against the double cadence and flags runs sampled too
+    coarsely for the difference to mean anything."""
+    if len(run.t) < 3:
         raise ValueError("need at least three uniformly spaced samples")
-    out, fitted = _residual_core(series, dt)
+    out, fitted = _residual_core(run, mass, alpha, dt, 1)
 
     converged = None
-    if len(series) >= 5:
-        _, coarse = _residual_core(series[::2], 2.0 * dt)
+    if len(run.t) >= 5:
+        _, coarse = _residual_core(run, mass, alpha, dt, 2)
         scale = max(fitted, np.finfo(float).tiny)
         converged = bool(abs(coarse - fitted) <= 0.1 * scale)
 
@@ -321,18 +290,17 @@ def normal_form_residual(series: ModulationSeries, dt: float) -> ResidualSeries:
                           dt_converged=converged)
 
 
-def modulation_rate_monitor(series: ModulationSeries, dt: float):
+def modulation_rate_monitor(run, mass: MassData, dt: float):
     """Centered-difference rate of the drift-plus-strain correction,
     with the spin rotation removed, fitted against 1 + |p_modulated|.
 
-    Returns the rates at the interior samples, ``series.t[1:-1]``, and
-    the fitted constant, 0.0 with fewer than three samples.  Bounded
-    along healthy runs.
+    Reads the eps and the r, drift, a, b and p_modulated columns of a
+    coupled lab.RunRecord sampled every ``dt``.  Returns the rates at the
+    interior samples, ``run.t[1:-1]``, and the fitted constant, 0.0 with
+    fewer than three samples.  Bounded along healthy runs.
     """
-    vals = series.drift + series.eps * _strain(series.a, series.b,
-                                               series.mass.xi)
-    rates = (_centered(vals, dt)
-             + series.r[1:-1, None] * perp(series.drift[1:-1]))
-    sizes = _row_norms(series.p_modulated[1:-1])
+    vals = run.drift + run.eps * _strain(run.a, run.b, mass.xi)
+    rates = _centered(vals, dt) + run.r[1:-1, None] * perp(run.drift[1:-1])
+    sizes = _row_norms(run.p_modulated[1:-1])
     fitted = float((_row_norms(rates) / (1.0 + sizes)).max(initial=0.0))
     return rates, fitted

@@ -416,14 +416,19 @@ def field_identity_rows(pset: PotentialSet) -> list:
     for i in range(1, 6):
         quad = moment_integrals(pset.phi[i - 1])
         closed = moment_closed_forms(pset, i)
-        for w in ("z", "zbar", "abs2", "z2"):
-            rows.append(IdentityRow(f"phi{i} moment {w}", quad[w], closed[w]))
-    h_hat = hat_field(pset.H.boundary_trace())
+        # grad phi_i scales as size^0 (translation) or size^1, the
+        # weight times dz as size^2 (z, zbar) or size^3 (|z|^2, z^2)
+        for w, power in (("z", 2), ("zbar", 2), ("abs2", 3), ("z2", 3)):
+            rows.append(IdentityRow(f"phi{i} moment {w}", quad[w], closed[w],
+                                    power + (i >= 3)))
+    h_hat = hat_field(pset.H.boundary_trace())  # scales as 1/size
     z_mom = contour_integral(pset.mesh, h_hat, "z")
     zbar_mom = contour_integral(pset.mesh, h_hat, "zbar")
     abs2_mom = contour_integral(pset.mesh, h_hat, "abs2")
-    rows.append(IdentityRow("H conj(zbar mom) = z mom", np.conj(zbar_mom), z_mom))
-    rows.append(IdentityRow("H Re(i |z|^2 mom) = 0", (1j * abs2_mom).real, 0.0))
+    rows.append(IdentityRow("H conj(zbar mom) = z mom", np.conj(zbar_mom),
+                            z_mom, 1))
+    rows.append(IdentityRow("H Re(i |z|^2 mom) = 0", (1j * abs2_mom).real,
+                            0.0, 2))
     # shape-independent residue of the squared harmonic field
     rows.append(IdentityRow("z (H hat)^2 moment",
                             contour_integral(pset.mesh, h_hat ** 2, "z"),

@@ -6,6 +6,8 @@ once per session; acceptance criteria and module tests read the same
 objects instead of re-running the experiments.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from vortexbody.coupled_system import (VorticityPatch, coupled_step, force_B,
 from vortexbody.geometry import (ShapeSpec, build_mesh, perp, perturbed_disk,
                                  rotation)
 from vortexbody.normal_form import (
-    ModulationSeries,
     _centered,
     _inertia_terms,
     boundary_approximation_defect,
@@ -81,21 +82,21 @@ def harmonic_circulation(H) -> float:
     return float(np.sum((trace * H.mesh.tau).sum(axis=1) * H.mesh.w))
 
 
-def rotated_mass_identity_check(series: ModulationSeries, dt: float) -> float:
+def rotated_mass_identity_check(run, dt: float) -> float:
     """Max gap, over interior times and the two velocity components,
     between the attitude-rotated inertia terms and the plain time
-    derivative of the rotated momentum.
+    derivative of the rotated momentum, along a ``sampled_run``.
 
     Both sides use centered differences; the gap vanishes at rate dt^2.
     """
-    if len(series) < 3:
+    if len(run.t) < 3:
         raise ValueError("need at least three uniformly spaced samples")
-    eps, alpha, p = series.eps, series.alpha, series.p_modulated
-    Mg, Ma = series.mass.genuine, series.mass.added_3x3
-    M, quad = _inertia_terms(series)
+    eps, alpha, p = run.eps, run.alpha, run.p_modulated
+    Mg, Ma = run.mass.genuine, run.mass.added_3x3
+    M, quad = _inertia_terms(p, eps, alpha, run.mass)
     # the attitude rotation of each sample, acting on (ell, r)
-    Q = np.tile(np.eye(3), (len(series), 1, 1))
-    Q[:, :2, :2] = np.moveaxis(rotation(series.theta), -1, 0)
+    Q = np.tile(np.eye(3), (len(run.t), 1, 1))
+    Q[:, :2, :2] = np.moveaxis(rotation(run.theta), -1, 0)
 
     rotated = ((eps ** alpha * Mg @ Q + eps ** 2 * Q @ Ma)
                @ p[..., None])[..., 0]
@@ -174,19 +175,37 @@ def frozen_sweep(asym_setup, random_blobs):
     return {"errors": errs, "slopes": slopes, "cc_max": cc_max}
 
 
+def run_columns(rows, state) -> SimpleNamespace:
+    """Sample rows stacked into the columns a coupled run record holds,
+    with the run's eps, alpha and mass taken from ``state``."""
+    return SimpleNamespace(
+        eps=state.eps, alpha=state.alpha, mass=state.mass,
+        **{key: np.asarray([row[key] for row in rows]) for key in rows[0]})
+
+
+def sampled_row(st) -> dict:
+    """One sample of the columns the normal-form diagnostics read."""
+    return {"t": st.t, "theta": st.placement.theta, "gamma": st.gamma,
+            "r": st.r, **modulation(st)}
+
+
+def every(run, k: int) -> SimpleNamespace:
+    """The run sampled every k-th row: columns sliced, constants kept."""
+    return SimpleNamespace(**{key: value[::k] if isinstance(value, np.ndarray)
+                              else value for key, value in vars(run).items()})
+
+
 def sampled_run(pset, md, blobs, *, eps, dt, steps, r0):
     """Step a coupled run from ell0 = (1, 0) and return its sampled
-    ModulationSeries, one row per state."""
+    columns (see run_columns), one row per state."""
     st = init_coupled(ScaledPotentials(pset, eps), md, alpha=2.0,
                       gamma=FROZEN_GAMMA, ell0=(1.0, 0.0), r0=r0, field=blobs)
     rows = []
     for k in range(steps + 1):
         if k:
             st = coupled_step(st, dt)
-        rows.append({"t": st.t, "theta": st.placement.theta,
-                     "gamma": st.gamma, "r": st.r, **modulation(st)})
-    return ModulationSeries.from_columns(
-        {key: [row[key] for row in rows] for key in rows[0]}, st)
+        rows.append(sampled_row(st))
+    return run_columns(rows, st)
 
 
 @pytest.fixture(scope="session")
@@ -204,7 +223,7 @@ def residual_runs(asym_setup, random_blobs):
 
 @pytest.fixture(scope="session")
 def residual_series(residual_runs):
-    return {eps: normal_form_residual(record, dt)
+    return {eps: normal_form_residual(record, record.mass, record.alpha, dt)
             for eps, (record, dt) in residual_runs.items()}
 
 

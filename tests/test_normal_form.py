@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, empty_field,
-                      rotated_mass_identity_check, sampled_run)
+from conftest import (FROZEN_ELL, FROZEN_GAMMA, FROZEN_R, empty_field, every,
+                      rotated_mass_identity_check, run_columns, sampled_row,
+                      sampled_run)
 from vortexbody.biotsavart import (BlobField, HydrodynamicField,
                                    velocity_free_space, velocity_gradient)
 from vortexbody.coupled_system import (
@@ -19,7 +20,6 @@ from vortexbody.coupled_system import (
 )
 from vortexbody.geometry import build_mesh, disk, perp
 from vortexbody.normal_form import (
-    ModulationSeries,
     apply_lambda,
     boundary_approximation_defect,
     cross_product,
@@ -293,10 +293,7 @@ def _resting(asym_setup, samples):
     pset, md = asym_setup
     st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0,
                       field=empty_field())
-    row = {"t": st.t, "theta": st.placement.theta, "gamma": st.gamma,
-           "r": st.r, **modulation(st)}
-    return ModulationSeries.from_columns(
-        {key: [value] * samples for key, value in row.items()}, st)
+    return run_columns([sampled_row(st)] * samples, st)
 
 
 @pytest.fixture(scope="module")
@@ -305,8 +302,12 @@ def reference_run(asym_setup, random_blobs):
     return _short_run(pset, md, random_blobs, eps=0.1, dt=1e-3, steps=48)
 
 
+def residual(run, dt):
+    return normal_form_residual(run, run.mass, run.alpha, dt)
+
+
 def test_trivial_residual_is_zero(asym_setup):
-    series = normal_form_residual(_resting(asym_setup, 6), 0.01)
+    series = residual(_resting(asym_setup, 6), 0.01)
     assert series.fitted_constant == 0.0
     assert np.all(series.implied == 0.0)
     assert series.dt_converged is True
@@ -314,13 +315,13 @@ def test_trivial_residual_is_zero(asym_setup):
 
 def test_residual_input_validation(asym_setup):
     with pytest.raises(ValueError):
-        normal_form_residual(_resting(asym_setup, 2), 0.01)
+        residual(_resting(asym_setup, 2), 0.01)
 
 
 def test_residual_dt_stability_on_reference_run(reference_run):
-    series = normal_form_residual(reference_run, 1e-3)
+    series = residual(reference_run, 1e-3)
     assert series.dt_converged is True
-    coarse = normal_form_residual(reference_run[::2], 2e-3)
+    coarse = residual(every(reference_run, 2), 2e-3)
     dev = abs(coarse.fitted_constant / series.fitted_constant - 1.0)
     assert dev < 0.10
     assert series.implied.shape == (47, 3)
@@ -330,15 +331,15 @@ def test_residual_flags_coarse_cadence(asym_setup, random_blobs):
     # at eps = 0.05 a 5e-4 cadence under-resolves the gyro oscillation
     pset, md = asym_setup
     record = _short_run(pset, md, random_blobs, eps=0.05, dt=5e-4, steps=24)
-    series = normal_form_residual(record, 5e-4)
+    series = residual(record, 5e-4)
     assert series.dt_converged is False
 
 
 def test_rotated_mass_identity_rate(reference_run):
     # Richardson on nested cadences: the discrepancy must fall like dt^2
     d1 = rotated_mass_identity_check(reference_run, 1e-3)
-    d2 = rotated_mass_identity_check(reference_run[::2], 2e-3)
-    d4 = rotated_mass_identity_check(reference_run[::4], 4e-3)
+    d2 = rotated_mass_identity_check(every(reference_run, 2), 2e-3)
+    d4 = rotated_mass_identity_check(every(reference_run, 4), 4e-3)
     assert 3.0 < d4 / d2 < 5.0
     assert 3.0 < d2 / d1 < 5.0
 
@@ -362,7 +363,7 @@ def weak_gyro_calibration(series, dt: float) -> float:
     num = 0.0
     size_int = 0.0
     best = 0.0
-    for k in range(1, len(series)):
+    for k in range(1, len(series.t)):
         num += 0.5 * dt * (dots[k - 1] + dots[k])
         size_int += 0.5 * dt * (sizes2[k - 1] + sizes2[k])
         elapsed = series.t[k] - series.t[0]
@@ -381,7 +382,8 @@ def test_weak_gyro_calibration_stable(asym_setup, random_blobs):
 
 
 def test_modulation_rate_monitor_bounded(reference_run):
-    rates, fitted = modulation_rate_monitor(reference_run, 1e-3)
+    rates, fitted = modulation_rate_monitor(reference_run, reference_run.mass,
+                                            1e-3)
     assert rates.shape == (47, 2)
     assert np.all(np.isfinite(rates))
     assert fitted < 0.5
