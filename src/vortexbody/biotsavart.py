@@ -11,10 +11,12 @@ The blob kernel is the Gaussian-core regularization
 which agrees with the exact point kernel to machine precision once
 |x - y_j| exceeds a few core radii.  Its stream function is
 (1/2pi)(ln r + E1(r^2/delta^2)/2), used by the energy bookkeeping.  E1
-comes from a table of nine-term Taylor expansions built at import on
-[0.5, 40), within 2e-15 relative of the exact value (scipy's own exp1 is
-within 1.5e-15 there); scipy's exp1 serves the rarer pairs nearer than
-0.71 core radii, and beyond 40 E1 is below roundoff.
+comes from a table of nine-term Taylor expansions on [0.5, 40), within
+2e-15 relative of the exact value.  The table's node values are computed
+once at import, by E1's power series below 0.75 and its continued
+fraction above (Abramowitz & Stegun 5.1.11 and 5.1.22).  The rarer pairs
+nearer than 0.71 core radii take ln r + E1 as one polynomial, the two
+logs cancelled, and beyond 40 E1 is below roundoff.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import exp1
 
 from .geometry import (_CHUNK_FLOATS, TWO_PI, outer_difference, perp,
                        point_vortex, squared_distances)
@@ -33,6 +34,37 @@ from .potential import ScaledPotentials
 # in cache and below the allocator's mmap threshold, and no (n, n) array
 # is ever held
 PAIR_ROWS = 64
+
+# the power-series part of E1 (A&S 5.1.11), E1(u) = -euler_gamma - ln u - S(u)
+# with S(u) = sum_k (-u)^k/(k k!): eighteen terms truncate below 2e-21 for
+# u < 0.75
+_SERIES_COEFFS = tuple((-1) ** k / (k * math.factorial(k))
+                       for k in range(1, 19))
+
+
+def _e1_series_sum(u: np.ndarray) -> np.ndarray:
+    """S(u) = sum_{k=1}^{18} (-u)^k/(k k!) for 0 <= u < 0.75, by Horner."""
+    s = np.full_like(u, _SERIES_COEFFS[-1])
+    for c in _SERIES_COEFFS[-2::-1]:
+        s *= u
+        s += c
+    return s * u
+
+
+def _e1_direct(u: np.ndarray) -> np.ndarray:
+    """E1(u) for u >= 0.5 to about 1e-15 relative: the series below 0.75,
+    above it the even part of the continued fraction (A&S 5.1.22)
+    exp(-u)/(u + 1 - 1/(u + 3 - 4/(u + 5 - ...))) evaluated backward
+    from depth 120."""
+    series = u < 0.75
+    tail = np.zeros_like(u)
+    for k in range(120, 0, -1):
+        tail = k * k / (u + (2 * k + 1) - tail)
+    e = np.exp(-u) / (u + 1.0 - tail)
+    v = u[series]
+    e[series] = -np.euler_gamma - np.log(v) - _e1_series_sum(v)
+    return e
+
 
 # E1(u) on [0.5, 40): nodes u_i = 0.5 + i/128 hold the Taylor coefficients
 # c_k = E1^(k)(u_i)/k!, k < 9, from E1' = -exp(-u)/u; Horner in
@@ -44,7 +76,7 @@ def _e1_taylor_table() -> tuple[np.ndarray, np.ndarray]:
     nodes = _E1_START + np.arange(
         round((_E1_STOP - _E1_START) * _E1_PER_UNIT) + 1) / _E1_PER_UNIT
     coeffs = np.empty((_E1_TERMS, nodes.size))
-    coeffs[0] = exp1(nodes)
+    coeffs[0] = _e1_direct(nodes)
     inv_u = 1.0 / nodes
     # c_k = (-1)^k exp(-u) sum_{m<k} u^(m-k)/m! / k; s holds the sum
     s = np.zeros_like(nodes)
@@ -372,10 +404,12 @@ def pair_stream_matrix(field: BlobField, start: int = 0,
     Apart: (1/2pi)(ln r + E1(r^2/delta^2)/2), the stream function
     consistent with the Gaussian-core kernel.  E1 is evaluated only where
     u = r^2/delta^2 < 40; beyond, E1 < 1.1e-19 and is dropped.  For
-    u >= 0.5 it comes from the module's Taylor table (2e-15 relative),
-    below from scipy's exp1.  Coincident pairs (the diagonal, and blobs
-    sharing a position): its finite limit (1/2pi)(ln delta - euler_gamma/2),
-    the blob self-interaction.
+    u >= 0.5 it comes from the module's Taylor table (2e-15 relative).
+    Below, ln r^2 + E1(u) = 2 ln delta - euler_gamma - S(u) with S the
+    power-series part of E1: no log and no special function, and
+    coincident pairs (the diagonal, and blobs sharing a position) read
+    S(0) = 0, the finite limit (1/2pi)(ln delta - euler_gamma/2) of the
+    blob self-interaction.
     """
     rho = squared_distances(field.x[start:stop], field.x[start:])
     delta2 = field.delta ** 2
@@ -383,13 +417,13 @@ def pair_stream_matrix(field: BlobField, start: int = 0,
     r = rho[near]
     with np.errstate(divide="ignore"):
         np.log(rho, out=rho)
-    # ln rho + E1(rho/delta^2) tends to 2 ln delta - euler_gamma as rho -> 0
-    v = np.full_like(r, 2.0 * np.log(field.delta) - np.euler_gamma)
     u = r / delta2
     table = u >= _E1_START
-    low = ~table & (r > 0.0)
+    low = ~table
+    v = np.empty_like(r)
     v[table] = np.log(r[table]) + _e1(u[table])
-    v[low] = np.log(r[low]) + exp1(u[low])
+    v[low] = (2.0 * np.log(field.delta) - np.euler_gamma
+              - _e1_series_sum(u[low]))
     rho[near] = v
     rho /= 2.0 * TWO_PI
     return rho

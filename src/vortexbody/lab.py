@@ -21,7 +21,7 @@ import json
 import logging
 import re
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +36,8 @@ from .coupled_system import (
     init_coupled,
     total_energy,
 )
-from .geometry import ShapeSpec, build_mesh, disk, ellipse, perturbed_disk
+from .geometry import (BoundaryMesh, ShapeSpec, build_mesh, disk, ellipse,
+                       perturbed_disk)
 from .limit_system import VortexCollisionError, VortexWaveState, vw_step
 from .normal_form import (
     apply_lambda,
@@ -85,7 +86,8 @@ class ExperimentConfig:
     randomized identity checks, never the dynamics.  Every number, shape
     coefficients included, must be finite; ``T`` is a whole number of
     ``dt`` steps; the shape meshes at ``panels``, which needs its node
-    coordinates within geometry.EXTENT_MAX = 1e76.
+    coordinates within geometry.EXTENT_MAX = 1e76.  That mesh is kept as
+    ``mesh`` (not an argument, not compared) for the run to solve on.
     """
 
     shape: ShapeSpec
@@ -105,6 +107,7 @@ class ExperimentConfig:
     out: Path
     seed: int
     rho: float
+    mesh: BoundaryMesh = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.eps:
@@ -125,10 +128,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         if self.panels < 16 or self.panels % 2:
             raise ConfigError("panels must be an even integer >= 16")
-        try:
-            build_mesh(self.shape, self.panels)
-        except ValueError as exc:
-            raise ConfigError(f"shape at {self.panels} panels: {exc}") from None
+        object.__setattr__(self, "mesh", _mesh(self.shape, self.panels))
         if self.m1 <= 0 or self.J1 <= 0:
             raise ConfigError("m1 and J1 must be positive")
         if self.T <= 0 or self.dt <= 0 or self.dt > self.T:
@@ -786,7 +786,7 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
         raise ConfigError(f"the scale sweep runs serially; threads must be "
                           f"1, got {threads}")
     out_dir = Path(out_dir) if out_dir is not None else config.out
-    pset = resolved_potential_set(config.shape, config.panels)
+    pset = resolved_potential_set(config.mesh)
     mass = build_mass_data(pset, config.m1, config.J1)
 
     starts = _initial_states(config, pset, mass)
@@ -867,43 +867,57 @@ def check(panels: int = 512, seed: int = 0) -> CheckReport:
     identities and Laurent constraints, mass-matrix structure, and the
     zero-work property of the quadratic tensors on random momenta.
     Failures become rows, not exceptions."""
-    rows = []
     rng = np.random.default_rng(seed)
-    for label, shape in CANONICAL_SHAPES:
-        mesh = build_mesh(shape, panels)
-        for r in identity_suite(mesh):
-            rows.append(CheckRow("geometry", label, r.name, r.error,
-                                 GEOMETRY_TOL))
-        pset = build_potential_set(mesh)
-        for r in field_identity_rows(pset):
-            rows.append(CheckRow("field", label, r.name, r.error, FIELD_TOL))
-
-        # the Green-identity asymmetry, before mass was symmetrised
-        rows.append(CheckRow("mass", label, "symmetry", pset.mass_defect,
-                             1e-12))
-        m = pset.mass
-        # on a matrix holding a NaN, eigvalsh returns finite values or raises
-        psd = (max(0.0, -float(np.linalg.eigvalsh(m).min()))
-               if np.isfinite(m).all() else np.nan)
-        rows.append(CheckRow("mass", label, "positive semidefinite", psd,
-                             1e-10))
-
-        mass = build_mass_data(pset)
-        P = rng.normal(size=(10_000, 3))
-        work = [(apply_lambda(mass, w, P) * P).sum(1) for w in ("g", "a")]
-        # one array reduction, so a NaN work value fails the row
-        rows.append(CheckRow("tensor", label, "quadratic does no work",
-                             float(np.abs(work).max()), 1e-12))
-    return CheckReport(tuple(rows))
+    return CheckReport(tuple(row for label, shape in CANONICAL_SHAPES
+                             for row in _check_rows(label, shape, panels, rng)))
 
 
-def resolved_potential_set(shape: ShapeSpec, panels: int):
-    """The shape's potential set at ``panels``.  A solve that fails, or a
-    field identity row that misses by more than FIELD_TOL in units of the
-    body's circumradius, means the panels do not resolve the shape: a
-    ConfigError naming the worst row."""
+def _check_rows(label: str, shape: ShapeSpec, panels: int,
+                rng: np.random.Generator) -> list:
+    """One shape's check rows; its potential set is freed on return, so
+    that no two shapes' sets are held at once."""
+    rows = []
+    mesh = build_mesh(shape, panels)
+    for r in identity_suite(mesh):
+        rows.append(CheckRow("geometry", label, r.name, r.error,
+                             GEOMETRY_TOL))
+    pset = build_potential_set(mesh)
+    for r in field_identity_rows(pset):
+        rows.append(CheckRow("field", label, r.name, r.error, FIELD_TOL))
+
+    # the Green-identity asymmetry, before mass was symmetrised
+    rows.append(CheckRow("mass", label, "symmetry", pset.mass_defect, 1e-12))
+    m = pset.mass
+    # on a matrix holding a NaN, eigvalsh returns finite values or raises
+    psd = (max(0.0, -float(np.linalg.eigvalsh(m).min()))
+           if np.isfinite(m).all() else np.nan)
+    rows.append(CheckRow("mass", label, "positive semidefinite", psd, 1e-10))
+
+    mass = build_mass_data(pset)
+    P = rng.normal(size=(10_000, 3))
+    work = [(apply_lambda(mass, w, P) * P).sum(1) for w in ("g", "a")]
+    # one array reduction, so a NaN work value fails the row
+    rows.append(CheckRow("tensor", label, "quadratic does no work",
+                         float(np.abs(work).max()), 1e-12))
+    return rows
+
+
+def _mesh(shape: ShapeSpec, panels: int) -> BoundaryMesh:
+    """build_mesh, with a shape it rejects as a ConfigError."""
     try:
-        pset = build_potential_set(build_mesh(shape, panels))
+        return build_mesh(shape, panels)
+    except ValueError as exc:
+        raise ConfigError(f"{shape.name} at {panels} panels: {exc}") from None
+
+
+def resolved_potential_set(mesh: BoundaryMesh):
+    """The potential set on ``mesh``.  A solve that fails, or a field
+    identity row that misses by more than FIELD_TOL in units of the body's
+    circumradius, means the panels do not resolve the shape: a ConfigError
+    naming the worst row."""
+    shape, panels = mesh.shape, mesh.n
+    try:
+        pset = build_potential_set(mesh)
     except ValueError as exc:
         raise ConfigError(f"{shape.name} at {panels} panels: {exc}") from None
     # in size units the bound reads the same at every body size; the
@@ -927,7 +941,7 @@ def potential_facts(shape: ShapeSpec, panels: int = 256) -> dict:
     moments, the circulation-field Laurent head, and the residual of the
     field identity rows.  A shape the panels do not resolve is a
     ConfigError."""
-    pset = resolved_potential_set(shape, panels)
+    pset = resolved_potential_set(_mesh(shape, panels))
     c1 = laurent_coefficients(pset.H, 1)[0]
     return {
         "shape": shape.name,

@@ -19,7 +19,8 @@ with two boundary operators on the periodic parameter grid:
   factor and the log rule depend on i - j only, so both come from one
   column each (n sines per mesh, not n^2).  The first-kind Dirichlet system
   V sigma + c = f with the zero-mean side condition is bordered by one
-  row/column and LU-factored once per mesh.
+  row/column.  How each system is solved, LU at build time and the
+  refined inverse at run time, is :class:`BoundaryOperators`' to say.
 
 All solves on scaled copies of a shape reduce to the unit-shape operators
 because the Neumann kernel is scale-invariant; :class:`ScaledPotentials`
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .contour import IdentityRow, contour_integral, hat_field
 from .geometry import (TWO_PI, BoundaryMesh, outer_difference, perp,
@@ -41,6 +41,17 @@ from .geometry import (TWO_PI, BoundaryMesh, outer_difference, perp,
 
 # ---------------------------------------------------------------------------
 # periodic spectral helpers
+
+
+def circulant(column: np.ndarray) -> np.ndarray:
+    """The (n, n) circulant with entry (i, j) = column[(i - j) mod n], as a
+    read-only strided view of one 2n - 1 buffer: scipy.linalg.circulant's
+    construction, without its copy."""
+    n = len(column)
+    doubled = np.concatenate((column[::-1], column[:0:-1]))
+    step = doubled.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        doubled[n - 1:], shape=(n, n), strides=(-step, step), writeable=False)
 
 
 def log_quadrature_column(n: int) -> np.ndarray:
@@ -94,8 +105,30 @@ def log_gradient_sum(points, nodes, charges) -> np.ndarray:
 # boundary operators
 
 
+def _refined(matrix: np.ndarray, inverse: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+    """x = inverse @ b plus one step of iterative refinement,
+    x += inverse @ (b - matrix @ x), which brings the solve's backward
+    error to that of an LU solve (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 12)."""
+    x = inverse @ b
+    x += inverse @ (b - matrix @ x)
+    return x
+
+
 class BoundaryOperators:
-    """Factored Nystrom operators for one mesh, reused by every solve."""
+    """Nystrom operators for one mesh: the Neumann matrix A and the
+    bordered Dirichlet matrix B, whose leading (n, n) block is the single
+    layer V.
+
+    Two kinds of solve, chosen by use.  A potential-set build solves each
+    system once, by LU (``np.linalg.solve``): an inverse costs 4-5 LU
+    factorisations.  The runs solve them hundreds of times (a Neumann
+    solve per RK stage, a Dirichlet solve per energy sample), and there
+    ``neumann_density`` and ``dirichlet_density`` apply the inverse,
+    formed on first use, with one refinement step: matrix-vector
+    products in place of triangular solves.
+    """
 
     def __init__(self, mesh: BoundaryMesh):
         self.mesh = mesh
@@ -127,7 +160,6 @@ class BoundaryOperators:
         d1 *= speed[None, :]
         d1.flat[::n + 1] -= 0.5
         self.A = d1
-        self._lu_neumann = lu_factor(self.A)
 
         # on-curve single-layer values: spectral log split.  On the uniform
         # grid both split terms depend on i - j only, so each is the
@@ -141,17 +173,45 @@ class BoundaryOperators:
         smooth += circulant(log_quadrature_column(n))
         smooth /= 2.0 * TWO_PI
         smooth *= speed[None, :]
-        self.V = smooth
 
-        # bordered first-kind Dirichlet system enforcing zero total density,
-        # in Fortran order so that the LU factorisation overwrites it
-        B = np.zeros((n + 1, n + 1), order="F")
-        B[:n, :n] = self.V
+        # bordered first-kind Dirichlet system enforcing zero total density;
+        # V is its leading block, built apart and copied in because the
+        # passes above run slower on a strided block than one copy costs
+        B = np.empty((n + 1, n + 1))
+        B[:n, :n] = smooth
+        self.V = B[:n, :n]
         B[:n, n] = 1.0
         B[n, :n] = w
-        self._lu_dirichlet = lu_factor(B, overwrite_a=True)
+        B[n, n] = 0.0
+        self.B = B
+
+    @cached_property
+    def _A_inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.A)
+
+    @cached_property
+    def _B_inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.B)
 
     # -- solves ------------------------------------------------------------
+
+    def check_compatible(self, g: np.ndarray, compat_tol: float = 1e-10):
+        """Raise ValueError unless each Neumann datum (``g``, or each row of
+        a (k, n) ``g``) satisfies the zero-total-flux compatibility
+        condition, relative to its own size."""
+        g = np.atleast_2d(g)
+        w = self.mesh.w
+        total = g @ w
+        # relative to the data size, with an absolute floor of the body's
+        # squared size so that data that is zero up to rounding (a
+        # symmetric datum on a symmetric shape) passes at any body size
+        scale = np.abs(g) @ w + self._flux_floor
+        bad = np.flatnonzero(np.abs(total) > compat_tol * scale)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"incompatible Neumann data: net flux {total[i]:.3e} "
+                f"(relative {abs(total[i]) / scale[i]:.3e})")
 
     def neumann_density(self, g: np.ndarray, compat_tol: float = 1e-10) -> np.ndarray:
         """Density sigma with fluid-side d_n(S sigma) = g on the boundary.
@@ -160,21 +220,13 @@ class BoundaryOperators:
         residual total is checked relative to the data size.
         """
         g = np.asarray(g, dtype=float)
-        total = float(np.sum(g * self.mesh.w))
-        # relative to the data size, with an absolute floor of the body's
-        # squared size so that data that is zero up to rounding (a
-        # symmetric datum on a symmetric shape) passes at any body size
-        scale = float(np.sum(np.abs(g) * self.mesh.w)) + self._flux_floor
-        if abs(total) > compat_tol * scale:
-            raise ValueError(
-                f"incompatible Neumann data: net flux {total:.3e} "
-                f"(relative {abs(total) / scale:.3e})")
-        return lu_solve(self._lu_neumann, g)
+        self.check_compatible(g, compat_tol)
+        return _refined(self.A, self._A_inverse, g)
 
     def dirichlet_density(self, f: np.ndarray):
         """(sigma, c) with S sigma + c = f on the boundary, sum sigma w = 0."""
-        rhs = np.concatenate([np.asarray(f, dtype=float), [0.0]])
-        sol = lu_solve(self._lu_dirichlet, rhs)
+        sol = _refined(self.B, self._B_inverse,
+                       np.append(np.asarray(f, dtype=float), 0.0))
         return sol[:-1], float(sol[-1])
 
     # -- boundary traces ----------------------------------------------------
@@ -217,11 +269,15 @@ class NeumannSolution:
         return dt[:, None] * self.mesh.tau + self.data[:, None] * self.mesh.normal
 
 
-def solve_exterior_neumann(ops: BoundaryOperators, data) -> NeumannSolution:
-    g = np.asarray(data, dtype=float)
-    sigma = ops.neumann_density(g)
-    return NeumannSolution(mesh=ops.mesh, data=g, density=sigma,
-                           boundary_values=ops.V @ sigma, _ops=ops)
+def solve_exterior_neumann(ops: BoundaryOperators, data) -> tuple:
+    """One NeumannSolution per row of ``data`` (k, n), from one LU solve;
+    every row must pass the compatibility check."""
+    g = np.atleast_2d(np.asarray(data, dtype=float))
+    ops.check_compatible(g)
+    density = np.linalg.solve(ops.A, g.T).T
+    return tuple(NeumannSolution(mesh=ops.mesh, data=gi, density=sigma,
+                                 boundary_values=ops.V @ sigma, _ops=ops)
+                 for gi, sigma in zip(g, np.ascontiguousarray(density)))
 
 
 @dataclass(frozen=True)
@@ -264,9 +320,9 @@ def harmonic_field(ops: BoundaryOperators) -> HarmonicField:
     pole = mesh.interior_point
     d = mesh.x - pole
     f = -(0.25 / np.pi) * np.log((d ** 2).sum(axis=1))
-    sigma, const = ops.dirichlet_density(f)
-    return HarmonicField(mesh=mesh, pole=pole, density=sigma,
-                         constant=const, _ops=ops)
+    sol = np.linalg.solve(ops.B, np.append(f, 0.0))
+    return HarmonicField(mesh=mesh, pole=pole, density=sol[:-1],
+                         constant=float(sol[-1]), _ops=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +385,8 @@ class PotentialSet:
 def build_potential_set(mesh: BoundaryMesh) -> PotentialSet:
     """Solve the five exterior Neumann problems and the harmonic field."""
     ops = BoundaryOperators(mesh)
-    phi = tuple(solve_exterior_neumann(ops, mesh.neumann_data(i))
-                for i in range(1, 6))
+    phi = solve_exterior_neumann(
+        ops, np.stack([mesh.neumann_data(i) for i in range(1, 6)]))
     H = harmonic_field(ops)
 
     raw = np.empty((5, 5))

@@ -237,9 +237,9 @@ def test_e1_table_matches_mpmath():
 @pytest.mark.parametrize("delta", [0.07, 0.3])
 @pytest.mark.parametrize("side", [-1e-12, 1e-12])
 def test_pair_stream_is_continuous_across_the_e1_table_start(delta, side):
-    # scipy's exp1 below u = 0.5, the table above: on each side the value
-    # is the scipy-evaluated stream (the switch at u = 40 is the cutoff
-    # test's)
+    # the power series below u = 0.5, the table above: on each side the
+    # value is the scipy-evaluated stream (the switch at u = 40 is the
+    # cutoff test's)
     u = 0.5 + side
     f = BlobField(x=[[0.0, 0.0], [np.sqrt(u) * delta, 0.0]], gamma=[1.0, 1.0],
                   delta=delta)
@@ -248,6 +248,27 @@ def test_pair_stream_is_continuous_across_the_e1_table_start(delta, side):
     want = (np.log(r2) + exp1(r2 / delta ** 2)) / (4 * np.pi)
     got = pair_stream_matrix(f)[0, 1]
     assert abs(got - want) <= 4.4e-16 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("delta", [0.07, 0.3, 1.3, 5.0])
+def test_pair_stream_below_the_table_matches_mpmath(delta):
+    # below u = 0.5 the stream is one polynomial in u, ln r^2 + E1(u) with
+    # the logs cancelled; against 40-digit ln r^2 + E1(u) on [0, 0.5),
+    # where u = 0 is the self-pair's limit 2 ln delta - euler_gamma
+    u = np.concatenate([np.linspace(0.0, 0.5, 400, endpoint=False),
+                        [np.nextafter(0.5, 0.0)]])
+    x = np.zeros((u.size + 1, 2))
+    x[1:, 0] = np.sqrt(u) * delta
+    f = BlobField(x=x, gamma=np.ones(u.size + 1), delta=delta)
+    got = pair_stream_matrix(f, 0, 1)[0, 1:]
+    r2 = x[1:, 0] ** 2
+    assert (r2 / delta ** 2 < 0.5).all()
+    with mpmath.workdps(40):
+        d2 = mpmath.mpf(delta) ** 2
+        want = np.array([float((mpmath.log(r) + mpmath.e1(mpmath.mpf(r) / d2)
+                                if r > 0 else mpmath.log(d2) - mpmath.euler)
+                               / (4 * mpmath.pi)) for r in r2])
+    assert np.abs(got - want).max() <= 2.2e-16 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -830,6 +831,72 @@ def test_module_entry_point_runs_clean(tmp_path):
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr[-400:]
     assert out.stderr == ""
+
+
+# runs the CLI with every scipy import refused, after checking that
+# importing the library loaded none
+NO_SCIPY = """\
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} refused")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import vortexbody.lab
+
+loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+if loaded:
+    sys.exit(f"scipy modules loaded: {loaded}")
+sys.exit(vortexbody.lab.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["check-identities", "converge"])
+def test_library_runs_without_scipy(tmp_path, command):
+    env = {**os.environ, "PYTHONPATH": str(Path(lab.__file__).resolve().parents[1])}
+    args = [command, "--out", str(tmp_path / "out")]
+    if command == "converge":
+        args += ["--config",
+                 str(write_config(tmp_path, **{"t = 0.02": "t = 0.004"}))]
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                          NO_SCIPY, *args],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-400:]
+
+
+def test_config_run_meshes_once(tmp_path, monkeypatch):
+    # parse_config meshes the shape to validate it, and the run solves on
+    # that mesh
+    built = []
+
+    def counted(shape, panels):
+        built.append(panels)
+        return build_mesh(shape, panels)
+
+    monkeypatch.setattr(lab, "build_mesh", counted)
+    cfg = parse_config(write_config(tmp_path, **{"t = 0.02": "t = 0.004"}))
+    run(cfg, tmp_path / "out")
+    assert built == [64]
+
+
+def test_check_holds_one_potential_set_at_a_time():
+    # each shape's potential set is freed before the next one is built:
+    # the whole check peaks near one 512-panel build
+    mesh = build_mesh(ellipse(2.0, 1.0), 512)
+    tracemalloc.start()
+    try:
+        build_potential_set(mesh)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        check(512)
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert whole <= 1.5 * one
 
 
 def test_unmeshable_shape_fails_closed(tmp_path, capfd, caplog):

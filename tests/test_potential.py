@@ -127,10 +127,10 @@ def test_ellipse_closed_forms(ellipse_set):
 def test_neumann_self_convergence():
     shape = ellipse(2.0, 1.0)
     probes = np.array([[3.0, 0.0], [0.0, -3.0], [2.0, 2.0], [-2.5, 0.8]])
-    coarse = solve_exterior_neumann(BoundaryOperators(build_mesh(shape, 128)),
-                                    build_mesh(shape, 128).neumann_data(1))
-    fine = solve_exterior_neumann(BoundaryOperators(build_mesh(shape, 256)),
-                                  build_mesh(shape, 256).neumann_data(1))
+    (coarse,) = solve_exterior_neumann(BoundaryOperators(build_mesh(shape, 128)),
+                                       build_mesh(shape, 128).neumann_data(1))
+    (fine,) = solve_exterior_neumann(BoundaryOperators(build_mesh(shape, 256)),
+                                     build_mesh(shape, 256).neumann_data(1))
     assert np.abs(neumann_potential(coarse, probes)
                   - neumann_potential(fine, probes)).max() < 1e-8
 
@@ -317,10 +317,60 @@ def test_boundary_operator_shared(disk_set):
     # one factored operator serves many right-hand sides
     ops = BoundaryOperators(disk_set.mesh)
     g = disk_set.mesh.neumann_data(4)
-    sol = solve_exterior_neumann(ops, g)
+    (sol,) = solve_exterior_neumann(ops, g)
     th = disk_set.mesh.s
     # disk: data cos(2 theta) lifts to cos(2 theta)/(2 r^2)
     assert np.abs(sol.boundary_values - 0.5 * np.cos(2 * th)).max() < 1e-10
+
+
+def backward_error(M, x, b):
+    """||M x - b|| / (||M|| ||x||) in the max norm."""
+    return np.abs(M @ x - b).max() / (np.abs(M).sum(axis=1).max()
+                                      * np.abs(x).max())
+
+
+@pytest.mark.parametrize("panels", [128, 256, 512])
+@pytest.mark.parametrize("shape", [shape for _, shape in CANONICAL_SHAPES],
+                         ids=[label for label, _ in CANONICAL_SHAPES])
+def test_run_solves_are_backward_stable(shape, panels):
+    # the run-side solves apply an inverse and one refinement step; their
+    # backward error stays within twice the LU solve's (floored at the
+    # unit roundoff), which the bare inverse product misses by up to 3.5x
+    mesh = build_mesh(shape, panels)
+    ops = BoundaryOperators(mesh)
+    rng = np.random.default_rng(panels)
+    floor = np.finfo(float).eps
+    data = [mesh.neumann_data(i) for i in range(1, 6)] + [rng.normal(size=panels)]
+    for g in data:
+        g = g - (g @ mesh.w) / mesh.w.sum()
+        lu = backward_error(ops.A, np.linalg.solve(ops.A, g), g)
+        assert backward_error(ops.A, ops.neumann_density(g), g) <= 2.0 * max(lu, floor)
+    pole_log = np.log(((mesh.x - mesh.interior_point) ** 2).sum(axis=1))
+    for f in (pole_log, rng.normal(size=panels)):
+        b = np.append(f, 0.0)
+        lu = backward_error(ops.B, np.linalg.solve(ops.B, b), b)
+        x = np.append(*ops.dirichlet_density(f))
+        assert backward_error(ops.B, x, b) <= 2.0 * max(lu, floor)
+
+
+@pytest.mark.parametrize("shape", [shape for _, shape in CANONICAL_SHAPES],
+                         ids=[label for label, _ in CANONICAL_SHAPES])
+def test_batched_build_solve_matches_column_solves(shape):
+    mesh = build_mesh(shape, 512)
+    ops = BoundaryOperators(mesh)
+    data = np.stack([mesh.neumann_data(i) for i in range(1, 6)])
+    for sol, g in zip(solve_exterior_neumann(ops, data), data):
+        single = np.linalg.solve(ops.A, g)
+        assert np.abs(sol.density - single).max() <= 1e-13 * np.abs(single).max()
+
+
+def test_batched_build_checks_each_datum(disk_set):
+    # each row is held to its own size: a small datum's flux is not
+    # measured against a larger one's scale
+    mesh = disk_set.mesh
+    small = 1e-6 * (mesh.neumann_data(1) + 0.3)
+    with pytest.raises(ValueError, match="incompatible"):
+        solve_exterior_neumann(disk_set.ops, [mesh.neumann_data(4) * 1e6, small])
 
 
 def modular_offsets(n):
