@@ -30,9 +30,9 @@ from .geometry import (_CHUNK_FLOATS, TWO_PI, outer_difference, perp,
                        point_vortex, squared_distances)
 from .potential import ScaledPotentials
 
-# rows per block of every blob-blob pair sum: a (PAIR_ROWS, n) block stays
-# in cache and below the allocator's mmap threshold, and no (n, n) array
-# is ever held
+# rows per block of both blob-blob pair sums, velocity_free_space and
+# pair_energy: a (PAIR_ROWS, n) block stays in cache and below the
+# allocator's mmap threshold, and no (n, n) array is ever held
 PAIR_ROWS = 64
 
 # the power-series part of E1 (A&S 5.1.11), E1(u) = -euler_gamma - ln u - S(u)
@@ -357,8 +357,7 @@ class HydrodynamicField:
         # the body); its size is a quality diagnostic
         w_eps = eps * mesh.w
         self.flux_defect = float(np.sum(g_n * w_eps) / np.sum(w_eps))
-        sigma = base.ops.neumann_density(g_n - self.flux_defect,
-                                         compat_tol=np.inf)
+        sigma = base.ops.neumann_density(g_n - self.flux_defect)
         self.charges = sigma * mesh.w
         self._boundary_tangent = ((u_free * mesh.tau).sum(axis=1)
                                   + base.ops.arc_derivative(base.ops.V @ sigma))
@@ -427,3 +426,17 @@ def pair_stream_matrix(field: BlobField, start: int = 0,
     rho[near] = v
     rho /= 2.0 * TWO_PI
     return rho
+
+
+def pair_energy(field: BlobField) -> float:
+    """Gamma^T P Gamma, with P the pair_stream_matrix of every pair, over
+    the upper block-triangle of the symmetric P: row block i0:i1 against
+    columns i0:, its off-diagonal part counted twice and its diagonal
+    block once."""
+    g = field.gamma
+    psi = 0.0
+    for i0 in range(0, field.n, PAIR_ROWS):
+        g_b = g[i0:i0 + PAIR_ROWS]
+        block = pair_stream_matrix(field, i0, i0 + PAIR_ROWS)
+        psi += g_b @ (2.0 * (block @ g[i0:]) - block[:, :len(g_b)] @ g_b)
+    return psi

@@ -21,13 +21,8 @@ import numpy as np
 from .geometry import (TWO_PI, Placement, perp, rk4_step, rotation,
                        squared_distances)
 from .potential import MassData, ScaledPotentials, log_potential_sum
-from .biotsavart import (
-    BlobField,
-    HydrodynamicField,
-    PAIR_ROWS,
-    StageScratch,
-    pair_stream_matrix,
-)
+from .biotsavart import (BlobField, HydrodynamicField, StageScratch,
+                         pair_energy)
 
 log = logging.getLogger(__name__)
 
@@ -249,9 +244,10 @@ def total_energy(state: CoupledState) -> float:
     """Half of 2H = p^T M p - sum_jk G_j G_k G(x_j,x_k) - 2 gamma sum_j G_j psi_H(x_j).
 
     The exterior Green's function G splits into the regularized pair
-    stream, a bounded harmonic correction u that cancels the free log on
-    the boundary, and -beta psi_H, which carries the correction's log
-    growth; so the last sum's factor becomes beta + 2 gamma.
+    stream, whose blob sum is biotsavart.pair_energy, a bounded harmonic
+    correction u that cancels the free log on the boundary, and
+    -beta psi_H, which carries the correction's log growth; so the last
+    sum's factor becomes beta + 2 gamma.
 
     The blob sums of u and psi_H follow by Green's reciprocity from F,
     the blobs' free log potential at the scaled nodes and at H's scaled
@@ -269,21 +265,12 @@ def total_energy(state: CoupledState) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         quad = float(p @ state.inertia_matrix @ p)
     f = state.field
-
-    # gamma^T P gamma over the upper block-triangle of the symmetric P:
-    # each row block b against columns i0:, its diagonal block counted once
-    g = f.gamma
-    psi = 0.0
-    for i0 in range(0, f.n, PAIR_ROWS):
-        g_b = g[i0:i0 + PAIR_ROWS]
-        block = pair_stream_matrix(f, i0, i0 + PAIR_ROWS)
-        psi += g_b @ (2.0 * (block @ g[i0:]) - block[:, :len(g_b)] @ g_b)
     base = state.scaled.base
     mesh, H, eps, beta = base.mesh, base.H, state.eps, f.beta
     F = log_potential_sum(eps * np.vstack([mesh.x, H.pole]), f.x, f.gamma)
     F_nodes, F_pole = F[:-1], F[-1]
     sigma, c = base.ops.dirichlet_density(-F_nodes)
-    green = psi + float((sigma * mesh.w) @ F_nodes) + beta * c
+    green = pair_energy(f) + float((sigma * mesh.w) @ F_nodes) + beta * c
     s_h = (F_pole + float(H.charges @ F_nodes)
            + beta * (H.constant - np.log(eps) / TWO_PI))
     return 0.5 * (quad - green - (beta + 2.0 * state.gamma) * s_h)

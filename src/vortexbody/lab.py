@@ -936,16 +936,16 @@ def resolved_potential_set(mesh: BoundaryMesh):
     return pset
 
 
-def potential_facts(shape: ShapeSpec, panels: int = 256) -> dict:
-    """Reference numbers for one shape: inertia coefficients, conformal
-    moments, the circulation-field Laurent head, and the residual of the
-    field identity rows.  A shape the panels do not resolve is a
-    ConfigError."""
-    pset = resolved_potential_set(_mesh(shape, panels))
+def potential_facts(mesh: BoundaryMesh) -> dict:
+    """Reference numbers for one meshed shape: inertia coefficients,
+    conformal moments, the circulation-field Laurent head, and the
+    residual of the field identity rows.  A shape the panels do not
+    resolve is a ConfigError."""
+    pset = resolved_potential_set(mesh)
     c1 = laurent_coefficients(pset.H, 1)[0]
     return {
-        "shape": shape.name,
-        "panels": panels,
+        "shape": mesh.shape.name,
+        "panels": mesh.n,
         "area": float(pset.mesh.moments.area),
         "centroid": [float(v) for v in pset.mesh.moments.centroid],
         "mass_matrix": [[float(v) for v in row] for row in pset.mass],
@@ -986,9 +986,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_potentials(args) -> int:
     config = _load(args)
-    shape = config.shape if config else disk()
-    panels = config.panels if config else 256
-    facts = potential_facts(shape, panels)
+    facts = potential_facts(config.mesh if config else _mesh(disk(), 256))
     out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "potentials.json", facts)

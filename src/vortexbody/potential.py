@@ -127,7 +127,9 @@ class BoundaryOperators:
     solve per RK stage, a Dirichlet solve per energy sample), and there
     ``neumann_density`` and ``dirichlet_density`` apply the inverse,
     formed on first use, with one refinement step: matrix-vector
-    products in place of triangular solves.
+    products in place of triangular solves.  Only the build checks
+    Neumann compatibility (``check_compatible``); a run projects the
+    flux defect out of its data before it solves.
     """
 
     def __init__(self, mesh: BoundaryMesh):
@@ -195,10 +197,10 @@ class BoundaryOperators:
 
     # -- solves ------------------------------------------------------------
 
-    def check_compatible(self, g: np.ndarray, compat_tol: float = 1e-10):
+    def check_compatible(self, g: np.ndarray):
         """Raise ValueError unless each Neumann datum (``g``, or each row of
         a (k, n) ``g``) satisfies the zero-total-flux compatibility
-        condition, relative to its own size."""
+        condition to 1e-10, relative to its own size."""
         g = np.atleast_2d(g)
         w = self.mesh.w
         total = g @ w
@@ -206,22 +208,18 @@ class BoundaryOperators:
         # squared size so that data that is zero up to rounding (a
         # symmetric datum on a symmetric shape) passes at any body size
         scale = np.abs(g) @ w + self._flux_floor
-        bad = np.flatnonzero(np.abs(total) > compat_tol * scale)
+        bad = np.flatnonzero(np.abs(total) > 1e-10 * scale)
         if bad.size:
             i = bad[0]
             raise ValueError(
                 f"incompatible Neumann data: net flux {total[i]:.3e} "
                 f"(relative {abs(total[i]) / scale[i]:.3e})")
 
-    def neumann_density(self, g: np.ndarray, compat_tol: float = 1e-10) -> np.ndarray:
-        """Density sigma with fluid-side d_n(S sigma) = g on the boundary.
-
-        g must satisfy the zero-total-flux compatibility condition; the
-        residual total is checked relative to the data size.
-        """
-        g = np.asarray(g, dtype=float)
-        self.check_compatible(g, compat_tol)
-        return _refined(self.A, self._A_inverse, g)
+    def neumann_density(self, g: np.ndarray) -> np.ndarray:
+        """Density sigma with fluid-side d_n(S sigma) = g on the boundary,
+        for g of zero total flux, unchecked: the run projects the flux
+        defect out of g first."""
+        return _refined(self.A, self._A_inverse, np.asarray(g, dtype=float))
 
     def dirichlet_density(self, f: np.ndarray):
         """(sigma, c) with S sigma + c = f on the boundary, sum sigma w = 0."""

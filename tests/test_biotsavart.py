@@ -18,6 +18,7 @@ from vortexbody.biotsavart import (
     BodyCollisionError,
     HydrodynamicField,
     StageScratch,
+    pair_energy,
     pair_stream_matrix,
     velocity_free_space,
     velocity_gradient,
@@ -201,6 +202,22 @@ def test_blob_blob_form_builds_each_pair_once(monkeypatch):
     f = BlobField(x=np.random.default_rng(1).uniform(-1, 1, (n, 2)),
                   gamma=np.ones(n), delta=0.1)
     velocity_free_space(f, f.x)
+    assert 0 < sum(built) <= n * (n + PAIR_ROWS) // 2
+
+
+def test_pair_energy_builds_each_pair_once(monkeypatch):
+    built = []
+
+    def counting(points, sources, *args):
+        rho = squared_distances(points, sources, *args)
+        built.append(rho.size)
+        return rho
+
+    monkeypatch.setattr(biotsavart, "squared_distances", counting)
+    n = 200
+    f = BlobField(x=np.random.default_rng(1).uniform(-1, 1, (n, 2)),
+                  gamma=np.ones(n), delta=0.1)
+    pair_energy(f)
     assert 0 < sum(built) <= n * (n + PAIR_ROWS) // 2
 
 
@@ -435,7 +452,7 @@ def full_array_stage(scaled, field):
     g_n = -(u_free * mesh.normal).sum(axis=1)
     w_eps = eps * mesh.w
     flux_defect = float(np.sum(g_n * w_eps) / np.sum(w_eps))
-    sigma = base.ops.neumann_density(g_n - flux_defect, compat_tol=np.inf)
+    sigma = base.ops.neumann_density(g_n - flux_defect)
     charges = sigma * mesh.w
     tangent = ((u_free * mesh.tau).sum(axis=1)
                + base.ops.arc_derivative(base.ops.V @ sigma))

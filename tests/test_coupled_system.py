@@ -17,6 +17,7 @@ from vortexbody.biotsavart import (
     BlobField,
     HydrodynamicField,
     StageScratch,
+    pair_energy,
     velocity_free_space,
     velocity_gradient,
 )
@@ -193,10 +194,24 @@ def test_blocked_pair_sum_matches_dense(ellipse_setup, n):
     assert abs(2.0 * (dense - total_energy(st))) <= 1e-14 * abs(psi)
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+def test_pair_energy_matches_dense(n):
+    # the fields of test_blocked_pair_sum_matches_dense, the pair sum alone
+    rng = np.random.default_rng(n)
+    radius = rng.uniform(1.2, 1.8, n)
+    angle = rng.uniform(0, 2 * np.pi, n)
+    x = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    x[n // 2] = x[-1] = x[0]
+    f = BlobField(x=x, gamma=rng.uniform(0.5, 1.5, n), delta=0.1)
+    psi = f.gamma @ dense_pair_stream(f) @ f.gamma
+    assert abs(pair_energy(f) - psi) <= 1e-14 * abs(psi)
+
+
 @pytest.mark.parametrize("kernel", [
     lambda st: velocity_free_space(st.field, st.field.x),
     total_energy,
-], ids=["velocity_free_space", "total_energy"])
+    lambda st: pair_energy(st.field),
+], ids=["velocity_free_space", "total_energy", "pair_energy"])
 def test_blob_blob_sums_hold_no_pair_matrix(disk_setup, kernel):
     # row blocks keep the peak linear in n: at 2796 blobs a quarter of
     # one (n, n) array (15.6 MB) bounds it

@@ -883,6 +883,21 @@ def test_config_run_meshes_once(tmp_path, monkeypatch):
     assert built == [64]
 
 
+def test_potentials_command_meshes_once(tmp_path, monkeypatch):
+    # the potentials command reads the mesh parse_config built
+    built = []
+
+    def counted(shape, panels):
+        built.append(panels)
+        return build_mesh(shape, panels)
+
+    monkeypatch.setattr(lab, "build_mesh", counted)
+    code = main(["potentials", "--config", str(write_config(tmp_path)),
+                 "--out", str(tmp_path / "pot")])
+    assert code == 0
+    assert built == [64]
+
+
 def test_check_holds_one_potential_set_at_a_time():
     # each shape's potential set is freed before the next one is built:
     # the whole check peaks near one 512-panel build
@@ -949,7 +964,7 @@ def test_unresolved_shape_fails_closed(tmp_path, capfd, caplog, command,
     # rounding at size 1000
     (disk(1000.0), 64)], ids=["ellipse50", "cos127", "disk1000"])
 def test_resolved_counterpart_passes(shape, panels):
-    facts = potential_facts(shape, panels=panels)
+    facts = potential_facts(build_mesh(shape, panels))
     assert facts["shape"] == shape.name
 
 
@@ -1144,7 +1159,7 @@ def test_identities_json_is_strict(tmp_path, monkeypatch):
 
 
 def test_potential_facts_disk(tmp_path):
-    facts = potential_facts(disk(), panels=128)
+    facts = potential_facts(build_mesh(disk(), 128))
     assert facts["area"] == pytest.approx(np.pi, abs=1e-10)
     assert facts["circulation_laurent_head"]["im"] == pytest.approx(
         -1.0 / (2 * np.pi), abs=1e-10)
