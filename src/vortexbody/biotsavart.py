@@ -179,13 +179,9 @@ def velocity_free_space(field: BlobField, points) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     columns = field.gamma[:, None] * np.column_stack([np.ones(field.n), field.x])
-    # every block is a contiguous view of one buffer allocated per call
-    buf = np.empty(min(PAIR_ROWS, len(pts)) * field.n)
 
     def block(rows, sources):
-        g = buf[:len(rows) * len(sources)].reshape(len(rows), len(sources))
-        return _kernel_in_place(squared_distances(rows, sources, g),
-                                field.delta)
+        return _kernel_in_place(squared_distances(rows, sources), field.delta)
 
     if np.array_equal(pts, field.x):
         moments = np.zeros((field.n, 3))
@@ -240,23 +236,6 @@ def velocity_gradient(field: BlobField, point) -> tuple[float, float, bool]:
 # exterior hydrodynamic field and the body-frame velocity at the blobs
 
 
-class StageScratch:
-    """The two (blobs, nodes) float arrays a HydrodynamicField build
-    writes: the offsets kx and ky, each divided by r^2 in place.  A
-    coupled run owns one, so its RK stages reuse the same memory instead
-    of mapping it afresh; the arrays of one build are valid until the
-    next build on the same scratch.  The buffers grow to the largest
-    build seen, and a smaller one takes their leading elements."""
-
-    def __init__(self):
-        self._buffers = (np.empty(0), np.empty(0))
-
-    def arrays(self, m: int, n: int) -> list[np.ndarray]:
-        if self._buffers[0].size < m * n:
-            self._buffers = (np.empty(m * n), np.empty(m * n))
-        return [b[:m * n].reshape(m, n) for b in self._buffers]
-
-
 class HydrodynamicField:
     """The zero-flux, zero-circulation velocity induced by a blob field
     outside the body, and everything a coupled stage reads from the same
@@ -277,15 +256,13 @@ class HydrodynamicField:
     The Neumann kernel is scale-invariant, so the correction is solved on
     the unit mesh.
 
-    The build holds two (blobs, nodes) arrays, kx and ky, written into
-    ``scratch`` (a new StageScratch when None), which must not be built on
-    again while this field is in use.  r^2 exists in row chunks only, and
-    the core factor of the free-space sum at the near pairs only, where
-    it differs from 1.
+    The build holds two (blobs, nodes) arrays of its own, kx and ky,
+    divided by r^2 in place.  r^2 exists in row chunks only, and the core
+    factor of the free-space sum at the near pairs only, where it differs
+    from 1.
     """
 
-    def __init__(self, scaled: ScaledPotentials, field: BlobField,
-                 scratch: StageScratch | None = None):
+    def __init__(self, scaled: ScaledPotentials, field: BlobField):
         base = scaled.base
         mesh = base.mesh
         eps = scaled.eps
@@ -295,13 +272,10 @@ class HydrodynamicField:
         # freed before the node geometry exists
         self._free = velocity_free_space(field, field.x)
 
-        # the (blobs, nodes) geometry: two arrays owned by the run's
-        # scratch, valid until the next stage, written in place
-        scratch = StageScratch() if scratch is None else scratch
-        kx, ky = scratch.arrays(field.n, mesh.n)
+        # the (blobs, nodes) geometry, written in place from here on
         unit = field.x / eps
-        outer_difference(unit[:, 0], mesh.x[:, 0], out=kx)
-        outer_difference(unit[:, 1], mesh.x[:, 1], out=ky)
+        kx = outer_difference(unit[:, 0], mesh.x[:, 0])
+        ky = outer_difference(unit[:, 1], mesh.x[:, 1])
         # r^2 lives in row chunks under 128 KiB: each chunk gives its
         # minimum, divides kx and ky, and lists its near pairs.  The
         # free-space velocity at the nodes needs the core factor

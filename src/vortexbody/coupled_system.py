@@ -12,7 +12,6 @@ term from the rotating frame.  The pressure itself is never formed.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass, replace
 
@@ -21,8 +20,7 @@ import numpy as np
 from .geometry import (TWO_PI, Placement, perp, rk4_step, rotation,
                        squared_distances)
 from .potential import MassData, ScaledPotentials, log_potential_sum
-from .biotsavart import (BlobField, HydrodynamicField, StageScratch,
-                         pair_energy)
+from .biotsavart import BlobField, HydrodynamicField, pair_energy
 
 log = logging.getLogger(__name__)
 
@@ -73,11 +71,6 @@ class CoupledState:
     scaled: ScaledPotentials
     mass: MassData
     t: float = 0.0
-    # the stage arrays of the run this state belongs to; replace() carries
-    # it along, so every RK stage of the run builds into the same memory,
-    # and two states of one run must not be stepped concurrently
-    scratch: StageScratch = dataclasses.field(default_factory=StageScratch,
-                                              compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ell", np.asarray(self.ell, dtype=float).reshape(2))
@@ -213,7 +206,7 @@ def _stage_rhs(state: CoupledState, dt: float, x, ell, r, theta, h):
             f"non-finite stage input in the step from t={state.t:.6g}")
     stage = replace(state, field=state.field.with_positions(x), ell=ell,
                     r=float(r))
-    hydro = HydrodynamicField(stage.scaled, stage.field, stage.scratch)
+    hydro = HydrodynamicField(stage.scaled, stage.field)
     x_dot = hydro.blob_velocity(stage.gamma, ell, r) - ell - r * perp(x)
     vmax = float(np.hypot(x_dot[:, 0], x_dot[:, 1]).max(initial=0.0))
     if dt * vmax >= 0.2 * hydro.clearance:

@@ -33,8 +33,12 @@ EXTENT_MAX = 1e76
 # so the span of the nodes is kept a decade above it
 EXTENT_MIN = 1e-76
 
-# float64 entries per row chunk of squared_distances' second difference:
-# just under 128 KiB, below the allocator's default mmap threshold
+# float64 entries per row chunk of squared_distances' second difference
+# and of r^2 in the HydrodynamicField stage build: just under 128 KiB,
+# below the allocator's default mmap threshold, so each chunk reuses heap
+# memory.  A whole-array r^2 instead raises a stage build's traced peak
+# from 2.3 to 4.0 (blobs, nodes) arrays, and a warm 2800-blob x 128-node
+# coupled step, which faults no page with the chunks, up to 11 000 pages
 _CHUNK_FLOATS = (128 * 1024) // 8 - 1
 
 
@@ -47,8 +51,9 @@ def perp(v):
     return out
 
 
-def outer_difference(a, b, out=None) -> np.ndarray:
-    """a_i - b_j for every entry a_i of ``a`` and b_j of ``b``, shape (m, n).
+def outer_difference(a, b) -> np.ndarray:
+    """a_i - b_j for every entry a_i of ``a`` and b_j of ``b``, a new
+    (m, n) array.
 
     Formed as the K = 2 product [a, 1] @ [1; -b]: both terms are products
     with 1.0, which are exact, and their one sum rounds once, so every
@@ -56,10 +61,9 @@ def outer_difference(a, b, out=None) -> np.ndarray:
     (-0) - (+0) comes out +0.
     The product fills rows of any width at about the same speed, where
     numpy's buffered outer loop is up to three times slower on rows of
-    fewer than about 2700 entries.  Written into ``out`` when given (a
-    C-contiguous float (m, n) array), else into a new array.
+    fewer than about 2700 entries.
     """
-    return np.matmul(*_difference_factors(a, b), out=out)
+    return np.matmul(*_difference_factors(a, b))
 
 
 def _difference_factors(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -71,20 +75,18 @@ def _difference_factors(a, b) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def squared_distances(points, sources, out=None) -> np.ndarray:
-    """|p_i - y_j|^2 for every point p_i and source y_j, shape (m, n).
+def squared_distances(points, sources) -> np.ndarray:
+    """|p_i - y_j|^2 for every point p_i and source y_j, a new (m, n) array.
 
-    Written into ``out`` when given (a C-contiguous float (m, n) array,
-    e.g. a view of a caller's reused buffer), else into a new array.  The
-    first coordinate difference is squared in place; the second is built
-    in row chunks under 128 KiB and added, so a build holds one (m, n)
-    array, never two or an (m, n, 2) stack.  Every operation is
+    The first coordinate difference is squared in place; the second is
+    built in row chunks under 128 KiB and added, so a build holds one
+    (m, n) array, never two or an (m, n, 2) stack.  Every operation is
     elementwise or an exact product (see outer_difference), so the
     chunking does not change a bit.
     """
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     y = np.asarray(sources, dtype=float).reshape(-1, 2)
-    rho = outer_difference(p[:, 0], y[:, 0], out=out)
+    rho = outer_difference(p[:, 0], y[:, 0])
     rho *= rho
     left, right = _difference_factors(p[:, 1], y[:, 1])
     step = max(1, _CHUNK_FLOATS // max(len(y), 1))

@@ -789,10 +789,8 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
     pset = resolved_potential_set(config.mesh)
     mass = build_mass_data(pset, config.m1, config.J1)
 
-    starts = _initial_states(config, pset, mass)
-    # a run's stage scratch grows inside its initial state: hand each
-    # state over, so that it is freed when its run ends
-    coupled = [run_coupled(config, *starts.pop(0)) for _ in config.eps]
+    coupled = [run_coupled(config, *start)
+               for start in _initial_states(config, pset, mass)]
     records = list(coupled)
     report = None
     if with_limit:

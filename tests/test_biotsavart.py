@@ -17,7 +17,6 @@ from vortexbody.biotsavart import (
     BlobField,
     BodyCollisionError,
     HydrodynamicField,
-    StageScratch,
     pair_energy,
     pair_stream_matrix,
     velocity_free_space,
@@ -192,8 +191,8 @@ def test_blob_blob_form_matches_one_product(n):
 def test_blob_blob_form_builds_each_pair_once(monkeypatch):
     built = []
 
-    def counting(points, sources, *args):
-        rho = squared_distances(points, sources, *args)
+    def counting(points, sources):
+        rho = squared_distances(points, sources)
         built.append(rho.size)
         return rho
 
@@ -208,8 +207,8 @@ def test_blob_blob_form_builds_each_pair_once(monkeypatch):
 def test_pair_energy_builds_each_pair_once(monkeypatch):
     built = []
 
-    def counting(points, sources, *args):
-        rho = squared_distances(points, sources, *args)
+    def counting(points, sources):
+        rho = squared_distances(points, sources)
         built.append(rho.size)
         return rho
 
@@ -404,27 +403,6 @@ def ring(n, radius, delta, seed):
                      gamma=rng.normal(size=n), delta=delta)
 
 
-def test_stage_scratch_reuse_is_exact(disk_scaled):
-    # a build on a scratch last used by a larger field on another mesh
-    # reads only the leading elements, and gives the fresh build's bits
-    scratch = StageScratch()
-    HydrodynamicField(disk_scaled, ring(40, 1.2, 0.05, 0), scratch)
-    scaled = ScaledPotentials(build_potential_set(build_mesh(ellipse(2.0, 1.0),
-                                                             128)), 0.2)
-    field = ring(14, 0.9, 0.04, 1)
-    reused = HydrodynamicField(scaled, field, scratch)
-    fresh = HydrodynamicField(scaled, field)
-    assert np.shares_memory(reused._kx, scratch.arrays(1, 1)[0])
-    w = np.random.default_rng(2).normal(size=(field.n, 2))
-    ell = np.array([0.3, -0.2])
-    assert np.array_equal(reused.blob_velocity(1.5, ell, 0.7),
-                          fresh.blob_velocity(1.5, ell, 0.7))
-    assert np.array_equal(reused.gradient_adjoint(w), fresh.gradient_adjoint(w))
-    assert reused.clearance == fresh.clearance
-    assert reused.flux_defect == fresh.flux_defect
-    assert np.array_equal(reused.charges, fresh.charges)
-
-
 def full_array_stage(scaled, field):
     """The stage build with every (blobs, nodes) array whole: r^2 and the
     core factor 1 - exp(-u) on every pair, multiplied into full-size
@@ -485,27 +463,37 @@ def cut_pair_blobs(scaled):
                      gamma=np.linspace(-1.0, 2.0, len(k)), delta=delta)
 
 
-@pytest.mark.parametrize("case", ["near", "far", "chunks", "empty", "cut"])
+@pytest.mark.parametrize("case",
+                         ["near", "far", "chunks", "empty", "cut", "large"])
 def test_stage_build_matches_full_arrays(ellipse64_scaled, disk_scaled, case):
     # r^2 in row chunks and the core factor at the near pairs only give
     # the bits of the whole-array build, seen also through the flux
     # defect, the correction's charges and the boundary tangent trace:
     # pairs within the u = 40 cut, none there, 600 blobs x 64 nodes in
-    # row chunks of 255 (the last one 90 rows), no blobs, and blobs on
-    # either side of the cut by 1e-9 off the disk
-    scaled = disk_scaled if case == "cut" else ellipse64_scaled
+    # row chunks of 255 (the last one 90 rows), no blobs, blobs on
+    # either side of the cut by 1e-9 off the disk, and 1232 blobs x 256
+    # nodes, where the stage geometry outweighs the blob-blob blocks
+    scaled = disk_scaled if case in ("cut", "large") else ellipse64_scaled
     eps, mesh = scaled.eps, scaled.base.mesh
     field = {"near": ring(40, 0.5, 0.04, 3),
              "far": ring(40, 0.5, 1e-4, 4),
              "chunks": ring(600, 0.45, 0.03, 5),
              "empty": ring(0, 0.5, 0.04, 6),
-             "cut": cut_pair_blobs(disk_scaled)}[case]
+             "cut": cut_pair_blobs(disk_scaled),
+             "large": ring(1232, 0.4, 0.03, 7)}[case]
     if case == "chunks":
         assert field.n % (biotsavart._CHUNK_FLOATS // mesh.n) == 90
-    scratch = StageScratch()
-    hydro = HydrodynamicField(scaled, field, scratch)
+    tracemalloc.start()
+    try:
+        hydro = HydrodynamicField(scaled, field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if case == "large":
+        # kx and ky, with r^2 in row chunks: a whole-array r^2 reads 4
+        assert peak < 3 * field.n * mesh.n * 8, peak / (field.n * mesh.n * 8)
     ref = full_array_stage(scaled, field)
-    assert (ref.pop("near") > 0) == (case in ("near", "chunks", "cut"))
+    assert (ref.pop("near") > 0) == (case not in ("far", "empty"))
     u = ref.pop("u_nearest")
     if case == "cut":
         assert ((40.0 - 2e-9 < u) & (u < 40.0)).sum() == 3
@@ -515,7 +503,14 @@ def test_stage_build_matches_full_arrays(ellipse64_scaled, disk_scaled, case):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
     assert np.array_equal(hydro.tilde_boundary_trace([0.0, 0.0], 0.0),
                           ref["_boundary_tangent"][:, None] * mesh.tau)
-    assert sum(b.size for b in scratch._buffers) == 2 * field.n * mesh.n
+    # a second build of the same shape leaves the first field's arrays
+    w = np.random.default_rng(8).normal(size=(field.n, 2))
+    ell = np.array([0.3, -0.2])
+    before = (hydro.blob_velocity(1.5, ell, 0.7).tobytes(),
+              hydro.gradient_adjoint(w).tobytes())
+    HydrodynamicField(scaled, field.with_positions(1.05 * field.x))
+    assert (hydro.blob_velocity(1.5, ell, 0.7).tobytes(),
+            hydro.gradient_adjoint(w).tobytes()) == before
 
 
 def test_core_factor_is_one_from_forty():

@@ -16,7 +16,6 @@ from vortexbody import coupled_system
 from vortexbody.biotsavart import (
     BlobField,
     HydrodynamicField,
-    StageScratch,
     pair_energy,
     velocity_free_space,
     velocity_gradient,
@@ -473,32 +472,6 @@ def test_step_guard_rejects_reckless_dt(ellipse_setup):
         coupled_step(st, 5.0)
     with pytest.raises(ValueError):
         coupled_step(st, 0.0)
-
-
-def test_step_stages_share_the_run_scratch(ellipse_setup, monkeypatch):
-    # the four RK stages of a step build their (blobs, nodes) arrays into
-    # the one scratch the run's states carry, and the step's bits do not
-    # depend on the scratch's history
-    sp, md = ellipse_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.5, field=patch_field(1.0, 1.4, 0.2))
-    taken = []
-    arrays = StageScratch.arrays
-
-    def recording(self, m, n):
-        out = arrays(self, m, n)
-        taken.append((self, out))
-        return out
-
-    monkeypatch.setattr(StageScratch, "arrays", recording)
-    nxt = coupled_step(st, 0.002)
-    assert len(taken) == 4 and nxt.scratch is st.scratch
-    assert all(scratch is st.scratch for scratch, _ in taken)
-    for _, out in taken[1:]:
-        assert all(np.shares_memory(a, b) for a, b in zip(taken[0][1], out))
-    fresh = coupled_step(replace(st, scratch=StageScratch()), 0.002)
-    assert np.array_equal(fresh.field.x, nxt.field.x)
-    assert np.array_equal([*fresh.ell, fresh.r], [*nxt.ell, nxt.r])
 
 
 def test_dt_guard_checks_every_stage(ellipse_setup, monkeypatch):

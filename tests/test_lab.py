@@ -2,7 +2,6 @@
 exit codes, and the aggregated identity report."""
 
 import csv
-import gc
 import json
 import logging
 import os
@@ -12,7 +11,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -538,23 +536,6 @@ def test_determinism_byte_identical(tmp_path):
     for name in names:
         assert (tmp_path / "b" / name).read_bytes() == \
             (tmp_path / "a" / name).read_bytes(), name
-
-
-def test_finished_runs_release_their_initial_state(tmp_path, monkeypatch):
-    # a run's stage scratch grows inside its initial state; a sweep that
-    # kept every initial state would hold one scratch per finished scale
-    real_run = lab.run_coupled
-    started = []
-
-    def run_coupled(config, state, first):
-        gc.collect()
-        assert all(ref() is None for ref in started)
-        started.append(weakref.ref(state))
-        return real_run(config, state, first)
-
-    monkeypatch.setattr(lab, "run_coupled", run_coupled)
-    run(parse_config(write_config(tmp_path)), tmp_path / "out")
-    assert len(started) == 2
 
 
 def test_csv_lines_match_csv_writer(tmp_path):
