@@ -10,13 +10,13 @@ The blob kernel is the Gaussian-core regularization
 
 which agrees with the exact point kernel to machine precision once
 |x - y_j| exceeds a few core radii.  Its stream function is
-(1/2pi)(ln r + E1(r^2/delta^2)/2), used by the energy bookkeeping.  E1
-comes from a table of nine-term Taylor expansions on [0.5, 40), within
-2e-15 relative of the exact value.  The table's node values are computed
-once at import, by E1's power series below 0.75 and its continued
-fraction above (Abramowitz & Stegun 5.1.11 and 5.1.22).  The rarer pairs
-nearer than 0.71 core radii take ln r + E1 as one polynomial, the two
-logs cancelled, and beyond 40 E1 is below roundoff.
+(1/4pi)(ln r^2 + E1(u)), u = r^2/delta^2, used by the energy bookkeeping:
+2 ln delta + f(u) with f(u) = ln u + E1(u) = -euler_gamma - S(u), one
+smooth function from u = 0, S the power-series part of E1 (Abramowitz &
+Stegun 5.1.11).  f comes from a table of nine-term Taylor expansions on
+[0, 40), within 4.4e-16 of the exact value, built once at import from
+S below u = 0.75 and from E1's continued fraction (A&S 5.1.22) plus ln u
+above.  Beyond 40, E1 is below roundoff.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from .geometry import (_CHUNK_FLOATS, TWO_PI, outer_difference, perp,
 from .potential import ScaledPotentials
 
 # rows per block of both blob-blob pair sums, velocity_free_space and
-# pair_energy: a (PAIR_ROWS, n) block stays in cache and below the
-# allocator's mmap threshold, and no (n, n) array is ever held
+# pair_energy, so no (n, n) array is ever held.  A (PAIR_ROWS, n) block
+# is 512 n bytes, within glibc's default 128 KiB mmap threshold only up to
+# n = 256: at 2796 blobs (1.43 MB blocks) a warm call of either sum
+# faults about 640-660 pages (ru_minflt, 2-core Xeon), at 308 blobs none
 PAIR_ROWS = 64
 
 # the power-series part of E1 (A&S 5.1.11), E1(u) = -euler_gamma - ln u - S(u)
@@ -42,61 +44,59 @@ _SERIES_COEFFS = tuple((-1) ** k / (k * math.factorial(k))
                        for k in range(1, 19))
 
 
-def _e1_series_sum(u: np.ndarray) -> np.ndarray:
-    """S(u) = sum_{k=1}^{18} (-u)^k/(k k!) for 0 <= u < 0.75, by Horner."""
-    s = np.full_like(u, _SERIES_COEFFS[-1])
-    for c in _SERIES_COEFFS[-2::-1]:
-        s *= u
-        s += c
-    return s * u
-
-
 def _e1_direct(u: np.ndarray) -> np.ndarray:
-    """E1(u) for u >= 0.5 to about 1e-15 relative: the series below 0.75,
-    above it the even part of the continued fraction (A&S 5.1.22)
-    exp(-u)/(u + 1 - 1/(u + 3 - 4/(u + 5 - ...))) evaluated backward
-    from depth 120."""
-    series = u < 0.75
+    """E1(u) for u >= 0.75 to about 1e-15 relative: the even part of the
+    continued fraction (A&S 5.1.22)
+    exp(-u)/(u + 1 - 1/(u + 3 - 4/(u + 5 - ...))) evaluated backward from
+    depth 120."""
     tail = np.zeros_like(u)
     for k in range(120, 0, -1):
         tail = k * k / (u + (2 * k + 1) - tail)
-    e = np.exp(-u) / (u + 1.0 - tail)
-    v = u[series]
-    e[series] = -np.euler_gamma - np.log(v) - _e1_series_sum(v)
-    return e
+    return np.exp(-u) / (u + 1.0 - tail)
 
 
-# E1(u) on [0.5, 40): nodes u_i = 0.5 + i/128 hold the Taylor coefficients
-# c_k = E1^(k)(u_i)/k!, k < 9, from E1' = -exp(-u)/u; Horner in
-# d = u - u_i, |d| <= 1/256, truncates below 1e-19 relative
-_E1_START, _E1_STOP, _E1_PER_UNIT, _E1_TERMS = 0.5, 40.0, 128, 9
+# f(u) = ln u + E1(u) = -euler_gamma - S(u) on [0, 40): nodes u_i = i/128
+# hold the Taylor coefficients c_k = f^(k)(u_i)/k!, k < 9; Horner in
+# d = u - u_i, |d| <= 1/256, truncates below 1e-19
+_F_STOP, _F_PER_UNIT, _F_TERMS = 40.0, 128, 9
 
 
-def _e1_taylor_table() -> tuple[np.ndarray, np.ndarray]:
-    nodes = _E1_START + np.arange(
-        round((_E1_STOP - _E1_START) * _E1_PER_UNIT) + 1) / _E1_PER_UNIT
-    coeffs = np.empty((_E1_TERMS, nodes.size))
-    coeffs[0] = _e1_direct(nodes)
-    inv_u = 1.0 / nodes
-    # c_k = (-1)^k exp(-u) sum_{m<k} u^(m-k)/m! / k; s holds the sum
-    s = np.zeros_like(nodes)
-    term = np.exp(-nodes)
-    for k in range(1, _E1_TERMS):
+def _ln_e1_taylor_table() -> tuple[np.ndarray, np.ndarray]:
+    nodes = np.arange(round(_F_STOP * _F_PER_UNIT) + 1) / _F_PER_UNIT
+    coeffs = np.empty((_F_TERMS, nodes.size))
+    # below 0.75, -S(u) differentiated term by term:
+    # c_k = -sum_m a_m binom(m, k) u^(m-k), a_m the series coefficients
+    v = nodes[nodes < 0.75]
+    for k in range(_F_TERMS):
+        coeffs[k, :v.size] = -sum(a * math.comb(m, k) * v ** (m - k)
+                                  for m, a in enumerate(_SERIES_COEFFS, 1)
+                                  if m >= k)
+    coeffs[0, :v.size] -= np.euler_gamma
+    # from 0.75 on, E1 by its continued fraction and its derivatives from
+    # E1' = -exp(-u)/u, c_k = (-1)^k exp(-u) sum_{m<k} u^(m-k)/m! / k (s
+    # holds the sum), plus ln's (-1)^(k+1)/(k u^k)
+    u = nodes[v.size:]
+    coeffs[0, v.size:] = np.log(u) + _e1_direct(u)
+    inv_u = 1.0 / u
+    s = np.zeros_like(u)
+    term = np.exp(-u)
+    for k in range(1, _F_TERMS):
         s = (s + term / math.factorial(k - 1)) * inv_u
-        coeffs[k] = (-1) ** k * s / k
+        coeffs[k, v.size:] = (-1) ** k * (s - inv_u ** k) / k
     return nodes, coeffs
 
 
-_E1_NODES, _E1_COEFFS = _e1_taylor_table()
+_F_NODES, _F_COEFFS = _ln_e1_taylor_table()
 
 
-def _e1(u: np.ndarray) -> np.ndarray:
-    """E1(u) for 0.5 <= u < 40 from the Taylor table's nearest node."""
-    i = np.rint((u - _E1_START) * _E1_PER_UNIT).astype(np.intp)
-    d = u - _E1_NODES[i]
-    c = _E1_COEFFS.take(i, axis=1)
+def _ln_e1(u: np.ndarray) -> np.ndarray:
+    """ln u + E1(u) for 0 <= u < 40, -euler_gamma at u = 0, from the
+    Taylor table's nearest node."""
+    i = np.rint(u * _F_PER_UNIT).astype(np.intp)
+    d = u - _F_NODES[i]
+    c = _F_COEFFS.take(i, axis=1)
     e = c[-1]
-    for k in range(_E1_TERMS - 2, -1, -1):
+    for k in range(_F_TERMS - 2, -1, -1):
         e *= d
         e += c[k]
     return e
@@ -155,14 +155,15 @@ def _kernel_in_place(rho: np.ndarray, delta: float) -> np.ndarray:
     center.  From rho = 40 delta^2 on, 1 - exp(-rho/delta^2) rounds to
     exactly 1, so G is the reciprocal there and expm1 runs on the nearer
     pairs only."""
-    near = rho < 40.0 * delta ** 2
-    r = rho[near]
+    flat = rho.reshape(-1)
+    near = np.flatnonzero(flat < 40.0 * delta ** 2)
+    r = flat.take(near)
     with np.errstate(divide="ignore"):
         np.reciprocal(rho, out=rho)
     g = np.divide(r, -delta ** 2)
     np.expm1(g, out=g)
     np.divide(g, r, out=g, where=r > 0.0)
-    rho[near] = np.negative(g, out=g)
+    flat.put(near, np.negative(g, out=g))
     return rho
 
 
@@ -374,30 +375,21 @@ def pair_stream_matrix(field: BlobField, start: int = 0,
     """Regularized free-space stream values between blobs start:stop (rows)
     and blobs start: (columns); the defaults give every pair.
 
-    Apart: (1/2pi)(ln r + E1(r^2/delta^2)/2), the stream function
-    consistent with the Gaussian-core kernel.  E1 is evaluated only where
-    u = r^2/delta^2 < 40; beyond, E1 < 1.1e-19 and is dropped.  For
-    u >= 0.5 it comes from the module's Taylor table (2e-15 relative).
-    Below, ln r^2 + E1(u) = 2 ln delta - euler_gamma - S(u) with S the
-    power-series part of E1: no log and no special function, and
-    coincident pairs (the diagonal, and blobs sharing a position) read
-    S(0) = 0, the finite limit (1/2pi)(ln delta - euler_gamma/2) of the
-    blob self-interaction.
+    (1/4pi)(ln r^2 + E1(u)), u = r^2/delta^2, the stream function
+    consistent with the Gaussian-core kernel.  Where u < 40 it is written
+    as 2 ln delta + f(u) with f(u) = ln u + E1(u) from the module's Taylor
+    table, so coincident pairs (the diagonal, and blobs sharing a
+    position) read f(0) = -euler_gamma, the finite limit
+    (1/2pi)(ln delta - euler_gamma/2) of the blob self-interaction.
+    Beyond, E1 < 1.1e-19 and is dropped.
     """
     rho = squared_distances(field.x[start:stop], field.x[start:])
-    delta2 = field.delta ** 2
-    near = rho < 40.0 * delta2
-    r = rho[near]
+    flat = rho.reshape(-1)
+    near = np.flatnonzero(flat < 40.0 * field.delta ** 2)
+    u = flat.take(near) / field.delta ** 2
     with np.errstate(divide="ignore"):
         np.log(rho, out=rho)
-    u = r / delta2
-    table = u >= _E1_START
-    low = ~table
-    v = np.empty_like(r)
-    v[table] = np.log(r[table]) + _e1(u[table])
-    v[low] = (2.0 * np.log(field.delta) - np.euler_gamma
-              - _e1_series_sum(u[low]))
-    rho[near] = v
+    flat.put(near, 2.0 * np.log(field.delta) + _ln_e1(u))
     rho /= 2.0 * TWO_PI
     return rho
 

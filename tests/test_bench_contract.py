@@ -110,18 +110,18 @@ def test_energy_is_one_blob_node_pass():
     assert tracer.calls["potential.BoundaryOperators.dirichlet_density"] == 1
 
 
-def test_energy_takes_e1_from_the_table(monkeypatch):
-    # the power series serves only pairs nearer than 0.71 core radii
-    # (u < 0.5); the lattice's nearest pairs sit at one core radius, so
-    # only each blob's pair with itself (u = 0) reaches it
+def test_energy_takes_every_near_pair_from_the_table(monkeypatch):
+    # total_energy's pair sum sends the near entries (u < 40) of each row
+    # block against its columns i0: through the one table, the self-pairs
+    # included, and no other entry
     passed = []
 
     def counted(u):
         passed.append(np.array(u))
-        return series(u)
+        return table(u)
 
-    series = biotsavart._e1_series_sum
-    monkeypatch.setattr(biotsavart, "_e1_series_sum", counted)
+    table = biotsavart._ln_e1
+    monkeypatch.setattr(biotsavart, "_ln_e1", counted)
     pset = potential.build_potential_set(
         geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
     state = coupled_system.init_coupled(
@@ -129,11 +129,16 @@ def test_energy_takes_e1_from_the_table(monkeypatch):
         alpha=2.0, gamma=1.0,
         field=biotsavart.BlobField(
             *coupled_system.VorticityPatch(1.0, 1.8).discretize(0.15), 0.15))
-    assert state.field.n == 308
+    f = state.field
+    assert f.n == 308
     coupled_system.total_energy(state)
-    u = np.concatenate(passed)
-    assert u.size == state.field.n
-    assert (u == 0.0).all()
+    u = np.sort(np.concatenate(passed))
+    rho = np.concatenate([
+        geometry.squared_distances(f.x[i0:i0 + biotsavart.PAIR_ROWS], f.x[i0:])
+        .reshape(-1) for i0 in range(0, f.n, biotsavart.PAIR_ROWS)])
+    want = np.sort(rho[rho < 40.0 * f.delta ** 2] / f.delta ** 2)
+    assert np.array_equal(u, want)
+    assert (u == 0.0).sum() == f.n
 
 
 def test_steppers_share_rk4(monkeypatch):

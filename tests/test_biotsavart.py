@@ -235,19 +235,32 @@ def test_pair_stream_cutoff_is_below_roundoff(delta, side):
     assert abs(got[0, 1] - want) <= 1e-15 * abs(want)
 
 
-def test_e1_table_matches_mpmath():
-    # the Taylor table against 40-digit E1 on [0.5, 40): a uniform grid,
-    # both ends, and each side of every midpoint between nodes, where the
-    # expansion reaches furthest
-    nodes = biotsavart._E1_NODES
-    mid = nodes[:-1] + 0.5 * np.diff(nodes)
-    u = np.unique(np.concatenate([np.linspace(0.5, 40.0, 4000, endpoint=False),
-                                  mid - 1e-12, mid + 1e-12,
-                                  [0.5, np.nextafter(40.0, 0.0)]]))
-    assert u[0] == 0.5 and u[-1] < 40.0
+def test_e1_continued_fraction_matches_mpmath():
+    # the continued fraction behind the table's nodes from 0.75 on,
+    # against 40-digit E1 on [0.75, 40)
+    u = np.concatenate([np.linspace(0.75, 40.0, 4000, endpoint=False),
+                        [np.nextafter(40.0, 0.0)]])
     with mpmath.workdps(40):
         want = np.array([float(mpmath.e1(x)) for x in u])
-    assert np.abs(biotsavart._e1(u) / want - 1.0).max() <= 2e-15
+    assert np.abs(biotsavart._e1_direct(u) / want - 1.0).max() <= 2e-15
+
+
+def test_ln_e1_table_matches_mpmath():
+    # the Taylor table of f(u) = ln u + E1(u) against 40 digits on
+    # [0, 40): a uniform grid, both ends, and each side of every midpoint
+    # between nodes, where the expansion reaches furthest; f(0) is the
+    # limit -euler_gamma
+    nodes = biotsavart._F_NODES
+    mid = nodes[:-1] + 0.5 * np.diff(nodes)
+    u = np.unique(np.concatenate([np.linspace(0.0, 40.0, 4000, endpoint=False),
+                                  mid - 1e-12, mid + 1e-12,
+                                  [np.nextafter(40.0, 0.0)]]))
+    assert u[0] == 0.0 and u[-1] < 40.0
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.log(x) + mpmath.e1(x)) if x > 0
+                         else float(-mpmath.euler) for x in u])
+    got = biotsavart._ln_e1(u)
+    assert (np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))).all()
 
 
 @pytest.mark.parametrize("delta", [0.07, 0.3])
@@ -285,6 +298,34 @@ def test_pair_stream_below_the_table_matches_mpmath(delta):
                                 if r > 0 else mpmath.log(d2) - mpmath.euler)
                                / (4 * mpmath.pi)) for r in r2])
     assert np.abs(got - want).max() <= 2.2e-16 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("delta", [0.07, 0.3, 1.3, 5.0])
+def test_pair_stream_above_half_a_core_matches_mpmath(delta):
+    # from u = 0.5 up to the cutoff, the stream against 40-digit
+    # ln r^2 + E1(u)
+    u = np.concatenate([np.linspace(0.5, 40.0, 400, endpoint=False),
+                        [np.nextafter(40.0, 0.0)]])
+    x = np.zeros((u.size + 1, 2))
+    x[1:, 0] = np.sqrt(u) * delta
+    f = BlobField(x=x, gamma=np.ones(u.size + 1), delta=delta)
+    got = pair_stream_matrix(f, 0, 1)[0, 1:]
+    r2 = x[1:, 0] ** 2
+    assert ((r2 / delta ** 2 >= 0.5) & (r2 / delta ** 2 < 40.0)).all()
+    with mpmath.workdps(40):
+        d2 = mpmath.mpf(delta) ** 2
+        want = np.array([float((mpmath.log(r) + mpmath.e1(mpmath.mpf(r) / d2))
+                               / (4 * mpmath.pi)) for r in r2])
+    assert np.abs(got - want).max() <= 2.2e-16 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("delta", [0.07, 0.3, 1.3, 5.0])
+def test_pair_stream_self_value_is_exact(delta):
+    # a blob's pair with itself reads f(0) = -euler_gamma from the table's
+    # first node, so its value is 2 ln delta - euler_gamma bit for bit
+    f = BlobField(x=[[0.3, -0.2]], gamma=[1.0], delta=delta)
+    want = (2 * np.log(delta) - np.euler_gamma) / (2 * TWO_PI)
+    assert pair_stream_matrix(f)[0, 0] == want
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
