@@ -17,9 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (TWO_PI, Placement, perp, rk4_step, rotation,
-                       squared_distances)
-from .potential import MassData, ScaledPotentials, log_potential_sum
+from .geometry import TWO_PI, perp, rk4_step, rotation, squared_distances
+from .potential import ScaledPotentials, log_potential_sum
 from .biotsavart import BlobField, HydrodynamicField, pair_energy
 
 log = logging.getLogger(__name__)
@@ -62,17 +61,27 @@ class VorticityPatch:
 
 @dataclass(frozen=True)
 class CoupledState:
+    """The body at lab position ``h`` and attitude ``theta`` (body point x
+    sits at lab point R(theta) x + h), moving with body-frame velocity
+    (ell, r), among body-frame blobs.  ``m1`` and ``J1`` are the body's
+    unit-scale mass and moment of inertia, entering at eps^alpha and
+    eps^(alpha+2); the added mass is read from ``scaled.base``, the same
+    potential set the forces read."""
+
     alpha: float
-    placement: Placement
+    h: np.ndarray
+    theta: float
     ell: np.ndarray
     r: float
     field: BlobField           # body frame
     gamma: float
     scaled: ScaledPotentials
-    mass: MassData
+    m1: float
+    J1: float
     t: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "h", np.asarray(self.h, dtype=float).reshape(2))
         object.__setattr__(self, "ell", np.asarray(self.ell, dtype=float).reshape(2))
         if self.field.frame != "body":
             raise ValueError("coupled blobs live in the body frame")
@@ -83,15 +92,22 @@ class CoupledState:
 
     @property
     def body_mass(self) -> float:
-        return self.eps ** self.alpha * self.mass.m1
+        return self.eps ** self.alpha * self.m1
 
     @property
     def inertia_matrix(self) -> np.ndarray:
-        return self.mass.total_mass(self.eps, self.alpha)
+        """eps^alpha I M_g I + eps^2 I M_a I with I = diag(1, 1, eps)."""
+        eps, I = self.eps, np.diag([1.0, 1.0, self.eps])
+        return (eps ** self.alpha * I @ np.diag([self.m1, self.m1, self.J1]) @ I
+                + eps ** 2 * I @ self.scaled.base.mass[:3, :3] @ I)
 
     @property
     def p(self) -> np.ndarray:
         return np.array([self.ell[0], self.ell[1], self.r])
+
+    def to_lab(self, x):
+        """Lab positions R(theta) x + h of body points x, shape (..., 2)."""
+        return np.asarray(x) @ rotation(self.theta).T + self.h
 
     def boundary_distance(self) -> float:
         """Smallest blob distance to the boundary nodes (inf without blobs)."""
@@ -99,8 +115,8 @@ class CoupledState:
         return float(np.sqrt(rho.min(initial=np.inf)))
 
 
-def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
-                 gamma: float, ell0=(0.0, 0.0), r0: float = 0.0,
+def init_coupled(scaled: ScaledPotentials, *, m1: float, J1: float,
+                 alpha: float, gamma: float, ell0=(0.0, 0.0), r0: float = 0.0,
                  field: BlobField) -> CoupledState:
     """Assemble an initial state: body at rest pose (h=0, theta=0), the
     given body-frame blobs, body velocity (ell0, r0).
@@ -119,10 +135,10 @@ def init_coupled(scaled: ScaledPotentials, mass: MassData, *, alpha: float,
             f"body circumradius {body_radius:.3f} too large for vorticity "
             f"support starting at {closest:.3f}")
 
-    state = CoupledState(alpha=float(alpha),
-                         placement=Placement(h=np.zeros(2), theta=0.0),
+    state = CoupledState(alpha=float(alpha), h=np.zeros(2), theta=0.0,
                          ell=ell0, r=float(r0), field=field,
-                         gamma=float(gamma), scaled=scaled, mass=mass)
+                         gamma=float(gamma), scaled=scaled, m1=float(m1),
+                         J1=float(J1))
     try:    # a zero pivot raises; a NaN or an infinity comes through
         definite = np.isfinite(np.linalg.cholesky(state.inertia_matrix)).all()
     except (np.linalg.LinAlgError, OverflowError):  # eps ** alpha overflows
@@ -221,12 +237,11 @@ def coupled_step(state: CoupledState, dt: float) -> CoupledState:
     """One RK4 step of the joint blob + body system; every stage is
     guarded as in :func:`_stage_rhs`, and a collision inside a stage
     aborts the run."""
-    pl = state.placement
     x, ell, r, theta, h = rk4_step(
         lambda *y: _stage_rhs(state, dt, *y),
-        (state.field.x, state.ell, state.r, pl.theta, pl.h), dt)
+        (state.field.x, state.ell, state.r, state.theta, state.h), dt)
     return replace(state, field=state.field.with_positions(x), ell=ell, r=r,
-                   placement=Placement(h=h, theta=theta), t=state.t + dt)
+                   theta=theta, h=h, t=state.t + dt)
 
 
 # ---------------------------------------------------------------------------

@@ -129,21 +129,6 @@ def rotation(theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Rigid placement of the body: center of mass ``h``, attitude ``theta``.
-
-    Body coordinates x and lab coordinates y are related by
-    y = R(theta) x + h.  Point arrays have shape (..., 2).
-    """
-
-    h: np.ndarray
-    theta: float
-
-    def to_lab(self, x):
-        return np.asarray(x) @ rotation(self.theta).T + np.asarray(self.h)
-
-
-@dataclass(frozen=True)
 class ShapeSpec:
     """Closed boundary curve z(s) = sum_k c_k exp(i k s) on [0, 2pi).
 

@@ -414,13 +414,13 @@ def _coupled_abort_reason(state, exc) -> str:
 
 
 def _coupled_sample(s) -> dict:
-    return {"h": s.placement.h, "ell": s.ell, "energy": total_energy(s),
+    return {"h": s.h, "ell": s.ell, "energy": total_energy(s),
             "support": s.field.support_annulus((0.0, 0.0)),
-            "blob_lab": s.placement.to_lab(s.field.x),
-            "theta": s.placement.theta, "r": s.r, **modulation(s)}
+            "blob_lab": s.to_lab(s.field.x),
+            "theta": s.theta, "r": s.r, **modulation(s)}
 
 
-def _initial_states(config: ExperimentConfig, pset, mass) -> list:
+def _initial_states(config: ExperimentConfig, pset) -> list:
     """Every scale's checked initial coupled state with its row 0, so
     that a scale the coupled system rejects, or whose first sample is not
     finite, is a ConfigError before any run steps."""
@@ -428,9 +428,9 @@ def _initial_states(config: ExperimentConfig, pset, mass) -> list:
     for eps in config.eps:
         try:
             state = init_coupled(
-                ScaledPotentials(pset, eps), mass, alpha=config.alpha,
-                gamma=config.gamma, ell0=config.ell0, r0=config.r0,
-                field=initial_field(config, "body"))
+                ScaledPotentials(pset, eps), m1=config.m1, J1=config.J1,
+                alpha=config.alpha, gamma=config.gamma, ell0=config.ell0,
+                r0=config.r0, field=initial_field(config, "body"))
             starts.append((state, _initial_sample(state, _coupled_sample)))
         except ValueError as exc:   # a ConfigError from the sample as well
             raise ConfigError(f"eps={eps:g}: {exc}") from None
@@ -502,7 +502,10 @@ def fit_slope(eps: Sequence[float], values: Sequence[float]):
 
 
 def _drift(series: np.ndarray) -> float:
-    return float(np.abs(series - series[0]).max())
+    """max over t of |x(t) - x(0)|, for a scalar or a vector series."""
+    gap = series - series[0]
+    return float((np.abs(gap) if gap.ndim == 1
+                  else np.linalg.norm(gap, axis=1)).max())
 
 
 def _coupled_diagnostics(rec: RunRecord, mass: MassData, alpha: float,
@@ -581,8 +584,7 @@ def assemble_report(config: ExperimentConfig, mass: MassData,
     }
     limit_row = {"aborted": limit.aborted, "t_eps": limit.t_eps,
                  "steps": len(limit.t) - 1,
-                 "impulse_drift": float(np.linalg.norm(
-                     limit.impulse - limit.impulse[0], axis=1).max())}
+                 "impulse_drift": _drift(limit.impulse)}
     metadata = {
         "matching": "blobs correspond by lattice index (identical "
                     "discretization in both systems); the transport distance "
@@ -661,15 +663,19 @@ def _run_summary(rec: RunRecord) -> dict:
 def write_artifacts(out_dir: Path, records: Sequence[RunRecord],
                     report: ConvergenceReport | None = None) -> None:
     """Write per-run CSVs, abort markers, the data dictionary, the run
-    summary, and (when present) the convergence report."""
+    summary, and (when present) the convergence report.  A run that did
+    not abort removes its label's marker left by an earlier run."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for rec in records:
         write_trajectory(out_dir / f"{rec.label}-trajectory.csv", rec)
         write_blobs(out_dir / f"{rec.label}-blobs.csv", rec)
+        marker = out_dir / f"{rec.label}.aborted"
         if rec.aborted:
-            _write_json(out_dir / f"{rec.label}.aborted",
-                        {"reason": rec.aborted, "detail": rec.abort_detail,
-                         "t_reached": float(rec.t[-1])})
+            _write_json(marker, {"reason": rec.aborted,
+                                 "detail": rec.abort_detail,
+                                 "t_reached": float(rec.t[-1])})
+        else:
+            marker.unlink(missing_ok=True)
     _write_json(out_dir / "summary.json",
                 {"runs": [_run_summary(r) for r in records]})
     if report is not None:
@@ -787,15 +793,14 @@ def run(config: ExperimentConfig, out_dir: Path | None = None,
                           f"1, got {threads}")
     out_dir = Path(out_dir) if out_dir is not None else config.out
     pset = resolved_potential_set(config.mesh)
-    mass = build_mass_data(pset, config.m1, config.J1)
-
     coupled = [run_coupled(config, *start)
-               for start in _initial_states(config, pset, mass)]
+               for start in _initial_states(config, pset)]
     records = list(coupled)
     report = None
     if with_limit:
         limit = run_limit(config)
         records.append(limit)
+        mass = build_mass_data(pset, config.m1, config.J1)
         report = assemble_report(config, mass, coupled, limit)
 
     write_artifacts(out_dir, records, report)

@@ -44,7 +44,7 @@ def modulation(state: CoupledState) -> dict:
     drift = velocity_free_space(state.field, np.zeros((1, 2)))[0]
     a, b, _ = velocity_gradient(state.field, np.zeros(2))
     eps = state.eps
-    ell_mod = state.ell - drift - eps * _strain(a, b, state.mass.xi)
+    ell_mod = state.ell - drift - eps * _strain(a, b, state.scaled.base.xi)
     return {"drift": drift, "a": a, "b": b,
             "p_modulated": np.array([*ell_mod, eps * state.r])}
 
@@ -177,7 +177,7 @@ def expansion_C(state: CoupledState,
            - 2 * r * b * (m[2, 3] + sc.m_cross))
 
     gamma, eps = state.gamma, state.eps
-    xi, eta = state.mass.xi, state.mass.eta
+    xi, eta = state.scaled.base.xi, state.scaled.base.eta
     cb12 = (gamma * perp(off) + gamma * eps * r * xi
             + gamma * eps * perp(_strain(a, b, xi)))
     cb3 = (gamma * eps * (xi @ off)

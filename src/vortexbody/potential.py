@@ -496,8 +496,8 @@ def field_identity_rows(pset: PotentialSet) -> list:
 
 @dataclass(frozen=True)
 class MassData:
-    """Inertia bundle for one shape: boundary-derived mass coefficients,
-    the genuine-mass inputs, and the scale/regime assembly rules.
+    """Inertia bundle for one shape, as the normal-form diagnostics read
+    it: boundary-derived mass coefficients and the genuine-mass inputs.
 
     ``mass`` holds the unit-scale coefficients; entries pick up
     eps^(2 + [i>=3] + [j>=3]) at scale eps.  ``m1`` and ``J1`` are the
@@ -527,12 +527,6 @@ class MassData:
     def mu(self) -> np.ndarray:
         m = self.mass
         return np.array([m[0, 2], m[1, 2], 0.0])
-
-    def total_mass(self, eps: float, alpha: float) -> np.ndarray:
-        """eps^alpha I M_g I + eps^2 I M_a I with I = diag(1, 1, eps)."""
-        I = np.diag([1.0, 1.0, eps])
-        return (eps ** alpha * I @ self.genuine @ I
-                + eps ** 2 * I @ self.added_3x3 @ I)
 
 
 def build_mass_data(pset: PotentialSet, m1: float = 1.0,

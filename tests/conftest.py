@@ -148,12 +148,12 @@ def frozen_sweep(asym_setup, random_blobs):
     spin-coupling quadratic term, keyed for both the module tests and
     acceptance criteria 4-5.
     """
-    pset, md = asym_setup
+    pset, _ = asym_setup
     errs = {k: [] for k in ("B12", "B3", "Ca12", "Ca3", "Cb12", "Cb3", "defect")}
     cc_max = 0.0
     for eps in SWEEP_EPS:
         sp = ScaledPotentials(pset, eps)
-        st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
+        st = init_coupled(sp, m1=1.0, J1=1.0, alpha=2.0, gamma=FROZEN_GAMMA,
                           ell0=FROZEN_ELL, r0=FROZEN_R, field=random_blobs)
         mod = modulation(st)
         hydro = HydrodynamicField(sp, st.field)
@@ -177,15 +177,17 @@ def frozen_sweep(asym_setup, random_blobs):
 
 def run_columns(rows, state) -> SimpleNamespace:
     """Sample rows stacked into the columns a coupled run record holds,
-    with the run's eps, alpha and mass taken from ``state``."""
+    with the run's eps and alpha taken from ``state`` and its MassData
+    built from the state's potential set, m1 and J1."""
     return SimpleNamespace(
-        eps=state.eps, alpha=state.alpha, mass=state.mass,
+        eps=state.eps, alpha=state.alpha,
+        mass=build_mass_data(state.scaled.base, state.m1, state.J1),
         **{key: np.asarray([row[key] for row in rows]) for key in rows[0]})
 
 
 def sampled_row(st) -> dict:
     """One sample of the columns the normal-form diagnostics read."""
-    return {"t": st.t, "theta": st.placement.theta, "gamma": st.gamma,
+    return {"t": st.t, "theta": st.theta, "gamma": st.gamma,
             "r": st.r, **modulation(st)}
 
 
@@ -195,10 +197,10 @@ def every(run, k: int) -> SimpleNamespace:
                               else value for key, value in vars(run).items()})
 
 
-def sampled_run(pset, md, blobs, *, eps, dt, steps, r0):
+def sampled_run(pset, blobs, *, eps, dt, steps, r0):
     """Step a coupled run from ell0 = (1, 0) and return its sampled
     columns (see run_columns), one row per state."""
-    st = init_coupled(ScaledPotentials(pset, eps), md, alpha=2.0,
+    st = init_coupled(ScaledPotentials(pset, eps), m1=1.0, J1=1.0, alpha=2.0,
                       gamma=FROZEN_GAMMA, ell0=(1.0, 0.0), r0=r0, field=blobs)
     rows = []
     for k in range(steps + 1):
@@ -213,10 +215,10 @@ def residual_runs(asym_setup, random_blobs):
     """Reference trajectories for the normal-form residual, one per eps,
     sampled finely enough that the centered difference is dt-converged
     (the gyroscopic frequency grows like 1/eps^2, hence the cadences)."""
-    pset, md = asym_setup
+    pset, _ = asym_setup
     runs = {}
     for eps, dt, steps in ((0.1, 2.5e-4, 192), (0.05, 1.25e-4, 384)):
-        runs[eps] = (sampled_run(pset, md, random_blobs, eps=eps, dt=dt,
+        runs[eps] = (sampled_run(pset, random_blobs, eps=eps, dt=dt,
                                  steps=steps, r0=0.3 / eps), dt)
     return runs
 

@@ -19,6 +19,10 @@ calls the library directly.  The eps-sweep fixture is the dominant cost
 (about 20 s); the rest runs in seconds.
 """
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -88,11 +92,10 @@ def conservation():
     """Ellipse reference run (eps=0.1, alpha=2, gamma=2pi, annular lattice)
     to T=1 at two cadences, plus the spinning-disk control."""
     pset = build_potential_set(build_mesh(ellipse(2.0, 1.0), 256))
-    md = build_mass_data(pset)
 
     def drift(dt):
-        st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0,
-                          gamma=TWO_PI, ell0=(0.1, 0.0), r0=0.0,
+        st = init_coupled(ScaledPotentials(pset, 0.1), m1=1.0, J1=1.0,
+                          alpha=2.0, gamma=TWO_PI, ell0=(0.1, 0.0), r0=0.0,
                           field=ANNULUS)
         e0 = total_energy(st)
         strengths = st.field.gamma.copy()
@@ -109,7 +112,7 @@ def conservation():
     fine, g2, b2 = drift(0.002)
 
     pdisk = build_potential_set(build_mesh(disk(), 256))
-    st = init_coupled(ScaledPotentials(pdisk, 0.1), build_mass_data(pdisk),
+    st = init_coupled(ScaledPotentials(pdisk, 0.1), m1=1.0, J1=1.0,
                       alpha=2.0, gamma=TWO_PI, ell0=(0.1, 0.0), r0=0.5,
                       field=ANNULUS)
     spin = 0.0
@@ -164,7 +167,7 @@ def test_criterion_6_normal_form(asym_setup, random_blobs, residual_runs,
 
     # rotated-mass identity: centered differences agree at rate dt^2
     dt = 1e-3
-    record = sampled_run(pset, md, random_blobs, eps=0.1, dt=dt, steps=48,
+    record = sampled_run(pset, random_blobs, eps=0.1, dt=dt, steps=48,
                          r0=3.0)
     d1 = rotated_mass_identity_check(record, dt)
     d2 = rotated_mass_identity_check(every(record, 2), 2 * dt)
@@ -202,6 +205,16 @@ dt = 0.001
 seed = 0
 rho = 4.0
 """
+
+
+def test_readme_example_is_the_acceptance_sweep(tmp_path):
+    # README's example config is SWEEP_CONFIG with the blob core given
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    (tmp_path / "readme.cfg").write_text(example)
+    (tmp_path / "sweep.cfg").write_text(SWEEP_CONFIG)
+    assert (parse_config(tmp_path / "readme.cfg")
+            == replace(parse_config(tmp_path / "sweep.cfg"), delta=0.15))
 
 
 @pytest.fixture(scope="module")
@@ -299,23 +312,22 @@ DISK_BLOBS = BlobField(x=[[1.0, 0.0], [-0.8, 0.6]], gamma=[1.0, -0.7],
 
 @pytest.fixture(scope="module")
 def disk128():
-    pset = build_potential_set(build_mesh(disk(), 128))
-    return pset, build_mass_data(pset)
+    return build_potential_set(build_mesh(disk(), 128))
 
 
 def _disk_vortex_gaps(disk128, alpha, dt, eps=0.2, T=0.5):
     """Max gaps of the body centre and of the blobs between the coupled
     integrator and the disk-vortex ODE at tight tolerance, and the
     distance the ODE's body travels."""
-    pset, md = disk128
-    st = init_coupled(ScaledPotentials(pset, eps), md, alpha=alpha,
-                      gamma=TWO_PI, ell0=(0.5, 0.0), r0=0.0, field=DISK_BLOBS)
-    t, h, blobs = [0.0], [st.placement.h], [st.placement.to_lab(st.field.x)]
+    st = init_coupled(ScaledPotentials(disk128, eps), m1=1.0, J1=1.0,
+                      alpha=alpha, gamma=TWO_PI, ell0=(0.5, 0.0), r0=0.0,
+                      field=DISK_BLOBS)
+    t, h, blobs = [0.0], [st.h], [st.to_lab(st.field.x)]
     for _ in range(round(T / dt)):
         st = coupled_step(st, dt)
         t.append(st.t)
-        h.append(st.placement.h)
-        blobs.append(st.placement.to_lab(st.field.x))
+        h.append(st.h)
+        blobs.append(st.to_lab(st.field.x))
     y0 = np.concatenate([[0.0, 0.0, 0.5, 0.0], DISK_BLOBS.x.ravel()])
     sol = solve_ivp(disk_vortex_rhs(eps, eps ** alpha, TWO_PI,
                                     DISK_BLOBS.gamma),

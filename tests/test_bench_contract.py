@@ -65,7 +65,7 @@ def test_one_blob_node_pass_per_stage():
     pset = potential.build_potential_set(
         geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
     state = coupled_system.init_coupled(
-        potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
+        potential.ScaledPotentials(pset, 0.1), m1=1.0, J1=1.0,
         alpha=2.0, gamma=1.0,
         field=biotsavart.BlobField(
             *coupled_system.VorticityPatch(0.5, 0.8).discretize(0.1), 0.1))
@@ -98,7 +98,7 @@ def test_energy_is_one_blob_node_pass():
     pset = potential.build_potential_set(
         geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
     state = coupled_system.init_coupled(
-        potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
+        potential.ScaledPotentials(pset, 0.1), m1=1.0, J1=1.0,
         alpha=2.0, gamma=1.0,
         field=biotsavart.BlobField(
             *coupled_system.VorticityPatch(0.5, 0.8).discretize(0.1), 0.1))
@@ -125,7 +125,7 @@ def test_energy_takes_every_near_pair_from_the_table(monkeypatch):
     pset = potential.build_potential_set(
         geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
     state = coupled_system.init_coupled(
-        potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
+        potential.ScaledPotentials(pset, 0.1), m1=1.0, J1=1.0,
         alpha=2.0, gamma=1.0,
         field=biotsavart.BlobField(
             *coupled_system.VorticityPatch(1.0, 1.8).discretize(0.15), 0.15))
@@ -146,7 +146,7 @@ def test_steppers_share_rk4(monkeypatch):
     pset = potential.build_potential_set(
         geometry.build_mesh(geometry.ellipse(2.0, 1.0), 64))
     coupled = coupled_system.init_coupled(
-        potential.ScaledPotentials(pset, 0.1), potential.build_mass_data(pset),
+        potential.ScaledPotentials(pset, 0.1), m1=1.0, J1=1.0,
         alpha=2.0, gamma=1.0,
         field=biotsavart.BlobField(
             *coupled_system.VorticityPatch(0.5, 0.8).discretize(0.1), 0.1))

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy.special import exp1
 
 from conftest import (empty_field, gradient_matrix, harmonic_stream,
@@ -34,7 +35,6 @@ from vortexbody.geometry import (TWO_PI, build_mesh, disk, ellipse, perp,
                                  rotation)
 from vortexbody.potential import (
     ScaledPotentials,
-    build_mass_data,
     build_potential_set,
     log_gradient_sum,
     log_potential_sum,
@@ -47,13 +47,13 @@ ALPHA = 2.0
 @pytest.fixture(scope="module")
 def disk_setup():
     pset = build_potential_set(build_mesh(disk(), 256))
-    return ScaledPotentials(pset, EPS), build_mass_data(pset)
+    return ScaledPotentials(pset, EPS)
 
 
 @pytest.fixture(scope="module")
 def ellipse_setup():
     pset = build_potential_set(build_mesh(ellipse(2.0, 1.0), 256))
-    return ScaledPotentials(pset, EPS), build_mass_data(pset)
+    return ScaledPotentials(pset, EPS)
 
 
 def test_patch_lattice_total_strength():
@@ -75,25 +75,26 @@ def test_patch_rejects_nonfinite_values(spacing, vorticity, message):
 
 
 def test_init_preconditions(disk_setup):
-    sp, md = disk_setup
+    sp = disk_setup
     # support must start beyond twice the body circumradius
     with pytest.raises(ValueError):
-        init_coupled(sp, md, alpha=ALPHA, gamma=1.0,
+        init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=1.0,
                      field=BlobField(x=[[0.15, 0.0]], gamma=[1.0], delta=0.01))
 
 
 def test_gamma_zero_warns(disk_setup, caplog):
-    sp, md = disk_setup
+    sp = disk_setup
     with caplog.at_level("WARNING", logger="vortexbody.coupled_system"):
-        init_coupled(sp, md, alpha=ALPHA, gamma=0.0, field=empty_field())
+        init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=0.0,
+                     field=empty_field())
     assert any("gamma" in rec.message for rec in caplog.records)
 
 
 def test_empty_field_energy_is_quadratic(disk_setup, ellipse_setup):
     # the blob sums of an empty field are empty products: exactly +0
-    for sp, md in (disk_setup, ellipse_setup):
+    for sp in (disk_setup, ellipse_setup):
         for gamma in (2 * np.pi, -3.0):
-            st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma,
+            st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=gamma,
                               ell0=(1.0, 0.0), r0=0.4, field=empty_field())
             p = st.p
             assert total_energy(st) == 0.5 * p @ st.inertia_matrix @ p
@@ -103,7 +104,7 @@ def test_coincident_blobs_energy_equals_merged(ellipse_setup):
     # overlapping patches share lattice points, so two blobs can sit at
     # one position; their pair term is the self-interaction, and the
     # energy is that of one blob carrying both strengths
-    sp, md = ellipse_setup
+    sp = ellipse_setup
     parts = [patch_field(1.0, 1.8, 0.3, 1.0),
              patch_field(1.4, 2.0, 0.3, 0.5)]
     x = np.vstack([f.x for f in parts])
@@ -113,21 +114,22 @@ def test_coincident_blobs_energy_equals_merged(ellipse_setup):
     dup = BlobField(x=x, gamma=g, delta=0.3)
     merged = BlobField(x=pos, gamma=np.bincount(where.ravel(), weights=g),
                        delta=0.3)
-    energy = [total_energy(init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi,
-                                        ell0=(0.5, 0.0), field=f))
+    energy = [total_energy(init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA,
+                                        gamma=2 * np.pi, ell0=(0.5, 0.0),
+                                        field=f))
               for f in (dup, merged)]
     assert energy[0] == pytest.approx(energy[1], rel=1e-13, abs=0.0)
 
 
 def test_coincident_blobs_energy_emits_no_warning(ellipse_setup):
     # ln 0 + E1(0) is never formed for blobs sharing a position
-    sp, md = ellipse_setup
+    sp = ellipse_setup
     parts = [patch_field(1.0, 1.8, 0.3, 1.0),
              patch_field(1.4, 2.0, 0.3, 0.5)]
     dup = BlobField(x=np.vstack([f.x for f in parts]),
                     gamma=np.concatenate([f.gamma for f in parts]), delta=0.3)
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(0.5, 0.0),
-                      field=dup)
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=2 * np.pi,
+                      ell0=(0.5, 0.0), field=dup)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(total_energy(st))
@@ -175,14 +177,15 @@ def test_blocked_pair_sum_matches_dense(ellipse_setup, n):
     # total_energy sums gamma^T P gamma over the upper block-triangle with
     # E1 cut off; against one dense product it differs only by roundoff.
     # The first blob's position is repeated, inside a block and across one
-    sp, md = ellipse_setup
+    sp = ellipse_setup
     rng = np.random.default_rng(n)
     radius = rng.uniform(1.2, 1.8, n)
     angle = rng.uniform(0, 2 * np.pi, n)
     x = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     x[n // 2] = x[-1] = x[0]
     f = BlobField(x=x, gamma=rng.uniform(0.5, 1.5, n), delta=0.1)
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=1.0, ell0=(0.5, 0.0), field=f)
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=1.0,
+                      ell0=(0.5, 0.0), field=f)
     psi = f.gamma @ dense_pair_stream(f) @ f.gamma
     p = st.p
     correction = boundary_correction(st, f.x, f.gamma, f.x)
@@ -214,9 +217,9 @@ def test_pair_energy_matches_dense(n):
 def test_blob_blob_sums_hold_no_pair_matrix(disk_setup, kernel):
     # row blocks keep the peak linear in n: at 2796 blobs a quarter of
     # one (n, n) array (15.6 MB) bounds it
-    sp, md = disk_setup
+    sp = disk_setup
     f = patch_field(1.0, 1.8, 0.05)
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=1.0, field=f)
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=1.0, field=f)
     kernel(st)   # warm up lazily imported code paths
     tracemalloc.start()
     try:
@@ -237,9 +240,9 @@ def green_function(state, x, y) -> float:
 
 
 def test_green_function_matches_disk_images(disk_setup):
-    sp, md = disk_setup
+    sp = disk_setup
     y = np.array([0.45, 0.15])
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=0.0,
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=0.0,
                       field=BlobField(x=[y], gamma=[1.0], delta=1e-6))
     ys = EPS**2 * y / (y @ y)
     for x in ([0.8, -0.3], [0.2, 0.9], [3.0, 1.0]):
@@ -253,12 +256,13 @@ def test_green_function_matches_disk_images(disk_setup):
 def test_energy_matches_disk_images(disk_setup):
     # outside a disk of radius eps the Green's function is the image
     # formula and psi_H(x) = ln(|x|/eps)/2pi, so the energy is closed form
-    sp, md = disk_setup
+    sp = disk_setup
     gamma, delta = 2.3, 0.05
     x = np.array([[0.45, 0.15], [-0.3, 0.6]])
     g = np.array([1.0, -0.7])
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma, ell0=(0.4, -0.1),
-                      r0=0.6, field=BlobField(x=x, gamma=g, delta=delta))
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=gamma,
+                      ell0=(0.4, -0.1), r0=0.6,
+                      field=BlobField(x=x, gamma=g, delta=delta))
 
     def image(x, y):
         ys = EPS**2 * y / (y @ y)
@@ -279,17 +283,18 @@ def test_energy_matches_disk_images(disk_setup):
 
 
 def test_forces_vanish_at_rest(disk_setup, ellipse_setup):
-    sp, md = disk_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=3.0, field=empty_field())
+    sp = disk_setup
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=3.0,
+                      field=empty_field())
     hydro = HydrodynamicField(sp, st.field)
     assert np.array_equal(force_B(st, hydro), np.zeros(3))
     C_a, C_b, C_c = force_C(st, hydro)
     assert np.abs(C_a).max() < 1e-13
     assert np.abs(C_c).max() < 1e-12
     # no blobs: the vorticity force is +0, never -0, on any body or motion
-    for sp, md in (disk_setup, ellipse_setup):
+    for sp in (disk_setup, ellipse_setup):
         for gamma in (2 * np.pi, -3.0):
-            st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma,
+            st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=gamma,
                               ell0=(0.4, -0.2), r0=0.7, field=empty_field())
             B = force_B(st, HydrodynamicField(sp, st.field))
             assert np.array_equal(B, np.zeros(3))
@@ -299,9 +304,9 @@ def test_forces_vanish_at_rest(disk_setup, ellipse_setup):
 def test_disk_lift_is_minus_gamma_ell_perp(disk_setup):
     # no vorticity, no spin: the only surviving boundary force on a disk
     # is the circulation lift
-    sp, md = disk_setup
+    sp = disk_setup
     gamma, ell = 3.0, np.array([0.4, -0.2])
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma, ell0=ell,
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=gamma, ell0=ell,
                       field=empty_field())
     C_a, C_b, C_c = force_C(st, HydrodynamicField(sp, st.field))
     assert np.abs(C_a).max() < 1e-12
@@ -312,9 +317,9 @@ def test_disk_lift_is_minus_gamma_ell_perp(disk_setup):
 
 def test_ellipse_spin_couple_is_zero_without_flow(ellipse_setup):
     # C_c vanishes identically whatever the shape or motion
-    sp, md = ellipse_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(0.3, 0.7),
-                      r0=0.9, field=empty_field())
+    sp = ellipse_setup
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=2 * np.pi,
+                      ell0=(0.3, 0.7), r0=0.9, field=empty_field())
     _, _, C_c = force_C(st, HydrodynamicField(sp, st.field))
     assert np.abs(C_c).max() < 1e-8
 
@@ -322,15 +327,15 @@ def test_ellipse_spin_couple_is_zero_without_flow(ellipse_setup):
 def test_stage_geometry_matches_direct_sums(ellipse_setup):
     # one blob x node build serves the blob velocity, the adjoint sum of
     # force_B and the dt-guard clearance; each against its direct form
-    sp, md = ellipse_setup
+    sp = ellipse_setup
     rng = np.random.default_rng(19)
     n = 40
     rad = rng.uniform(0.4, 0.9, n)
     ang = rng.uniform(0.0, 2 * np.pi, n)
     field = BlobField(x=np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]),
                       gamma=rng.normal(size=n), delta=0.03)
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=-1.3, ell0=(0.4, -0.25),
-                      r0=2.1, field=field)
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=-1.3,
+                      ell0=(0.4, -0.25), r0=2.1, field=field)
     hy = HydrodynamicField(sp, st.field)
     x = st.field.x
     mesh, phi = sp.base.mesh, sp.base.phi
@@ -356,11 +361,11 @@ def test_stage_geometry_matches_direct_sums(ellipse_setup):
 def test_disk_orbit_matches_reduced_ode(disk_setup):
     # disk + circulation and nothing else: M ell' = gamma ell^perp exactly,
     # so the center traces a circle of radius M |ell| / gamma
-    sp, md = disk_setup
+    sp = disk_setup
     gamma = 2 * np.pi
-    M = EPS**ALPHA * md.m1 + EPS**2 * np.pi
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=gamma, ell0=(1.0, 0.0),
-                      field=empty_field())
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=gamma,
+                      ell0=(1.0, 0.0), field=empty_field())
+    M = EPS**ALPHA * st.m1 + EPS**2 * np.pi
 
     hydro = HydrodynamicField(sp, st.field)
     accel = accelerations(st, hydro)
@@ -374,18 +379,18 @@ def test_disk_orbit_matches_reduced_ode(disk_setup):
         st = coupled_step(st, period / n)
     Om = gamma / M
     h_half = (1.0 / Om) * np.array([np.sin(np.pi), 1 - np.cos(np.pi)])
-    assert np.abs(st.placement.h - h_half).max() < 1e-6 * (M / gamma)
+    assert np.abs(st.h - h_half).max() < 1e-6 * (M / gamma)
     for _ in range(n // 2):
         st = coupled_step(st, period / n)
     assert np.abs(st.ell - [1.0, 0.0]).max() < 1e-6
-    assert np.abs(st.placement.h).max() < 1e-8
+    assert np.abs(st.h).max() < 1e-8
     assert abs(st.r) < 1e-12
 
 
 def test_disk_spin_is_frozen_even_with_vorticity(disk_setup):
-    sp, md = disk_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(0.5, 0.2),
-                      r0=0.3,
+    sp = disk_setup
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=2 * np.pi,
+                      ell0=(0.5, 0.2), r0=0.3,
                       field=patch_field(1.0, 2.0, 0.2))
     for _ in range(25):
         st = coupled_step(st, 0.002)
@@ -393,9 +398,9 @@ def test_disk_spin_is_frozen_even_with_vorticity(disk_setup):
 
 
 def test_energy_conservation_improves_with_dt(ellipse_setup):
-    sp, md = ellipse_setup
-    st0 = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                       r0=0.5,
+    sp = ellipse_setup
+    st0 = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=2 * np.pi,
+                       ell0=(1.0, 0.0), r0=0.5,
                        field=patch_field(1.0, 2.0, 0.15))
     E0 = total_energy(st0)
     T, n = 0.1, 50
@@ -420,25 +425,39 @@ def test_energy_conservation_improves_with_dt(ellipse_setup):
 def lab_frame_view(state):
     """Body center, its lab-frame velocity, and the blobs moved to the
     lab frame."""
-    pl = state.placement
-    field = replace(state.field, x=pl.to_lab(state.field.x), frame="lab")
-    return pl.h.copy(), rotation(pl.theta) @ state.ell, field
+    field = replace(state.field, x=state.to_lab(state.field.x), frame="lab")
+    return state.h.copy(), rotation(state.theta) @ state.ell, field
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=strategies.floats(-6.0, 6.0), hx=strategies.floats(-2, 2),
+       hy=strategies.floats(-2, 2))
+def test_to_lab_roundtrip(disk_setup, theta, hx, hy):
+    state = replace(init_coupled(disk_setup, m1=1.0, J1=1.0, alpha=ALPHA,
+                                 gamma=1.0, field=empty_field()),
+                    h=np.array([hx, hy]), theta=theta)
+    pts = np.array([[0.3, -1.2], [1.0, 0.0], [-0.7, 0.45]])
+    R = rotation(theta)
+    # inverse map: y -> (y - h) R
+    np.testing.assert_allclose((state.to_lab(pts) - state.h) @ R, pts,
+                               atol=1e-12)
+    np.testing.assert_allclose((pts @ R) @ R.T, pts, atol=1e-12)
 
 
 def test_frame_change_identities(ellipse_setup):
     # after a few steps the body has genuinely moved; the body-frame blob
     # kernel samples must match the lab-frame ones conjugated by the
     # attitude, and the origin gradient matches a finite-difference probe
-    sp, md = ellipse_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.5,
+    sp = ellipse_setup
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=2 * np.pi,
+                      ell0=(1.0, 0.0), r0=0.5,
                       field=patch_field(1.0, 2.0, 0.2))
     for _ in range(5):
         st = coupled_step(st, 0.002)
-    assert abs(st.placement.theta) > 0.0
+    assert abs(st.theta) > 0.0
 
     h, h_dot, lab_field = lab_frame_view(st)
-    R = rotation(st.placement.theta)
+    R = rotation(st.theta)
 
     k_body = velocity_free_space(st.field, [0.0, 0.0])[0]
     k_lab = velocity_free_space(lab_field, h)[0]
@@ -457,16 +476,15 @@ def test_frame_change_identities(ellipse_setup):
                    - velocity_free_space(lab_field, h - d)[0]) / (2 * h_)
     assert np.abs(g_lab - 0.5 * (J + J.T)).max() < 1e-8
 
-    pl = st.placement
-    body_x = (lab_field.x - pl.h) @ rotation(pl.theta)
-    assert np.abs(pl.to_lab(body_x) - lab_field.x).max() < 1e-12
+    body_x = (lab_field.x - st.h) @ rotation(st.theta)
+    assert np.abs(st.to_lab(body_x) - lab_field.x).max() < 1e-12
     assert np.allclose(h_dot, R @ st.ell, atol=1e-15)
 
 
 def test_step_guard_rejects_reckless_dt(ellipse_setup):
-    sp, md = ellipse_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.5,
+    sp = ellipse_setup
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=2 * np.pi,
+                      ell0=(1.0, 0.0), r0=0.5,
                       field=patch_field(1.0, 2.0, 0.2))
     with pytest.raises(TimeStepError):
         coupled_step(st, 5.0)
@@ -477,9 +495,9 @@ def test_step_guard_rejects_reckless_dt(ellipse_setup):
 def test_dt_guard_checks_every_stage(ellipse_setup, monkeypatch):
     # a clearance that collapses at stage 2 stops the step, though the
     # stage-1 speed and clearance pass the guard
-    sp, md = ellipse_setup
-    st = init_coupled(sp, md, alpha=ALPHA, gamma=2 * np.pi, ell0=(1.0, 0.0),
-                      r0=0.5,
+    sp = ellipse_setup
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=ALPHA, gamma=2 * np.pi,
+                      ell0=(1.0, 0.0), r0=0.5,
                       field=patch_field(1.0, 2.0, 0.2))
     coupled_step(st, 0.002)
     builds = []

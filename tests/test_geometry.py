@@ -285,17 +285,6 @@ def test_spectral_refinement():
     assert e8 / e16 > 10.0
 
 
-@settings(max_examples=25, deadline=None)
-@given(theta=st.floats(-6.0, 6.0), hx=st.floats(-2, 2), hy=st.floats(-2, 2))
-def test_placement_roundtrip(theta, hx, hy):
-    pl = vb.Placement(h=np.array([hx, hy]), theta=theta)
-    pts = np.array([[0.3, -1.2], [1.0, 0.0], [-0.7, 0.45]])
-    R = vb.rotation(theta)
-    # inverse map: y -> (y - h) R
-    np.testing.assert_allclose((pl.to_lab(pts) - pl.h) @ R, pts, atol=1e-12)
-    np.testing.assert_allclose((pts @ R) @ R.T, pts, atol=1e-12)
-
-
 @pytest.mark.parametrize("m, n", [(0, 5), (1, 1), (200, 300), (3, 20000)])
 def test_squared_distances_chunks_are_exact(m, n):
     # the row-chunked build has the bits of the direct two-difference

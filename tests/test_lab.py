@@ -771,6 +771,27 @@ def test_annulus_exit_abort(tmp_path):
     assert "outside" in marker["detail"]
 
 
+def test_clean_rerun_removes_stale_markers(tmp_path):
+    # a run that does not abort removes the marker an earlier aborted run
+    # left under its label; a label the later command does not write
+    # keeps its marker
+    out = tmp_path / "out"
+    aborting = write_config(tmp_path, name="abort.ini",
+                            **{"rho = 4.0": "rho = 1.05"})
+    assert main(["converge", "--config", str(aborting),
+                 "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.glob("*.aborted")) == [
+        "coupled-eps0.1.aborted", "coupled-eps0.2.aborted", "limit.aborted"]
+    clean = write_config(tmp_path)
+    assert main(["simulate-coupled", "--config", str(clean),
+                 "--out", str(out)]) == 0
+    assert [p.name for p in out.glob("*.aborted")] == ["limit.aborted"]
+    assert main(["converge", "--config", str(clean), "--out", str(out)]) == 0
+    assert not list(out.glob("*.aborted"))
+    report = json.loads((out / "report.json").read_text())
+    assert all(row["aborted"] is None for row in report["rows"])
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[shape]\npreset = rhombus\n")

@@ -48,9 +48,9 @@ def disk_setup():
 
 @pytest.fixture(scope="module")
 def asym_state(asym_setup, random_blobs):
-    pset, md = asym_setup
+    pset, _ = asym_setup
     sp = ScaledPotentials(pset, 0.1)
-    return init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
+    return init_coupled(sp, m1=1.0, J1=1.0, alpha=2.0, gamma=FROZEN_GAMMA,
                         ell0=FROZEN_ELL, r0=FROZEN_R, field=random_blobs)
 
 
@@ -59,9 +59,9 @@ def asym_state(asym_setup, random_blobs):
 
 
 def test_trivial_modulation(asym_setup):
-    pset, md = asym_setup
+    pset, _ = asym_setup
     sp = ScaledPotentials(pset, 0.1)
-    st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=2.0, gamma=FROZEN_GAMMA,
                       ell0=(0.3, -0.2), r0=0.7, field=empty_field())
     mod = modulation(st)
     assert velocity_gradient(st.field, np.zeros(2))[2]   # clean
@@ -73,11 +73,11 @@ def test_trivial_modulation(asym_setup):
 
 def test_symmetric_ring_modulation(asym_setup):
     # an 8-fold ring has no flow and no strain at its center
-    pset, md = asym_setup
+    pset, _ = asym_setup
     ang = np.arange(8) * np.pi / 4
     ring = BlobField(x=1.5 * np.column_stack([np.cos(ang), np.sin(ang)]),
                      gamma=np.full(8, 0.3), delta=0.05)
-    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0,
+    st = init_coupled(ScaledPotentials(pset, 0.1), m1=1.0, J1=1.0, alpha=2.0,
                       gamma=FROZEN_GAMMA, field=ring)
     mod = modulation(st)
     assert np.abs(mod["drift"]).max() < 1e-14
@@ -89,7 +89,7 @@ def test_modulated_momentum_bookkeeping(asym_state):
     mod = modulation(st)
     eps = st.eps
     want = (st.ell - mod["drift"]
-            - eps * _strain(mod["a"], mod["b"], st.mass.xi))
+            - eps * _strain(mod["a"], mod["b"], st.scaled.base.xi))
     p = mod["p_modulated"]
     np.testing.assert_allclose(p[:2], want, rtol=0, atol=1e-15)
     assert np.array_equal(p, np.array([*p[:2], eps * st.r]))
@@ -194,14 +194,15 @@ def test_disk_degeneracies(disk_setup):
 
 def test_weakly_gyroscopic_G_disk_vanishes(disk_setup):
     sp, md = disk_setup
-    st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA, ell0=(0.5, 0.1),
-                      r0=0.4, field=empty_field())
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=2.0, gamma=FROZEN_GAMMA,
+                      ell0=(0.5, 0.1), r0=0.4, field=empty_field())
     G = weakly_gyroscopic_G(modulation(st), md)
     assert np.abs(G).max() < 1e-15
 
 
 def test_weakly_gyroscopic_G_lives_on_the_spin_axis(asym_state):
-    G = weakly_gyroscopic_G(modulation(asym_state), asym_state.mass)
+    G = weakly_gyroscopic_G(modulation(asym_state),
+                            build_mass_data(asym_state.scaled.base))
     assert G[0] == 0.0 and G[1] == 0.0
     assert G[2] != 0.0
 
@@ -214,10 +215,18 @@ def test_structure_tensor_bundle(asym_setup):
     np.testing.assert_array_equal(Ma, pset.mass[:3, :3])
     np.testing.assert_array_equal(md.added_2x2, pset.mass[:2, :2])
     np.testing.assert_array_equal(Mg, np.diag([md.m1, md.m1, md.J1]))
+    # a state on the same set holds the total mass I M_g I + I M_a I,
+    # scaled and in this operation order, to the bit
+    st = init_coupled(ScaledPotentials(pset, eps), m1=md.m1, J1=md.J1,
+                      alpha=alpha, gamma=FROZEN_GAMMA, field=empty_field())
+    I = np.diag([1.0, 1.0, eps])
+    M = st.inertia_matrix
+    np.testing.assert_array_equal(
+        M, eps ** alpha * I @ Mg @ I + eps ** 2 * I @ Ma @ I)
     # acting on modulated momenta, which carry the spin as eps r, the
     # inertia is the total mass without its diagonal spin scaling
     I_inv = np.diag([1.0, 1.0, 1.0 / eps])
-    np.testing.assert_allclose(I_inv @ md.total_mass(eps, alpha) @ I_inv,
+    np.testing.assert_allclose(I_inv @ M @ I_inv,
                                eps ** alpha * Mg + eps ** 2 * Ma,
                                rtol=1e-14, atol=0)
     p = np.array([0.4, -1.2, 0.7])
@@ -256,11 +265,11 @@ def test_expansion_error_regression(frozen_sweep):
 
 
 def test_empty_field_expansions(asym_setup):
-    pset, md = asym_setup
+    pset, _ = asym_setup
     sp = ScaledPotentials(pset, 0.1)
 
     # no vorticity: the source integral and its expansion both vanish
-    st = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
+    st = init_coupled(sp, m1=1.0, J1=1.0, alpha=2.0, gamma=FROZEN_GAMMA,
                       ell0=FROZEN_ELL, r0=FROZEN_R, field=empty_field())
     mod = modulation(st)
     hydro = HydrodynamicField(sp, st.field)
@@ -273,7 +282,7 @@ def test_empty_field_expansions(asym_setup):
     assert np.abs(C_b - eCb).max() < 1e-12
 
     # and with the body at rest every term carries a zero factor
-    rest = init_coupled(sp, md, alpha=2.0, gamma=FROZEN_GAMMA,
+    rest = init_coupled(sp, m1=1.0, J1=1.0, alpha=2.0, gamma=FROZEN_GAMMA,
                         field=empty_field())
     _, eCb0 = expansion_C(rest, modulation(rest))
     assert np.abs(eCb0).max() == 0.0
@@ -283,23 +292,23 @@ def test_empty_field_expansions(asym_setup):
 # trajectory diagnostics
 
 
-def _short_run(pset, md, blobs, eps, dt, steps):
-    return sampled_run(pset, md, blobs, eps=eps, dt=dt, steps=steps,
+def _short_run(pset, blobs, eps, dt, steps):
+    return sampled_run(pset, blobs, eps=eps, dt=dt, steps=steps,
                        r0=0.3 / eps)
 
 
 def _resting(asym_setup, samples):
     """A body at rest with no vorticity, sampled ``samples`` times."""
-    pset, md = asym_setup
-    st = init_coupled(ScaledPotentials(pset, 0.1), md, alpha=2.0, gamma=0.0,
-                      field=empty_field())
+    pset, _ = asym_setup
+    st = init_coupled(ScaledPotentials(pset, 0.1), m1=1.0, J1=1.0, alpha=2.0,
+                      gamma=0.0, field=empty_field())
     return run_columns([sampled_row(st)] * samples, st)
 
 
 @pytest.fixture(scope="module")
 def reference_run(asym_setup, random_blobs):
-    pset, md = asym_setup
-    return _short_run(pset, md, random_blobs, eps=0.1, dt=1e-3, steps=48)
+    pset, _ = asym_setup
+    return _short_run(pset, random_blobs, eps=0.1, dt=1e-3, steps=48)
 
 
 def residual(run, dt):
@@ -329,8 +338,8 @@ def test_residual_dt_stability_on_reference_run(reference_run):
 
 def test_residual_flags_coarse_cadence(asym_setup, random_blobs):
     # at eps = 0.05 a 5e-4 cadence under-resolves the gyro oscillation
-    pset, md = asym_setup
-    record = _short_run(pset, md, random_blobs, eps=0.05, dt=5e-4, steps=24)
+    pset, _ = asym_setup
+    record = _short_run(pset, random_blobs, eps=0.05, dt=5e-4, steps=24)
     series = residual(record, 5e-4)
     assert series.dt_converged is False
 
@@ -372,11 +381,11 @@ def weak_gyro_calibration(series, dt: float) -> float:
 
 
 def test_weak_gyro_calibration_stable(asym_setup, random_blobs):
-    pset, md = asym_setup
+    pset, _ = asym_setup
     c1 = weak_gyro_calibration(
-        _short_run(pset, md, random_blobs, 0.1, 2e-3, 24), 2e-3)
+        _short_run(pset, random_blobs, 0.1, 2e-3, 24), 2e-3)
     c2 = weak_gyro_calibration(
-        _short_run(pset, md, random_blobs, 0.1, 1e-3, 48), 1e-3)
+        _short_run(pset, random_blobs, 0.1, 1e-3, 48), 1e-3)
     assert c1 > 0
     assert abs(c1 / c2 - 1.0) < 0.10
 

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conftest import (harmonic_circulation, harmonic_stream,
+from conftest import (empty_field, harmonic_circulation, harmonic_stream,
                       neumann_potential, scaled_shape)
 from vortexbody.contour import hat_field
+from vortexbody.coupled_system import init_coupled
 from vortexbody.geometry import build_mesh, disk, ellipse, perturbed_disk
 from vortexbody.lab import CANONICAL_SHAPES
 from vortexbody.potential import (
@@ -227,8 +228,17 @@ def test_mass_data_bundle(disk_set, ellipse_set):
     md = build_mass_data(ellipse_set, m1=2.0, J1=0.5)
     m = md.mass
     assert np.allclose(md.mu, [m[0, 2], m[1, 2], 0.0])
-    # total inertia: symmetric positive definite at a sample regime point
-    M = md.total_mass(eps=0.1, alpha=2.0)
+    # total inertia of a state on the same set: eps^alpha I M_g I
+    # + eps^2 I M_a I to the bit, symmetric positive definite at a sample
+    # regime point
+    eps, alpha = 0.1, 2.0
+    st = init_coupled(ScaledPotentials(ellipse_set, eps), m1=md.m1,
+                      J1=md.J1, alpha=alpha, gamma=1.0, field=empty_field())
+    M = st.inertia_matrix
+    I = np.diag([1.0, 1.0, eps])
+    np.testing.assert_array_equal(
+        M, eps ** alpha * I @ np.diag([md.m1, md.m1, md.J1]) @ I
+        + eps ** 2 * I @ ellipse_set.mass[:3, :3] @ I)
     assert np.abs(M - M.T).max() < 1e-14
     assert np.linalg.eigvalsh(M).min() > 0
     # added-mass spectrum: psd always, rank-deficient exactly for the disk
